@@ -13,10 +13,11 @@ from .errors import (
     NonpositiveSamples,
     ParseError,
     PicardDiverged,
+    SnapshotError,
     StepRejected,
     ValidationError,
 )
-from .fields import Grid, ScalarField, SymTensorField, VectorField
+from .fields import Grid
 from .model import ComparisonEnvelope, HomogeneousIC, ModelParams, State
 from .timestepper import StepConfig, Trajectory
 
@@ -24,9 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Grid",
-    "ScalarField",
-    "VectorField",
-    "SymTensorField",
     "ModelParams",
     "ComparisonEnvelope",
     "State",
@@ -44,6 +42,7 @@ __all__ = [
     "BadDelta",
     "NonpositiveParameter",
     "NonpositiveSample",
+    "SnapshotError",
     "ParseError",
     "ValidationError",
     "__version__",

@@ -4,17 +4,15 @@ Commands: run, decay, bounds, balance, scaling.  Each reads a key=value config
 file, executes one or more simulations, writes `series.ndjson` (one
 diagnostics record per sample), binary snapshots `snap_<t>.kbox`, and a
 `summary.json` with named pass/fail checks.  The process exits 0 exactly when
-every check passed.  KOLMO_THREADS caps the number of concurrently executed
-refinement runs (each run is single-threaded and deterministic).
+every check passed, 1 when a check failed, and 2 when there is no verdict: a
+config, snapshot, I/O or solver error, reported on one stderr line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional
@@ -50,23 +48,19 @@ class VerificationSummary:
         return all(c.passed for c in self.checks)
 
 
-def _max_workers() -> int:
-    env = os.environ.get("KOLMO_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def _run_problem(p):
+    return T.run(p.state, p.cfg.t_end, p.forcing, p.params, p.env, p.step, p.sample_every)
 
 
 def _run_cfg(cfg: RunConfig):
     p = build_problem(cfg)
-    traj = T.run(p.state, cfg.t_end, p.forcing, p.params, p.env, p.step, p.sample_every)
-    return p, traj
+    return p, _run_problem(p)
 
 
-def _run_many(cfgs):
-    """Run independent configs, concurrently up to KOLMO_THREADS."""
-    with ThreadPoolExecutor(max_workers=min(_max_workers(), len(cfgs))) as pool:
-        return list(pool.map(_run_cfg, cfgs))
+def _run_pair(cfg: RunConfig, refined: RunConfig):
+    """Run a config and its refinement; both are built first, so a bad one fails before any run."""
+    problems = [build_problem(cfg), build_problem(refined)]
+    return [_run_problem(p) for p in problems]
 
 
 def _write_series(outdir: Path, traj) -> None:
@@ -120,12 +114,9 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
     _write_series(outdir, traj)
     _write_snapshots(outdir, traj)
     final = traj.states[-1]
-    finite = all(
-        np.all(np.isfinite(a.values))
-        for a in (*final.u.components, final.omega, final.k, final.p)
-    )
-    umax = final.u.max_abs()
-    div_resid = float(np.abs(divergence(final.u).values).max())
+    finite = all(np.all(np.isfinite(a)) for a in (*final.u, final.omega, final.k, final.p))
+    umax = float(np.abs(final.u).max())
+    div_resid = float(np.abs(divergence(final.grid, final.u)).max())
     summary = VerificationSummary(
         "run",
         [
@@ -163,7 +154,7 @@ def _max_violations(traj):
 
 def cmd_bounds(cfg: RunConfig, outdir: Path) -> int:
     refined = replace(cfg, n=2 * cfg.n, dt_max=cfg.dt_max / 2.0)
-    (_, base), (_, fine) = _run_many([cfg, refined])
+    base, fine = _run_pair(cfg, refined)
     _write_series(outdir, base)
     env = base.env
     v0 = _max_violations(base)
@@ -196,7 +187,7 @@ def cmd_balance(cfg: RunConfig, outdir: Path) -> int:
         dt_max=cfg.dt_max / 2.0,
         sample_every=(cfg.sample_every if cfg.sample_every > 0 else cfg.t_end / 50.0) / 2.0,
     )
-    (_, base), (_, fine) = _run_many([cfg, refined])
+    base, fine = _run_pair(cfg, refined)
     _write_series(outdir, base)
     w0 = (base.times[0], base.times[-1])
     w1 = (fine.times[0], fine.times[-1])
@@ -283,7 +274,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return cmd_scaling(cfg, outdir, args.rho, args.gamma)
         raise AssertionError(args.command)
     except KolmoboxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -5,7 +5,7 @@ Perturbation modes are colon-separated tuples field:axis:wavenumber:amplitude
 (e.g. ``perturb_modes = omega:0:2:0.05, k:1:1:0.1``).  Validation happens at
 parse time for scalar constraints and at state-construction time for the
 pointwise initial-data constraints (omega0 within [omega_star, omega_sup],
-k0 >= k_star).
+k0 >= k_star) and the snapshot grid, which must equal Grid(dim, n, side).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import snapshot as snap
 from .errors import ParseError, ValidationError
-from .fields import Grid, ScalarField, VectorField, leray_project
+from .fields import Grid, leray_project
 from .model import ComparisonEnvelope, ModelParams, State
 from .timestepper import StepConfig
 
@@ -291,7 +291,12 @@ def _mode_array(grid: Grid, axis: int, wavenumber: int, amplitude: float, phase:
 
 def _build_state(cfg: RunConfig, grid: Grid) -> State:
     if cfg.ic == "snapshot":
-        return snap.state_from_snapshot(cfg.snapshot_path)
+        state = snap.state_from_snapshot(cfg.snapshot_path)
+        if state.grid != grid:
+            raise ValidationError(
+                "snapshot_path", f"snapshot grid {state.grid} differs from the config grid {grid}"
+            )
+        return state
 
     u_const = cfg.ic_u if cfg.ic_u else (0.0,) * cfg.dim
     u_arrays = [np.full(grid.shape, v) for v in u_const]
@@ -321,19 +326,13 @@ def _build_state(cfg: RunConfig, grid: Grid) -> State:
                 i = int(m.target[1:]) - 1
                 u_arrays[i] = u_arrays[i] + bump
 
-    u, p = leray_project(VectorField.from_arrays(grid, u_arrays, copy=False))
-    return State(
-        t=0.0,
-        u=u,
-        omega=ScalarField(grid, om, copy=False),
-        k=ScalarField(grid, kk, copy=False),
-        p=p,
-    )
+    u, p = leray_project(grid, np.stack(u_arrays))
+    return State(t=0.0, grid=grid, u=u, omega=om, k=kk, p=p)
 
 
 def _build_env(cfg: RunConfig, state: State) -> ComparisonEnvelope:
-    om_min, om_max = state.omega.min(), state.omega.max()
-    k_min = state.k.min()
+    om_min, om_max = float(state.omega.min()), float(state.omega.max())
+    k_min = float(state.k.min())
     omega_star = cfg.omega_star if cfg.omega_star > 0 else om_min
     omega_sup = cfg.omega_sup if cfg.omega_sup > 0 else om_max
     k_star = cfg.k_star if cfg.k_star > 0 else k_min
@@ -351,16 +350,16 @@ def _build_env(cfg: RunConfig, state: State) -> ComparisonEnvelope:
     return ComparisonEnvelope(omega_star=omega_star, omega_sup=omega_sup, k_star=k_star)
 
 
-def _build_forcing(cfg: RunConfig, grid: Grid) -> Optional[VectorField]:
+def _build_forcing(cfg: RunConfig, grid: Grid) -> Optional[np.ndarray]:
     if cfg.forcing == "none":
         return None
     if cfg.forcing == "constant":
-        return VectorField.constant(grid, np.asarray(cfg.forcing_vector))
-    arrays = [np.zeros(grid.shape) for _ in range(grid.dim)]
-    arrays[cfg.forcing_component] = _mode_array(
+        return np.stack([np.full(grid.shape, v) for v in cfg.forcing_vector])
+    forcing = np.zeros((grid.dim,) + grid.shape)
+    forcing[cfg.forcing_component] = _mode_array(
         grid, cfg.forcing_axis, cfg.forcing_wavenumber, cfg.forcing_amplitude
     )
-    return VectorField.from_arrays(grid, arrays, copy=False)
+    return forcing
 
 
 @dataclass(frozen=True)
@@ -373,7 +372,7 @@ class Problem:
     env: ComparisonEnvelope
     params: ModelParams
     step: StepConfig
-    forcing: Optional[VectorField]
+    forcing: Optional[np.ndarray]
     sample_every: float
 
 

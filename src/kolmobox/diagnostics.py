@@ -18,7 +18,6 @@ import numpy as np
 from . import fields as F
 from . import model as M
 from .errors import BadDelta, DegenerateOmega, InsufficientSamples, NonpositiveSamples
-from .fields import ScalarField, VectorField
 from .model import ComparisonEnvelope, ModelParams, State
 
 __all__ = [
@@ -106,7 +105,7 @@ class LengthScaleCheck:
 
 def record(
     state: State,
-    forcing: Optional[VectorField],
+    forcing: Optional[np.ndarray],
     params: ModelParams,
     env: ComparisonEnvelope,
     guard_activations: int = 0,
@@ -116,41 +115,41 @@ def record(
     u, om, kk = state.u, state.omega, state.k
 
     speed_sq = np.zeros(g.shape)
-    for c in u.components:
-        speed_sq += c.values**2
-    e_kin = 0.5 * F.integrate(ScalarField(g, speed_sq, copy=False))
+    for c in u:
+        speed_sq += c**2
+    e_kin = 0.5 * F.integrate(g, speed_sq)
 
     eddy = M.eddy_coefficient(kk, om, params)
-    dsq = F.frobenius_sq(F.sym_gradient(u))
-    dissipation = params.nu0 * F.integrate(ScalarField(g, eddy.values * dsq.values, copy=False))
+    dsq = F.frobenius_sq(g, F.sym_gradient(g, u))
+    dissipation = params.nu0 * F.integrate(g, eddy * dsq)
 
-    om_pos = np.maximum(om.values, 0.0)
-    sink_k = params.alpha2 * F.integrate(ScalarField(g, kk.values * om_pos, copy=False))
-    sink_omega = params.alpha1 * F.integrate(ScalarField(g, om_pos * om.values, copy=False))
+    om_pos = np.maximum(om, 0.0)
+    sink_k = params.alpha2 * F.integrate(g, kk * om_pos)
+    sink_omega = params.alpha1 * F.integrate(g, om_pos * om)
 
     power_in = 0.0
     if forcing is not None:
         fu = np.zeros(g.shape)
-        for fc, uc in zip(forcing.components, u.components):
-            fu += fc.values * uc.values
-        power_in = F.integrate(ScalarField(g, fu, copy=False))
+        for fc, uc in zip(forcing, u):
+            fu += fc * uc
+        power_in = F.integrate(g, fu)
 
     lo = M.omega_lower(state.t, env, params)
     hi = M.omega_upper(state.t, env, params)
     kap = M.kappa(state.t, env, params)
-    min_omega = om.min()
-    max_omega = om.max()
-    min_k = kk.min()
+    min_omega = float(om.min())
+    max_omega = float(om.max())
+    min_k = float(kk.min())
 
     if min_omega > 0.0:
-        l_min = float(np.min(np.sqrt(np.maximum(kk.values, 0.0)) / om.values))
+        l_min = float(np.min(np.sqrt(np.maximum(kk, 0.0)) / om))
     else:
         l_min = 0.0  # degenerate omega; keep the record finite
 
     return DiagnosticsRecord(
         t=state.t,
         E_kin=e_kin,
-        E_turb=F.integrate(kk),
+        E_turb=F.integrate(g, kk),
         dissipation=dissipation,
         sink_k=sink_k,
         sink_omega=sink_omega,
@@ -196,30 +195,29 @@ def _trapezoid(values, times) -> float:
     return total
 
 
-def _eps_correction_omega(state: State, params: ModelParams, env: ComparisonEnvelope) -> float:
-    """eps * integral(source - odd-power damping) in the omega equation."""
-    if not params.regularized:
-        return 0.0
-    g = state.grid
-    src = M.omega_lower(state.t, env, params) ** (params.r - 1.0) * g.volume
-    damp = F.integrate(ScalarField(g, F.signed_power(state.omega.values, params.r), copy=False))
-    return params.eps * (src - damp)
+def _eps_corrections(traj, idx, field: str, envelope) -> list:
+    """eps * integral(source - odd-power damping) in one equation, per sample.
 
-
-def _eps_correction_k(state: State, params: ModelParams, env: ComparisonEnvelope) -> float:
+    `field` is "omega" or "k" and `envelope` its lower envelope (omega_lower
+    or kappa), whose (r-1)-th power is the source.
+    """
+    params, env = traj.params, traj.env
     if not params.regularized:
-        return 0.0
-    g = state.grid
-    src = M.kappa(state.t, env, params) ** (params.r - 1.0) * g.volume
-    damp = F.integrate(ScalarField(g, F.signed_power(state.k.values, params.r), copy=False))
-    return params.eps * (src - damp)
+        return [0.0] * len(idx)
+    out = []
+    for i in idx:
+        s = traj.states[i]
+        src = envelope(s.t, env, params) ** (params.r - 1.0) * s.grid.volume
+        damp = F.integrate(s.grid, F.signed_power(getattr(s, field), params.r))
+        out.append(params.eps * (src - damp))
+    return out
 
 
 def _production_integral(state: State, params: ModelParams) -> float:
     g = state.grid
     prod = M.production_coefficient(state.k, state.omega, params)
-    dsq = F.frobenius_sq(F.sym_gradient(state.u))
-    return params.nu0 * F.integrate(ScalarField(g, prod.values * dsq.values, copy=False))
+    dsq = F.frobenius_sq(g, F.sym_gradient(g, state.u))
+    return params.nu0 * F.integrate(g, prod * dsq)
 
 
 def omega_balance_residual(traj, window) -> float:
@@ -230,10 +228,9 @@ def omega_balance_residual(traj, window) -> float:
     mean of omega.
     """
     idx, times = _window_indices(traj, window, 2)
-    params, env = traj.params, traj.env
-    mass = [F.integrate(traj.states[i].omega) for i in idx]
+    mass = [F.integrate(traj.states[i].grid, traj.states[i].omega) for i in idx]
     sink = [traj.records[i].sink_omega for i in idx]
-    eps_corr = [_eps_correction_omega(traj.states[i], params, env) for i in idx]
+    eps_corr = _eps_corrections(traj, idx, "omega", M.omega_lower)
     net = [s - e for s, e in zip(sink, eps_corr)]
     return abs(mass[-1] - mass[0] + _trapezoid(net, times))
 
@@ -246,11 +243,10 @@ def k_balance_residual(traj, window):
     this is the mass of the nonnegative defect measure on the window.
     """
     idx, times = _window_indices(traj, window, 2)
-    params, env = traj.params, traj.env
-    mass = [F.integrate(traj.states[i].k) for i in idx]
-    production = [_production_integral(traj.states[i], params) for i in idx]
+    mass = [F.integrate(traj.states[i].grid, traj.states[i].k) for i in idx]
+    production = [_production_integral(traj.states[i], traj.params) for i in idx]
     sink = [traj.records[i].sink_k for i in idx]
-    eps_corr = [_eps_correction_k(traj.states[i], params, env) for i in idx]
+    eps_corr = _eps_corrections(traj, idx, "k", M.kappa)
     net = [p - s + e for p, s, e in zip(production, sink, eps_corr)]
     mu_proxy = mass[-1] - mass[0] - _trapezoid(net, times)
     return abs(mu_proxy), mu_proxy
@@ -275,24 +271,22 @@ def _eps_correction_u_energy(state: State, params: ModelParams) -> float:
     if not params.regularized:
         return 0.0
     g = state.grid
-    rl = F.r_laplacian_vec(state.u, params.r)
-    damp = F.vector_signed_power([c.values for c in state.u.components], params.r)
+    rl = F.r_laplacian_vec(g, state.u, params.r)
+    damp = F.vector_signed_power(state.u, params.r)
     tot = np.zeros(g.shape)
-    for uc, rc, dc in zip(state.u.components, rl.components, damp):
-        tot += uc.values * (rc.values - dc)
-    return params.eps * F.integrate(ScalarField(g, tot, copy=False))
+    for uc, rc, dc in zip(state.u, rl, damp):
+        tot += uc * (rc - dc)
+    return params.eps * F.integrate(g, tot)
 
 
 def balance_report(traj, window) -> BalanceReport:
     """Assemble all window balances in one report."""
-    params, env = traj.params, traj.env
+    params = traj.params
     idx, times = _window_indices(traj, window, 2)
     k_res, mu = k_balance_residual(traj, window)
     eps_corr = {
-        "omega": _trapezoid(
-            [_eps_correction_omega(traj.states[i], params, env) for i in idx], times
-        ),
-        "k": _trapezoid([_eps_correction_k(traj.states[i], params, env) for i in idx], times),
+        "omega": _trapezoid(_eps_corrections(traj, idx, "omega", M.omega_lower), times),
+        "k": _trapezoid(_eps_corrections(traj, idx, "k", M.kappa), times),
         "u_energy": _trapezoid(
             [_eps_correction_u_energy(traj.states[i], params) for i in idx], times
         ),
@@ -323,12 +317,12 @@ def length_scale_check(state: State, env: ComparisonEnvelope, params: ModelParam
     if state.omega.min() <= 0.0:
         raise DegenerateOmega("length scale undefined for nonpositive omega")
     t = state.t
-    l_min = float(np.min(np.sqrt(np.maximum(state.k.values, 0.0)) / state.omega.values))
+    l_min = float(np.min(np.sqrt(np.maximum(state.k, 0.0)) / state.omega))
     growth = (1.0 + params.alpha1 * env.omega_sup * t) ** (
         1.0 - params.alpha2 / (2.0 * params.alpha1)
     )
     bound = math.sqrt(env.k_star) / env.omega_sup * growth
-    inv = 1.0 / state.omega.values
+    inv = 1.0 / state.omega
     lo = 1.0 / env.omega_sup + params.alpha1 * t
     hi = 1.0 / env.omega_star + params.alpha1 * t
     return LengthScaleCheck(
@@ -359,20 +353,16 @@ def entropy_phi(tau, delta: float):
     return tau + (1.0 - (1.0 + tau) ** (1.0 - delta)) / (1.0 - delta)
 
 
-def entropy_functional(k: ScalarField, delta: float):
+def entropy_functional(g, k: np.ndarray, delta: float):
     """(integral of the entropy density, integral of |grad k|^2 / (1+k)^delta)."""
     if not 0.0 < delta < 1.0:
         raise BadDelta(f"delta must be in ]0,1[, got {delta}")
-    g = k.grid
-    phi = entropy_phi(k.values, delta)
+    phi = entropy_phi(k, delta)
     mag2 = np.zeros(g.shape)
-    for c in F.gradient(k).components:
-        mag2 += c.values**2
-    weighted = mag2 / (1.0 + k.values) ** delta
-    return (
-        F.integrate(ScalarField(g, phi, copy=False)),
-        F.integrate(ScalarField(g, weighted, copy=False)),
-    )
+    for c in F.gradient(g, k):
+        mag2 += c**2
+    weighted = mag2 / (1.0 + k) ** delta
+    return F.integrate(g, phi), F.integrate(g, weighted)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +373,11 @@ def decay_fit(traj, quantity: str, window) -> FitResult:
     """Least-squares slope of log(quantity) against log(1 + alpha1*omega_sup*t)."""
     idx, times = _window_indices(traj, window, 3)
     params, env = traj.params, traj.env
+    states = [traj.states[i] for i in idx]
     if quantity == "mean_k":
-        vals = [F.integrate(traj.states[i].k) / traj.states[i].grid.volume for i in idx]
+        vals = [F.integrate(s.grid, s.k) / s.grid.volume for s in states]
     elif quantity == "mean_omega":
-        vals = [F.integrate(traj.states[i].omega) / traj.states[i].grid.volume for i in idx]
+        vals = [F.integrate(s.grid, s.omega) / s.grid.volume for s in states]
     elif quantity == "L_min":
         vals = [traj.records[i].L_min for i in idx]
     else:

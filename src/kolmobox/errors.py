@@ -45,6 +45,10 @@ class NonpositiveSample(KolmoboxError):
     """A coefficient-invariance sample (omega, k) must be strictly positive."""
 
 
+class SnapshotError(KolmoboxError, ValueError):
+    """A snapshot file is malformed: short or bad header, truncated or missing field."""
+
+
 class ParseError(KolmoboxError):
     """Config text could not be parsed; carries the offending line number."""
 

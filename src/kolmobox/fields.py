@@ -1,7 +1,15 @@
-"""Periodic grid data model and discrete differential/integral operators.
+"""Periodic grid and discrete differential/integral operators on plain arrays.
 
 Everything lives on a uniform lattice over the torus (]0,l[)^d with d in
-{1,2,3}.  Spatial derivatives are second-order centered differences, diffusion
+{1,2,3}.  Fields are float64 ndarrays sampled at the grid nodes, row-major
+with axes x1..xd: a scalar has shape `grid.shape`, a vector stacks its d
+components along a leading axis, shape `(d, *grid.shape)`, and a tensor such
+as D(u) stacks two leading axes, shape `(d, d, *grid.shape)`.  Operators take
+the grid first and return new arrays; they never write into their inputs.
+Stencils count the spatial axes from the end, so one call serves a scalar and
+every component of a vector alike.
+
+Spatial derivatives are second-order centered differences, diffusion
 operators are written in conservative flux form, and the Leray projection uses
 the discrete Fourier transform with the exact symbol of the centered
 difference.  These choices make the discrete counterparts of the continuous
@@ -13,26 +21,20 @@ identities exact:
 * skew symmetry:          sum(f * advect(u, f)) == 0
 * energy identity:        sum(u . div_tensor_flux(a, D(u))) == -sum(a |D(u)|^2)
 
-Reductions use numpy's fixed-order pairwise summation over the C-contiguous
-value buffer, so diagnostics are bit-reproducible across runs and thread
-counts.  Fields are immutable once constructed (the value buffers are marked
-read-only) and safe to share across threads.
+Reductions use numpy's fixed-order pairwise summation over C-contiguous
+arrays, one component at a time, so diagnostics are bit-reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import IncompatibleGrid, NegativeCoefficient
+from .errors import NegativeCoefficient
 
 __all__ = [
     "Grid",
-    "ScalarField",
-    "VectorField",
-    "SymTensorField",
     "gradient",
     "divergence",
     "sym_gradient",
@@ -98,249 +100,120 @@ class Grid:
         return tuple(np.meshgrid(*axes, indexing="ij")) if self.dim > 1 else (axes[0],)
 
 
-def _prepare(grid: Grid, values, copy: bool) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.shape == (grid.npoints,):
-        arr = arr.reshape(grid.shape)
-    if arr.shape != grid.shape:
-        raise IncompatibleGrid(f"values of shape {arr.shape} do not fit grid {grid.shape}")
-    if copy:
-        arr = arr.copy()
-    elif not arr.flags.c_contiguous:
-        arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    return arr
-
-
-class ScalarField:
-    """A real scalar sampled at the grid nodes (row-major, axes x1..xd)."""
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid: Grid, values, *, copy: bool = True):
-        self.grid = grid
-        self.values = _prepare(grid, values, copy)
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "ScalarField":
-        return cls(grid, np.full(grid.shape, float(value)), copy=False)
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn: Callable) -> "ScalarField":
-        """Sample ``fn(x1, ..., xd)`` at the nodes."""
-        return cls(grid, np.asarray(fn(*grid.coords()), dtype=np.float64), copy=False)
-
-    def min(self) -> float:
-        return float(self.values.min())
-
-    def max(self) -> float:
-        return float(self.values.max())
-
-
-class VectorField:
-    """d scalar components sharing one grid."""
-
-    __slots__ = ("grid", "components")
-
-    def __init__(self, grid: Grid, components: Sequence[ScalarField]):
-        if len(components) != grid.dim:
-            raise IncompatibleGrid(f"expected {grid.dim} components, got {len(components)}")
-        for c in components:
-            if c.grid != grid:
-                raise IncompatibleGrid("vector components must share the grid")
-        self.grid = grid
-        self.components = tuple(components)
-
-    @classmethod
-    def from_arrays(cls, grid: Grid, arrays, *, copy: bool = True) -> "VectorField":
-        return cls(grid, [ScalarField(grid, a, copy=copy) for a in arrays])
-
-    @classmethod
-    def constant(cls, grid: Grid, vec) -> "VectorField":
-        vec = np.asarray(vec, dtype=np.float64).reshape(grid.dim)
-        return cls(grid, [ScalarField.constant(grid, v) for v in vec])
-
-    @classmethod
-    def zero(cls, grid: Grid) -> "VectorField":
-        return cls.constant(grid, np.zeros(grid.dim))
-
-    def arrays(self) -> tuple:
-        return tuple(c.values for c in self.components)
-
-    def max_abs(self) -> float:
-        return max(float(np.abs(c.values).max()) for c in self.components)
-
-
-def _sym_index(i: int, j: int, d: int) -> int:
-    # upper-triangle storage, row-major: (0,0),(0,1),..,(0,d-1),(1,1),..
-    if i > j:
-        i, j = j, i
-    return i * d - (i * (i - 1)) // 2 + (j - i)
-
-
-class SymTensorField:
-    """Symmetric d x d tensor with upper-triangle storage (d(d+1)/2 scalars)."""
-
-    __slots__ = ("grid", "entries")
-
-    def __init__(self, grid: Grid, entries: Sequence[ScalarField]):
-        d = grid.dim
-        want = d * (d + 1) // 2
-        if len(entries) != want:
-            raise IncompatibleGrid(f"expected {want} entries for dim {d}, got {len(entries)}")
-        for e in entries:
-            if e.grid != grid:
-                raise IncompatibleGrid("tensor entries must share the grid")
-        self.grid = grid
-        self.entries = tuple(entries)
-
-    def entry(self, i: int, j: int) -> ScalarField:
-        return self.entries[_sym_index(i, j, self.grid.dim)]
-
-    def entry_values(self, i: int, j: int) -> np.ndarray:
-        return self.entries[_sym_index(i, j, self.grid.dim)].values
-
-    def trace(self) -> ScalarField:
-        d = self.grid.dim
-        tr = sum(self.entry_values(i, i) for i in range(d))
-        return ScalarField(self.grid, tr, copy=False)
-
-    @classmethod
-    def zero(cls, grid: Grid) -> "SymTensorField":
-        d = grid.dim
-        return cls(grid, [ScalarField.constant(grid, 0.0) for _ in range(d * (d + 1) // 2)])
-
-
 # ---------------------------------------------------------------------------
-# stencil primitives
+# stencil primitives; `ax` is a spatial axis 0..d-1, counted from the end
 
 
-def _centered(a: np.ndarray, axis: int, h: float) -> np.ndarray:
+def _centered(a: np.ndarray, ax: int, g: Grid) -> np.ndarray:
     """Second-order centered difference with periodic wrap."""
-    return (np.roll(a, -1, axis=axis) - np.roll(a, 1, axis=axis)) / (2.0 * h)
+    axis = ax - g.dim
+    return (np.roll(a, -1, axis=axis) - np.roll(a, 1, axis=axis)) / (2.0 * g.h)
 
 
-def _fwd(a: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Two-point difference at the face j+1/2 along `axis`."""
-    return (np.roll(a, -1, axis=axis) - a) / h
+def _fwd(a: np.ndarray, ax: int, g: Grid) -> np.ndarray:
+    """Two-point difference at the face j+1/2 along `ax`."""
+    return (np.roll(a, -1, axis=ax - g.dim) - a) / g.h
 
 
-def _face_avg(a: np.ndarray, axis: int) -> np.ndarray:
+def _face_avg(a: np.ndarray, ax: int, g: Grid) -> np.ndarray:
     """Arithmetic mean of the two cells adjacent to face j+1/2."""
-    return 0.5 * (a + np.roll(a, -1, axis=axis))
+    return 0.5 * (a + np.roll(a, -1, axis=ax - g.dim))
 
 
-def _same_grid(*fields):
-    g = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != g:
-            raise IncompatibleGrid("operands must share a grid")
-    return g
+def _face_div(flux: np.ndarray, ax: int, g: Grid, h: float) -> np.ndarray:
+    """Difference of face fluxes j+1/2 and j-1/2, divided by h."""
+    return (flux - np.roll(flux, 1, axis=ax - g.dim)) / h
 
 
 # ---------------------------------------------------------------------------
 # differential operators
 
 
-def gradient(f: ScalarField) -> VectorField:
+def gradient(g: Grid, f: np.ndarray) -> np.ndarray:
     """Centered-difference gradient, one component per axis."""
-    g = f.grid
-    comps = [_centered(f.values, ax, g.h) for ax in range(g.dim)]
-    return VectorField.from_arrays(g, comps, copy=False)
+    return np.stack([_centered(f, ax, g) for ax in range(g.dim)])
 
 
-def divergence(v: VectorField) -> ScalarField:
+def divergence(g: Grid, v: np.ndarray) -> np.ndarray:
     """Centered-difference divergence; exact negative adjoint of `gradient`."""
-    g = v.grid
     out = np.zeros(g.shape)
     for ax in range(g.dim):
-        out += _centered(v.components[ax].values, ax, g.h)
-    return ScalarField(g, out, copy=False)
+        out += _centered(v[ax], ax, g)
+    return out
 
 
-def sym_gradient(u: VectorField) -> SymTensorField:
-    """Symmetrized velocity gradient 0.5*(du_i/dx_j + du_j/dx_i)."""
-    g = u.grid
+def sym_gradient(g: Grid, u: np.ndarray) -> np.ndarray:
+    """Symmetrized velocity gradient D_ij = 0.5*(du_i/dx_j + du_j/dx_i)."""
     d = g.dim
-    entries = []
+    du = [_centered(u, j, g) for j in range(d)]  # du[j][i] = du_i/dx_j
+    D = np.empty((d, d) + g.shape)
     for i in range(d):
         for j in range(i, d):
-            dij = 0.5 * (
-                _centered(u.components[i].values, j, g.h)
-                + _centered(u.components[j].values, i, g.h)
-            )
-            entries.append(ScalarField(g, dij, copy=False))
-    return SymTensorField(g, entries)
+            D[i, j] = D[j, i] = 0.5 * (du[j][i] + du[i][j])
+    return D
 
 
-def frobenius_sq(D: SymTensorField) -> ScalarField:
+def frobenius_sq(g: Grid, D: np.ndarray) -> np.ndarray:
     """Pointwise squared Frobenius norm; off-diagonal entries count twice."""
-    g = D.grid
-    d = g.dim
     out = np.zeros(g.shape)
-    for i in range(d):
-        out += D.entry_values(i, i) ** 2
-        for j in range(i + 1, d):
-            out += 2.0 * D.entry_values(i, j) ** 2
-    return ScalarField(g, out, copy=False)
+    for i in range(g.dim):
+        out += D[i, i] ** 2
+        for j in range(i + 1, g.dim):
+            out += 2.0 * D[i, j] ** 2
+    return out
 
 
-def _check_coefficient(a: ScalarField) -> np.ndarray:
-    amin = a.values.min()
+def _check_coefficient(a: np.ndarray) -> np.ndarray:
+    amin = a.min()
     if amin < -_COEFF_TOL:
         raise NegativeCoefficient(f"coefficient minimum {amin} < -{_COEFF_TOL}")
     # round-off negatives are treated as zero so the dissipation form stays nonneg
-    return np.maximum(a.values, 0.0) if amin < 0.0 else a.values
+    return np.maximum(a, 0.0) if amin < 0.0 else a
 
 
-def div_flux(a: ScalarField, f: ScalarField) -> ScalarField:
+def div_flux(g: Grid, a: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Conservative variable-coefficient diffusion div(a grad f).
 
     Face coefficients are arithmetic means of the adjacent cells; the discrete
     integral of the result over the torus is exactly zero, and the quadratic
     form sum(f * div_flux(a, f)) is nonpositive whenever a >= 0.
     """
-    g = _same_grid(a, f)
     av = _check_coefficient(a)
     h2 = g.h * g.h
     out = np.zeros(g.shape)
     for ax in range(g.dim):
-        flux = _face_avg(av, ax) * (np.roll(f.values, -1, axis=ax) - f.values)
-        out += (flux - np.roll(flux, 1, axis=ax)) / h2
-    return ScalarField(g, out, copy=False)
+        flux = _face_avg(av, ax, g) * (np.roll(f, -1, axis=ax - g.dim) - f)
+        out += _face_div(flux, ax, g, h2)
+    return out
 
 
-def div_tensor_flux(a: ScalarField, D: SymTensorField) -> VectorField:
+def div_tensor_flux(g: Grid, a: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Row-wise divergence of the tensor a*D using centered differences.
 
     Component i is sum_j d/dx_j (a * D_ij); the pointwise product keeps the
     discrete momentum/energy pairing with `sym_gradient` exact:
     sum(u . div_tensor_flux(a, D(u))) == -sum(a * |D(u)|^2).
     """
-    g = _same_grid(a, D)
     av = _check_coefficient(a)
-    comps = []
-    for i in range(g.dim):
-        out = np.zeros(g.shape)
-        for j in range(g.dim):
-            out += _centered(av * D.entry_values(i, j), j, g.h)
-        comps.append(out)
-    return VectorField.from_arrays(g, comps, copy=False)
+    out = np.zeros((g.dim,) + g.shape)
+    for j in range(g.dim):
+        out += _centered(av * D[:, j], j, g)
+    return out
 
 
-def _face_gradient_sq(f: np.ndarray, normal_axis: int, g: Grid) -> tuple:
+def _face_gradient_sq(g: Grid, f: np.ndarray, normal_axis: int) -> tuple:
     """(normal derivative, squared gradient magnitude) at the faces j+1/2."""
-    gn = _fwd(f, normal_axis, g.h)
+    gn = _fwd(f, normal_axis, g)
     mag2 = gn * gn
     for ax in range(g.dim):
         if ax == normal_axis:
             continue
-        t = _face_avg(_centered(f, ax, g.h), normal_axis)
+        t = _face_avg(_centered(f, ax, g), normal_axis, g)
         mag2 = mag2 + t * t
     return gn, mag2
 
 
-def r_laplacian(f: ScalarField, r: float) -> ScalarField:
+def r_laplacian(g: Grid, f: np.ndarray, r: float) -> np.ndarray:
     """Degenerate diffusion div(|grad f|^(r-2) grad f) in flux form.
 
     The face flux uses the two-point normal derivative and face-averaged
@@ -350,16 +223,15 @@ def r_laplacian(f: ScalarField, r: float) -> ScalarField:
     """
     if r < 2.0:
         raise ValueError(f"r must be >= 2, got {r}")
-    g = f.grid
     out = np.zeros(g.shape)
     for ax in range(g.dim):
-        gn, mag2 = _face_gradient_sq(f.values, ax, g)
+        gn, mag2 = _face_gradient_sq(g, f, ax)
         flux = mag2 ** ((r - 2.0) / 2.0) * gn if r != 2.0 else gn
-        out += (flux - np.roll(flux, 1, axis=ax)) / g.h
-    return ScalarField(g, out, copy=False)
+        out += _face_div(flux, ax, g, g.h)
+    return out
 
 
-def r_laplacian_vec(u: VectorField, r: float) -> VectorField:
+def r_laplacian_vec(g: Grid, u: np.ndarray, r: float) -> np.ndarray:
     """Row-wise div(|D(u)|^(r-2) D(u)) with face-assembled tensor magnitude.
 
     Mirrors the scalar construction: at a face with normal axis j, tensor
@@ -368,43 +240,33 @@ def r_laplacian_vec(u: VectorField, r: float) -> VectorField:
     """
     if r < 2.0:
         raise ValueError(f"r must be >= 2, got {r}")
-    g = u.grid
     d = g.dim
-    h = g.h
-    uv = [c.values for c in u.components]
-    cent = [[_centered(uv[i], j, h) for j in range(d)] for i in range(d)]
+    du = [_centered(u, j, g) for j in range(d)]  # du[j][i] = du_i/dx_j
 
-    fluxes = []  # fluxes[j][i]: flux of component i through faces with normal j
-    for j in range(d):
+    out = np.zeros(u.shape)
+    for j in range(d):  # faces with normal j
         face = {}
         for a in range(d):
             for b in range(a, d):
                 if a == b == j:
-                    face[(a, b)] = _fwd(uv[j], j, h)
+                    face[(a, b)] = _fwd(u[j], j, g)
                 elif a == j or b == j:
                     i = b if a == j else a  # the non-normal index
-                    two_point = _fwd(uv[i], j, h)
-                    tangent = _face_avg(cent[j][i], j)
+                    two_point = _fwd(u[i], j, g)
+                    tangent = _face_avg(du[i][j], j, g)
                     face[(a, b)] = 0.5 * (two_point + tangent)
                 else:
-                    dab = 0.5 * (cent[a][b] + cent[b][a])
-                    face[(a, b)] = _face_avg(dab, j)
+                    dab = 0.5 * (du[b][a] + du[a][b])
+                    face[(a, b)] = _face_avg(dab, j, g)
         mag2 = np.zeros(g.shape)
         for a in range(d):
             mag2 += face[(a, a)] ** 2
             for b in range(a + 1, d):
                 mag2 += 2.0 * face[(a, b)] ** 2
         w = mag2 ** ((r - 2.0) / 2.0) if r != 2.0 else 1.0
-        fluxes.append([w * face[(min(i, j), max(i, j))] for i in range(d)])
-
-    comps = []
-    for i in range(d):
-        out = np.zeros(g.shape)
-        for j in range(d):
-            fij = fluxes[j][i]
-            out += (fij - np.roll(fij, 1, axis=j)) / h
-        comps.append(out)
-    return VectorField.from_arrays(g, comps, copy=False)
+        flux = np.stack([w * face[(min(i, j), max(i, j))] for i in range(d)])
+        out += _face_div(flux, j, g, g.h)
+    return out
 
 
 def signed_power(x: np.ndarray, r: float) -> np.ndarray:
@@ -412,19 +274,18 @@ def signed_power(x: np.ndarray, r: float) -> np.ndarray:
     return np.abs(x) ** (r - 2.0) * x
 
 
-def vector_signed_power(arrays: Sequence[np.ndarray], r: float) -> list:
-    """|xi|^(r-2) * xi for a vector xi given as per-component arrays."""
-    mag2 = sum(a * a for a in arrays)
-    w = mag2 ** ((r - 2.0) / 2.0)
-    return [w * a for a in arrays]
+def vector_signed_power(v, r: float) -> np.ndarray:
+    """|xi|^(r-2) * xi for a vector xi stacked along the first axis."""
+    v = np.asarray(v)
+    mag2 = sum(c * c for c in v)
+    return mag2 ** ((r - 2.0) / 2.0) * v
 
 
-def max_face_gradient(f: ScalarField) -> float:
+def max_face_gradient(g: Grid, f: np.ndarray) -> float:
     """Largest face gradient magnitude, as used by the r-Laplacian fluxes."""
-    g = f.grid
     m = 0.0
     for ax in range(g.dim):
-        _, mag2 = _face_gradient_sq(f.values, ax, g)
+        _, mag2 = _face_gradient_sq(g, f, ax)
         m = max(m, float(mag2.max()))
     return float(np.sqrt(m))
 
@@ -446,7 +307,7 @@ def _difference_symbol(grid: Grid) -> list:
     return out
 
 
-def leray_project(v: VectorField) -> tuple:
+def leray_project(g: Grid, v: np.ndarray) -> tuple:
     """Remove the discrete-gradient part of v.
 
     Returns (w, p) with w = v - gradient(p), mean(p) = 0, and the centered
@@ -455,63 +316,54 @@ def leray_project(v: VectorField) -> tuple:
     vanishes (mean and Nyquist) carry no pressure and are left untouched in w,
     which is harmless because the centered divergence annihilates them.
     """
-    g = v.grid
     sym = _difference_symbol(g)
-    vhat = [np.fft.fftn(c.values) for c in v.components]
+    vhat = np.fft.fftn(v, axes=tuple(range(1, g.dim + 1)))
     denom = sum(s * s for s in sym)
     div_hat = sum(1j * s * vh for s, vh in zip(sym, vhat))
     with np.errstate(divide="ignore", invalid="ignore"):
         phat = np.where(denom > 0.0, -div_hat / np.where(denom > 0.0, denom, 1.0), 0.0)
-    p = ScalarField(g, np.fft.ifftn(phat).real, copy=False)
-    gp = gradient(p)
-    comps = [cv.values - gc.values for cv, gc in zip(v.components, gp.components)]
-    return VectorField.from_arrays(g, comps, copy=False), p
+    p = np.ascontiguousarray(np.fft.ifftn(phat).real)
+    return v - gradient(g, p), p
 
 
 # ---------------------------------------------------------------------------
 # reductions and advection
 
 
-def integrate(f: ScalarField) -> float:
+def integrate(g: Grid, f: np.ndarray) -> float:
     """h^d * sum of values, fixed-order pairwise summation (deterministic)."""
-    return float(f.grid.h**f.grid.dim * np.sum(f.values))
+    return float(g.h**g.dim * np.sum(f))
 
 
-def lp_norm(f: ScalarField, p: float) -> float:
+def lp_norm(g: Grid, f: np.ndarray, p: float) -> float:
     """(h^d * sum |f|^p)^(1/p) for p >= 1."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    g = f.grid
-    return float((g.h**g.dim * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
+    return float((g.h**g.dim * np.sum(np.abs(f) ** p)) ** (1.0 / p))
 
 
-def w1p_seminorm(f: ScalarField, p: float) -> float:
+def w1p_seminorm(g: Grid, f: np.ndarray, p: float) -> float:
     """L^p norm of the centered-gradient magnitude."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    g = f.grid
     mag2 = np.zeros(g.shape)
-    for c in gradient(f).components:
-        mag2 += c.values**2
+    for c in gradient(g, f):
+        mag2 += c**2
     return float((g.h**g.dim * np.sum(mag2 ** (p / 2.0))) ** (1.0 / p))
 
 
-def advect(u: VectorField, f: ScalarField) -> ScalarField:
-    """Skew-symmetric advection 0.5*(u . grad f + div(u f)).
+def advect(g: Grid, u: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Skew-symmetric advection 0.5*(u . grad f + div(u f)) of a scalar or vector f.
 
     The discrete pairing sum(f * advect(u, f)) vanishes exactly (integration
     by parts of the centered difference), which is the discrete counterpart of
-    the convective terms dropping out of energy balances.
+    the convective terms dropping out of energy balances.  A vector f is
+    advected componentwise.
     """
-    g = _same_grid(u, f)
-    out = np.zeros(g.shape)
+    out = np.zeros(f.shape)
     for ax in range(g.dim):
-        ua = u.components[ax].values
-        out += 0.5 * (ua * _centered(f.values, ax, g.h) + _centered(ua * f.values, ax, g.h))
-    return ScalarField(g, out, copy=False)
+        out += 0.5 * (u[ax] * _centered(f, ax, g) + _centered(u[ax] * f, ax, g))
+    return out
 
 
-def advect_vec(u: VectorField, v: VectorField) -> VectorField:
-    """Componentwise skew-symmetric advection of a vector field."""
-    g = _same_grid(u, v)
-    return VectorField(g, [advect(u, c) for c in v.components])
+advect_vec = advect  # the momentum term, named apart so it can be timed apart

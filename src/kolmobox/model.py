@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fields as F
 from .errors import DegenerateOmega, IncompatibleGrid
-from .fields import Grid, ScalarField, VectorField
+from .fields import Grid
 
 __all__ = [
     "ModelParams",
@@ -86,28 +86,32 @@ class ComparisonEnvelope:
 
 @dataclass(frozen=True)
 class State:
-    """One snapshot (u, omega, k, p) at time t.
+    """One snapshot (u, omega, k, p) at time t on `grid`.
 
-    `p` is the last projection pressure (diagnostic only) and `guard_hits`
-    counts grid points clamped by the positivity guard in the step that
-    produced this state.
+    u has shape `(dim, *grid.shape)`, the scalars `grid.shape`.  `p` is the
+    last projection pressure (diagnostic only) and `guard_hits` counts grid
+    points clamped by the positivity guard in the step that produced this
+    state.  The arrays are stored as C-contiguous float64 and marked
+    read-only, so a state never changes once built.
     """
 
     t: float
-    u: VectorField
-    omega: ScalarField
-    k: ScalarField
-    p: ScalarField
+    grid: Grid
+    u: np.ndarray
+    omega: np.ndarray
+    k: np.ndarray
+    p: np.ndarray
     guard_hits: int = 0
 
     def __post_init__(self):
-        g = self.u.grid
-        if self.omega.grid != g or self.k.grid != g or self.p.grid != g:
-            raise IncompatibleGrid("state fields must share one grid")
-
-    @property
-    def grid(self) -> Grid:
-        return self.u.grid
+        g = self.grid
+        for name, shape in (("u", (g.dim,) + g.shape), ("omega", g.shape), ("k", g.shape),
+                            ("p", g.shape)):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            if arr.shape != shape:
+                raise IncompatibleGrid(f"{name} of shape {arr.shape} does not fit grid {shape}")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -158,10 +162,11 @@ def homogeneous_state(grid: Grid, ic: HomogeneousIC, params: ModelParams, t: flo
     u_const, om, kk = homogeneous_solution(t, ic, params)
     return State(
         t=t,
-        u=VectorField.constant(grid, np.asarray(u_const, dtype=float)),
-        omega=ScalarField.constant(grid, om),
-        k=ScalarField.constant(grid, kk),
-        p=ScalarField.constant(grid, 0.0),
+        grid=grid,
+        u=np.stack([np.full(grid.shape, float(v)) for v in u_const]),
+        omega=np.full(grid.shape, float(om)),
+        k=np.full(grid.shape, float(kk)),
+        p=np.zeros(grid.shape),
     )
 
 
@@ -169,35 +174,34 @@ def homogeneous_state(grid: Grid, ic: HomogeneousIC, params: ModelParams, t: flo
 # coefficient fields
 
 
-def eddy_coefficient(k: ScalarField, omega: ScalarField, params: ModelParams) -> ScalarField:
+def eddy_coefficient(k: np.ndarray, omega: np.ndarray, params: ModelParams) -> np.ndarray:
     """Diffusivity quotient without the nu prefactor.
 
     Regularized: k+/(eps + omega+).  Unregularized: k/omega, which requires
     omega > 0 everywhere.
     """
     if params.regularized:
-        vals = np.maximum(k.values, 0.0) / (params.eps + np.maximum(omega.values, 0.0))
-    else:
-        if omega.values.min() <= 0.0:
-            raise DegenerateOmega(f"min(omega) = {omega.values.min()} <= 0")
-        vals = k.values / omega.values
-    return ScalarField(k.grid, vals, copy=False)
+        return np.maximum(k, 0.0) / (params.eps + np.maximum(omega, 0.0))
+    _require_positive(omega)
+    return k / omega
 
 
-def production_coefficient(k: ScalarField, omega: ScalarField, params: ModelParams) -> ScalarField:
+def production_coefficient(k: np.ndarray, omega: np.ndarray, params: ModelParams) -> np.ndarray:
     """Coefficient of |D(u)|^2 in the k equation, without nu0.
 
     The regularized denominator eps + omega+ + eps*k+ keeps the production
     bounded by 1/eps.
     """
     if params.regularized:
-        kp = np.maximum(k.values, 0.0)
-        vals = kp / (params.eps + np.maximum(omega.values, 0.0) + params.eps * kp)
-    else:
-        if omega.values.min() <= 0.0:
-            raise DegenerateOmega(f"min(omega) = {omega.values.min()} <= 0")
-        vals = k.values / omega.values
-    return ScalarField(k.grid, vals, copy=False)
+        kp = np.maximum(k, 0.0)
+        return kp / (params.eps + np.maximum(omega, 0.0) + params.eps * kp)
+    _require_positive(omega)
+    return k / omega
+
+
+def _require_positive(omega: np.ndarray):
+    if omega.min() <= 0.0:
+        raise DegenerateOmega(f"min(omega) = {omega.min()} <= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +211,7 @@ def production_coefficient(k: ScalarField, omega: ScalarField, params: ModelPara
 def rhs(
     state: State,
     t: float,
-    forcing: Optional[VectorField],
+    forcing: Optional[np.ndarray],
     params: ModelParams,
     env: ComparisonEnvelope,
 ):
@@ -221,55 +225,39 @@ def rhs(
     g = state.grid
     u, om, kk = state.u, state.omega, state.k
     eddy = eddy_coefficient(kk, om, params)
-    D = F.sym_gradient(u)
-    om_pos = np.maximum(om.values, 0.0)
+    D = F.sym_gradient(g, u)
+    om_pos = np.maximum(om, 0.0)
 
-    du = [
-        -a.values + params.nu0 * b.values
-        for a, b in zip(F.advect_vec(u, u).components, F.div_tensor_flux(eddy, D).components)
-    ]
+    du = -F.advect_vec(g, u, u) + params.nu0 * F.div_tensor_flux(g, eddy, D)
     if forcing is not None:
-        if forcing.grid != g:
-            raise IncompatibleGrid("forcing grid mismatch")
-        du = [a + f.values for a, f in zip(du, forcing.components)]
+        du = du + forcing
 
     domega = (
-        -F.advect(u, om).values
-        + params.nu1 * F.div_flux(eddy, om).values
-        - params.alpha1 * (om_pos * om.values)
+        -F.advect(g, u, om)
+        + params.nu1 * F.div_flux(g, eddy, om)
+        - params.alpha1 * (om_pos * om)
     )
 
     prod = production_coefficient(kk, om, params)
     dk = (
-        -F.advect(u, kk).values
-        + params.nu2 * F.div_flux(eddy, kk).values
-        + params.nu0 * (prod.values * F.frobenius_sq(D).values)
-        - params.alpha2 * (kk.values * om_pos)
+        -F.advect(g, u, kk)
+        + params.nu2 * F.div_flux(g, eddy, kk)
+        + params.nu0 * (prod * F.frobenius_sq(g, D))
+        - params.alpha2 * (kk * om_pos)
     )
 
     if params.regularized:
         eps, r = params.eps, params.r
-        du = [
-            a + eps * (rl.values - dmp)
-            for a, rl, dmp in zip(
-                du,
-                F.r_laplacian_vec(u, r).components,
-                F.vector_signed_power([c.values for c in u.components], r),
-            )
-        ]
+        du = du + eps * (F.r_laplacian_vec(g, u, r) - F.vector_signed_power(u, r))
         domega = domega + eps * (
-            F.r_laplacian(om, r).values
-            - F.signed_power(om.values, r)
+            F.r_laplacian(g, om, r)
+            - F.signed_power(om, r)
             + omega_lower(t, env, params) ** (r - 1.0)
         )
         dk = dk + eps * (
-            F.r_laplacian(kk, r).values
-            - F.signed_power(kk.values, r)
+            F.r_laplacian(g, kk, r)
+            - F.signed_power(kk, r)
             + kappa(t, env, params) ** (r - 1.0)
         )
 
-    return (
-        VectorField.from_arrays(g, du, copy=False),
-        ScalarField(g, domega, copy=False),
-        ScalarField(g, dk, copy=False),
-    )
+    return du, domega, dk

@@ -32,7 +32,7 @@ from .errors import (
     NonpositiveParameter,
     NonpositiveSample,
 )
-from .fields import Grid, ScalarField, VectorField
+from .fields import Grid
 from .model import ComparisonEnvelope, ModelParams, State
 
 __all__ = [
@@ -232,19 +232,13 @@ def transform_state(state: State, sp: ScalingParams, target_grid: Grid) -> State
         raise IncompatibleGrid(
             f"target side {target_grid.side} != source side / beta = {want}"
         )
-    u = VectorField.from_arrays(
-        target_grid,
-        [sp.gamma * _resample(c.values, target_grid) for c in state.u.components],
-        copy=False,
-    )
     return State(
         t=state.t / sp.alpha,
-        u=u,
-        omega=ScalarField(target_grid, sp.rho * _resample(state.omega.values, target_grid), copy=False),
-        k=ScalarField(target_grid, sp.sigma * _resample(state.k.values, target_grid), copy=False),
-        p=ScalarField(
-            target_grid, sp.gamma**2 * _resample(state.p.values, target_grid), copy=False
-        ),
+        grid=target_grid,
+        u=np.stack([sp.gamma * _resample(c, target_grid) for c in state.u]),
+        omega=sp.rho * _resample(state.omega, target_grid),
+        k=sp.sigma * _resample(state.k, target_grid),
+        p=sp.gamma**2 * _resample(state.p, target_grid),
         guard_hits=state.guard_hits,
     )
 
@@ -308,20 +302,14 @@ def pde_residual(traj, params: ModelParams, forcing=None) -> PdeResiduals:
         s_m, s_0, s_p = traj.states[i - 1], traj.states[i], traj.states[i + 1]
         du, dom, dk = M.rhs(s_0, float(times[i]), fprov(float(times[i])), params, env)
 
-        ru = [
-            wm * cm.values + w0 * c0.values + wp * cp.values - d.values
-            for cm, c0, cp, d in zip(
-                s_m.u.components, s_0.u.components, s_p.u.components, du.components
-            )
-        ]
-        ru_sol, _ = F.leray_project(VectorField.from_arrays(g, ru, copy=False))
-        rom = wm * s_m.omega.values + w0 * s_0.omega.values + wp * s_p.omega.values - dom.values
-        rk = wm * s_m.k.values + w0 * s_0.k.values + wp * s_p.k.values - dk.values
+        ru = wm * s_m.u + w0 * s_0.u + wp * s_p.u - du
+        ru_sol, _ = F.leray_project(g, ru)
+        rom = wm * s_m.omega + w0 * s_0.omega + wp * s_p.omega - dom
+        rk = wm * s_m.k + w0 * s_0.k + wp * s_p.k - dk
 
         hd = g.h**g.dim
         worst["u"] = max(
-            worst["u"],
-            float(np.sqrt(hd * sum(np.sum(c.values**2) for c in ru_sol.components))),
+            worst["u"], float(np.sqrt(hd * sum(np.sum(c**2) for c in ru_sol)))
         )
         worst["omega"] = max(worst["omega"], float(np.sqrt(hd * np.sum(rom**2))))
         worst["k"] = max(worst["k"], float(np.sqrt(hd * np.sum(rk**2))))

@@ -23,54 +23,60 @@ from typing import Tuple
 
 import numpy as np
 
-from .fields import Grid, ScalarField, VectorField
+from .errors import SnapshotError
+from .fields import Grid
 from .model import State
 
 __all__ = ["write_snapshot", "read_snapshot", "state_from_snapshot"]
 
 MAGIC = b"KBOX"
 VERSION = 1
-_U_TAGS = (b"u__1", b"u__2", b"u__3")
-_OMEGA_TAG = b"omeg"
-_K_TAG = b"k___"
-_P_TAG = b"p___"
+_HEADER = struct.Struct("<4sIIId")  # magic, version, dim, n, side
+_U_TAGS = ("u__1", "u__2", "u__3")
 
 
 def write_snapshot(path, state: State) -> None:
     g = state.grid
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<III", VERSION, g.dim, g.n))
-        fh.write(struct.pack("<d", g.side))
-        for i, comp in enumerate(state.u.components):
-            fh.write(_U_TAGS[i])
-            fh.write(comp.values.astype("<f8").tobytes())
-        for tag, field in ((_OMEGA_TAG, state.omega), (_K_TAG, state.k), (_P_TAG, state.p)):
-            fh.write(tag)
-            fh.write(field.values.astype("<f8").tobytes())
+        fh.write(_HEADER.pack(MAGIC, VERSION, g.dim, g.n, g.side))
+        tagged = [*zip(_U_TAGS, state.u), ("omeg", state.omega), ("k___", state.k), ("p___", state.p)]
+        for tag, values in tagged:
+            fh.write(tag.encode("ascii"))
+            fh.write(values.astype("<f8").tobytes())
 
 
 def read_snapshot(path) -> Tuple[Grid, dict]:
-    """Read a snapshot; returns (grid, {tag: array}) with row-major arrays."""
+    """Read a snapshot; returns (grid, {tag: array}) with row-major arrays.
+
+    Every malformed file raises SnapshotError naming the path and the fault.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != MAGIC:
-        raise ValueError(f"{path}: bad magic {data[:4]!r}")
-    version, dim, n = struct.unpack_from("<III", data, 4)
+    if len(data) < _HEADER.size:
+        raise SnapshotError(f"{path}: header truncated at {len(data)} bytes")
+    magic, version, dim, n, side = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise SnapshotError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    (side,) = struct.unpack_from("<d", data, 16)
-    grid = Grid(dim, n, side)
+        raise SnapshotError(f"{path}: unsupported version {version}")
+    try:
+        grid = Grid(dim, n, side)
+    except ValueError as exc:
+        raise SnapshotError(f"{path}: bad header: {exc}") from None
     nbytes = 8 * grid.npoints
     fields = {}
-    off = 24
+    off = _HEADER.size
     while off < len(data):
-        tag = data[off : off + 4]
+        raw_tag = data[off : off + 4]
         off += 4
         if len(data) < off + nbytes:
-            raise ValueError(f"{path}: truncated field {tag!r}")
+            raise SnapshotError(f"{path}: truncated field {raw_tag!r}")
+        try:
+            tag = raw_tag.decode("ascii")
+        except UnicodeDecodeError:
+            raise SnapshotError(f"{path}: non-ASCII field tag {raw_tag!r}") from None
         arr = np.frombuffer(data, dtype="<f8", count=grid.npoints, offset=off).reshape(grid.shape)
-        fields[tag.decode("ascii")] = arr.copy()
+        fields[tag] = arr.astype(np.float64)
         off += nbytes
     return grid, fields
 
@@ -78,16 +84,8 @@ def read_snapshot(path) -> Tuple[Grid, dict]:
 def state_from_snapshot(path) -> State:
     grid, fields = read_snapshot(path)
     try:
-        comps = [fields[_U_TAGS[i].decode()] for i in range(grid.dim)]
-        omega = fields[_OMEGA_TAG.decode()]
-        k = fields[_K_TAG.decode()]
-        p = fields[_P_TAG.decode()]
+        u = np.stack([fields[tag] for tag in _U_TAGS[: grid.dim]])
+        omega, k, p = fields["omeg"], fields["k___"], fields["p___"]
     except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc}") from exc
-    return State(
-        t=0.0,
-        u=VectorField.from_arrays(grid, comps),
-        omega=ScalarField(grid, omega),
-        k=ScalarField(grid, k),
-        p=ScalarField(grid, p),
-    )
+        raise SnapshotError(f"{path}: missing field {exc}") from None
+    return State(t=0.0, grid=grid, u=u, omega=omega, k=k, p=p)

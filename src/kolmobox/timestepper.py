@@ -19,7 +19,6 @@ from . import diagnostics as diag
 from . import fields as F
 from . import model as M
 from .errors import PicardDiverged, StepRejected
-from .fields import ScalarField, VectorField
 from .model import ComparisonEnvelope, ModelParams, State
 
 __all__ = [
@@ -33,7 +32,7 @@ __all__ = [
     "run",
 ]
 
-Forcing = Union[None, VectorField, Callable[[float], Optional[VectorField]]]
+Forcing = Union[None, np.ndarray, Callable[[float], Optional[np.ndarray]]]
 
 
 @dataclass(frozen=True)
@@ -83,11 +82,11 @@ class Trajectory:
             raise ValueError("sample times must be strictly increasing")
 
 
-def as_forcing(forcing: Forcing) -> Callable[[float], Optional[VectorField]]:
-    """Normalize None / constant field / callable into a callable of t."""
+def as_forcing(forcing: Forcing) -> Callable[[float], Optional[np.ndarray]]:
+    """Normalize None / constant vector array / callable into a callable of t."""
     if forcing is None:
         return lambda t: None
-    if isinstance(forcing, VectorField):
+    if isinstance(forcing, np.ndarray):
         return lambda t: forcing
     return forcing
 
@@ -96,14 +95,14 @@ def cfl_dt(state: State, params: ModelParams, cfg: StepConfig) -> float:
     """Stable step from the advective and diffusive limits, times cfl_safety."""
     g = state.grid
     h = g.h
-    vmax = state.u.max_abs()
+    vmax = float(np.abs(state.u).max())
     eddy = M.eddy_coefficient(state.k, state.omega, params)
-    diff = max(params.nu0, params.nu1, params.nu2) * eddy.max()
+    diff = max(params.nu0, params.nu1, params.nu2) * float(eddy.max())
     if params.regularized:
         gmax = max(
-            F.max_face_gradient(state.omega),
-            F.max_face_gradient(state.k),
-            math.sqrt(max(F.frobenius_sq(F.sym_gradient(state.u)).max(), 0.0)),
+            F.max_face_gradient(g, state.omega),
+            F.max_face_gradient(g, state.k),
+            math.sqrt(max(float(F.frobenius_sq(g, F.sym_gradient(g, state.u)).max()), 0.0)),
         )
         diff += params.eps * gmax ** (params.r - 2.0)
     dt_adv = h / vmax if vmax > 0.0 else math.inf
@@ -120,29 +119,19 @@ def _guard(arr: np.ndarray, level: float):
     return np.where(mask, level, arr), hits
 
 
-def _finish_stage(
-    g, u_arrays, om, kk, t_new, params, env, cfg
-) -> State:
+def _finish_stage(g, u, om, kk, t_new, params, env, cfg) -> State:
     """Project u, then apply the positivity guard against the envelopes at t_new."""
-    w, p = F.leray_project(VectorField.from_arrays(g, u_arrays, copy=False))
+    w, p = F.leray_project(g, u)
     hits = 0
     if cfg.guard:
         om, n1 = _guard(om, M.omega_lower(t_new, env, params) * (1.0 - cfg.guard_slack))
         kk, n2 = _guard(kk, max(cfg.k_floor, M.kappa(t_new, env, params) * (1.0 - cfg.guard_slack)))
         hits = n1 + n2
-    return State(
-        t=t_new,
-        u=w,
-        omega=ScalarField(g, om, copy=False),
-        k=ScalarField(g, kk, copy=False),
-        p=p,
-        guard_hits=hits,
-    )
+    return State(t=t_new, grid=g, u=w, omega=om, k=kk, p=p, guard_hits=hits)
 
 
 def _check_finite(state: State, dt: float):
-    arrays = [c.values for c in state.u.components] + [state.omega.values, state.k.values]
-    for a in arrays:
+    for a in (*state.u, state.omega, state.k):
         if not np.all(np.isfinite(a)):
             raise StepRejected(f"non-finite field after step dt={dt}")
 
@@ -168,9 +157,9 @@ def step_explicit(
     du, dom, dk = M.rhs(state, state.t, fprov(state.t), params, env)
     s1 = _finish_stage(
         g,
-        [c.values + dt * d.values for c, d in zip(state.u.components, du.components)],
-        state.omega.values + dt * dom.values,
-        state.k.values + dt * dk.values,
+        state.u + dt * du,
+        state.omega + dt * dom,
+        state.k + dt * dk,
         t_new,
         params,
         env,
@@ -180,12 +169,9 @@ def step_explicit(
     du1, dom1, dk1 = M.rhs(s1, t_new, fprov(t_new), params, env)
     out = _finish_stage(
         g,
-        [
-            0.5 * (c.values + (s.values + dt * d.values))
-            for c, s, d in zip(state.u.components, s1.u.components, du1.components)
-        ],
-        0.5 * (state.omega.values + (s1.omega.values + dt * dom1.values)),
-        0.5 * (state.k.values + (s1.k.values + dt * dk1.values)),
+        0.5 * (state.u + (s1.u + dt * du1)),
+        0.5 * (state.omega + (s1.omega + dt * dom1)),
+        0.5 * (state.k + (s1.k + dt * dk1)),
         t_new,
         params,
         env,
@@ -217,21 +203,15 @@ def operator_apply(
     t_new = state_old.t + dt if math.isfinite(dt) else state_old.t
     f_new = as_forcing(forcing)(t_new)
     du, dom, dk = M.rhs(state_candidate, t_new, f_new, params, env)
-    g = state_candidate.grid
-    ru = [
-        (c.values - o.values) / dt - d.values
-        for c, o, d in zip(state_candidate.u.components, state_old.u.components, du.components)
-    ]
-    rom = (state_candidate.omega.values - state_old.omega.values) / dt - dom.values
-    rk = (state_candidate.k.values - state_old.k.values) / dt - dk.values
     return (
-        VectorField.from_arrays(g, ru, copy=False),
-        ScalarField(g, rom, copy=False),
-        ScalarField(g, rk, copy=False),
+        (state_candidate.u - state_old.u) / dt - du,
+        (state_candidate.omega - state_old.omega) / dt - dom,
+        (state_candidate.k - state_old.k) / dt - dk,
     )
 
 
 def _l2(grid, arrays: Sequence[np.ndarray]) -> float:
+    """Discrete L2 norm of the arrays taken together, summed one array at a time."""
     s = 0.0
     with np.errstate(over="ignore"):  # overflow here is a divergence signal, not a bug
         for a in arrays:
@@ -259,39 +239,25 @@ def step_rothe(
     t_new = state.t + dt
     theta = cfg.picard_damping * dt
 
-    scale = (
-        _l2(g, [c.values for c in state.u.components])
-        + _l2(g, [state.omega.values])
-        + _l2(g, [state.k.values])
-    ) / dt + 1e-300
+    scale = (_l2(g, state.u) + _l2(g, [state.omega]) + _l2(g, [state.k])) / dt + 1e-300
 
-    u_arrays = [c.values for c in state.u.components]
-    om = state.omega.values
-    kk = state.k.values
-    p_last = state.p
-
+    u, om, kk, p_last = state.u, state.omega, state.k, state.p
     for _ in range(cfg.picard_max_iters):
-        cand = State(
-            t=t_new,
-            u=VectorField.from_arrays(g, u_arrays, copy=False),
-            omega=ScalarField(g, om, copy=False),
-            k=ScalarField(g, kk, copy=False),
-            p=p_last,
-        )
+        cand = State(t=t_new, grid=g, u=u, omega=om, k=kk, p=p_last)
         ru, rom, rk = operator_apply(cand, state, dt, forcing, params, env)
-        ru_sol, p_res = F.leray_project(ru)
-        res = _l2(g, [c.values for c in ru_sol.components]) + _l2(g, [rom.values, rk.values])
+        ru_sol, p_res = F.leray_project(g, ru)
+        res = _l2(g, ru_sol) + _l2(g, [rom, rk])
         if not math.isfinite(res):
             raise PicardDiverged(f"non-finite residual at dt={dt}")
-        p_last = ScalarField(g, -p_res.values, copy=False)
+        p_last = -p_res
         if res <= cfg.picard_tol * scale:
-            out = _finish_stage(g, u_arrays, om, kk, t_new, params, env, cfg)
+            out = _finish_stage(g, u, om, kk, t_new, params, env, cfg)
             out = replace(out, p=p_last)
             _check_finite(out, dt)
             return out
-        u_arrays = [a - theta * r.values for a, r in zip(u_arrays, ru_sol.components)]
-        om = om - theta * rom.values
-        kk = kk - theta * rk.values
+        u = u - theta * ru_sol
+        om = om - theta * rom
+        kk = kk - theta * rk
     raise PicardDiverged(f"no convergence in {cfg.picard_max_iters} iterations at dt={dt}")
 
 

@@ -11,12 +11,26 @@ from kolmobox import timestepper as T
 
 def random_scalar(grid, rng, lo=None, hi=None):
     if lo is None:
-        return F.ScalarField(grid, rng.standard_normal(grid.shape))
-    return F.ScalarField(grid, rng.uniform(lo, hi, grid.shape))
+        return rng.standard_normal(grid.shape)
+    return rng.uniform(lo, hi, grid.shape)
 
 
 def random_vector(grid, rng):
-    return F.VectorField.from_arrays(grid, [rng.standard_normal(grid.shape) for _ in range(grid.dim)])
+    return np.stack([rng.standard_normal(grid.shape) for _ in range(grid.dim)])
+
+
+def const(grid, value):
+    """A constant scalar field."""
+    return np.full(grid.shape, float(value))
+
+
+def const_vector(grid, vec):
+    """A constant vector field, one value per component."""
+    return np.stack([const(grid, v) for v in vec])
+
+
+def zero_vector(grid):
+    return np.zeros((grid.dim,) + grid.shape)
 
 
 def pairing(f_values, g_values, grid):
@@ -31,17 +45,14 @@ def structured_problem(n=32, side=2.0 * np.pi, uamp=0.3, om_amp=0.1, k_amp=0.1,
         params = M.ModelParams(alpha1=1.0, alpha2=10.0 / 7.0)
     g = F.Grid(2, n, side)
     x, y = g.coords()
-    u = F.VectorField.from_arrays(
-        g,
-        [uamp * np.sin(2 * np.pi * y / side), uamp * np.sin(4 * np.pi * x / side)],
-    )
-    u, _ = F.leray_project(u)
-    om = F.ScalarField(g, 1.0 + om_amp * np.cos(2 * np.pi * x / side))
-    kk = F.ScalarField(g, k_base + k_amp * np.sin(2 * np.pi * y / side))
+    u = np.stack([uamp * np.sin(2 * np.pi * y / side), uamp * np.sin(4 * np.pi * x / side)])
+    u, _ = F.leray_project(g, u)
+    om = 1.0 + om_amp * np.cos(2 * np.pi * x / side)
+    kk = k_base + k_amp * np.sin(2 * np.pi * y / side)
     env = M.ComparisonEnvelope(
         omega_star=float(om.min()), omega_sup=float(om.max()), k_star=float(kk.min())
     )
-    state = M.State(t=0.0, u=u, omega=om, k=kk, p=F.ScalarField.constant(g, 0.0))
+    state = M.State(t=0.0, grid=g, u=u, omega=om, k=kk, p=const(g, 0.0))
     return g, state, env, params
 
 

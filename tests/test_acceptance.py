@@ -56,8 +56,8 @@ def test_criterion_1_homogeneous_decay(alpha2):
     errs = {}
     for dt in (1e-3, 5e-4):
         traj = T.run(st, 2.0, None, params, env, T.StepConfig(dt_max=dt), 0.25)
-        w = traj.states[-1].omega.values.flat[0]
-        k = traj.states[-1].k.values.flat[0]
+        w = traj.states[-1].omega.flat[0]
+        k = traj.states[-1].k.flat[0]
         errs[dt] = max(abs(w - w_exact) / w_exact, abs(k - k_exact) / k_exact)
 
     ratio = errs[1e-3] / errs[5e-4]
@@ -100,20 +100,17 @@ def _bounds_violations(n, side, uamp, sharp, kscale, cfl, t_end):
     params = regularized()
     g = F.Grid(2, n, side)
     x, y = g.coords()
-    u = F.VectorField.from_arrays(
-        g,
-        [uamp * np.sin(2 * np.pi * y / side), uamp * np.sin(4 * np.pi * x / side)],
-    )
-    u, _ = F.leray_project(u)
-    om = F.ScalarField(
-        g, 1.0 + 0.45 * np.tanh(sharp * np.sin(2 * np.pi * x / side))
+    u = np.stack([uamp * np.sin(2 * np.pi * y / side), uamp * np.sin(4 * np.pi * x / side)])
+    u, _ = F.leray_project(g, u)
+    om = (
+        1.0 + 0.45 * np.tanh(sharp * np.sin(2 * np.pi * x / side))
         * np.tanh(sharp * np.sin(2 * np.pi * y / side))
-    ) if sharp else F.ScalarField(g, 1.0 + 0.1 * np.cos(2 * np.pi * x / side))
-    kk = F.ScalarField(g, kscale * (1.0 + 0.5 * np.sin(2 * np.pi * y / side)))
+    ) if sharp else 1.0 + 0.1 * np.cos(2 * np.pi * x / side)
+    kk = kscale * (1.0 + 0.5 * np.sin(2 * np.pi * y / side))
     env = M.ComparisonEnvelope(
         omega_star=float(om.min()), omega_sup=float(om.max()), k_star=float(kk.min())
     )
-    st = M.State(t=0.0, u=u, omega=om, k=kk, p=F.ScalarField.constant(g, 0.0))
+    st = M.State(t=0.0, grid=g, u=u, omega=om, k=kk, p=np.zeros(g.shape))
     traj = T.run(st, t_end, None, params, env,
                  T.StepConfig(cfl_safety=cfl, guard=False), t_end / 20)
     viol = max(
@@ -259,34 +256,30 @@ def test_criterion_6_operator_properties():
     for dim in (1, 2, 3):
         g = F.Grid(dim, 12 if dim == 3 else 24, 1.0)
         hd = g.h**g.dim
-        f = F.ScalarField(g, rng.standard_normal(g.shape))
-        a = F.ScalarField(g, rng.uniform(0.0, 2.0, g.shape))
-        v = F.VectorField.from_arrays(g, [rng.standard_normal(g.shape) for _ in range(dim)])
+        f = rng.standard_normal(g.shape)
+        a = rng.uniform(0.0, 2.0, g.shape)
+        v = np.stack([rng.standard_normal(g.shape) for _ in range(dim)])
 
-        lhs = hd * np.sum(F.divergence(v).values * f.values)
-        rhs = -hd * np.sum(
-            sum(c.values * gc.values for c, gc in zip(v.components, F.gradient(f).components))
-        )
+        lhs = hd * np.sum(F.divergence(g, v) * f)
+        rhs = -hd * np.sum(sum(c * gc for c, gc in zip(v, F.gradient(g, f))))
         ok &= abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs), 1.0)
 
-        out = F.div_flux(a, f)
-        rl = F.r_laplacian(f, 3.0)
-        scale = np.abs(out.values).max() + np.abs(rl.values).max() + 1.0
-        ok &= abs(F.integrate(out)) <= 1e-12 * scale
-        ok &= abs(F.integrate(rl)) <= 1e-11 * scale
-        ok &= hd * np.sum(f.values * out.values) <= 1e-12 * scale
-        ok &= hd * np.sum(f.values * rl.values) <= 1e-11 * scale
+        out = F.div_flux(g, a, f)
+        rl = F.r_laplacian(g, f, 3.0)
+        scale = np.abs(out).max() + np.abs(rl).max() + 1.0
+        ok &= abs(F.integrate(g, out)) <= 1e-12 * scale
+        ok &= abs(F.integrate(g, rl)) <= 1e-11 * scale
+        ok &= hd * np.sum(f * out) <= 1e-12 * scale
+        ok &= hd * np.sum(f * rl) <= 1e-11 * scale
 
-        w, p = F.leray_project(v)
-        w2, _ = F.leray_project(w)
-        ok &= np.abs(F.divergence(w).values).max() <= 1e-12 * v.max_abs()
-        ok &= max(
-            np.abs(x.values - y.values).max() for x, y in zip(w.components, w2.components)
-        ) <= 1e-13 * (v.max_abs() + 1.0)
+        w, p = F.leray_project(g, v)
+        w2, _ = F.leray_project(g, w)
+        ok &= np.abs(F.divergence(g, w)).max() <= 1e-12 * np.abs(v).max()
+        ok &= max(np.abs(x - y).max() for x, y in zip(w, w2)) <= 1e-13 * (np.abs(v).max() + 1.0)
 
-        adv = F.advect(w, f)
-        ok &= abs(hd * np.sum(f.values * adv.values)) <= 1e-12 * (
-            w.max_abs() * np.abs(f.values).max() ** 2 + 1.0
+        adv = F.advect(g, w, f)
+        ok &= abs(hd * np.sum(f * adv)) <= 1e-12 * (
+            np.abs(w).max() * np.abs(f).max() ** 2 + 1.0
         )
         details.append(f"d={dim} ok")
 
@@ -371,7 +364,7 @@ def test_criterion_7_rothe_mode():
         0.1, 1.5,
     )
     out = T.step_rothe(st, dt, None, params, env, T.StepConfig(scheme="rothe_picard"))
-    err_oracle = max(abs(out.omega.values.flat[0] - w1), abs(out.k.values.flat[0] - k1))
+    err_oracle = max(abs(out.omega.flat[0] - w1), abs(out.k.flat[0] - k1))
     ok_oracle = err_oracle <= 1e-9
 
     g2, st2, env2, _ = structured_problem(n=16)
@@ -383,9 +376,9 @@ def test_criterion_7_rothe_mode():
             T.StepConfig(scheme="rothe_picard", guard=False, picard_tol=1e-13),
         )
         diffs[dts] = max(
-            np.abs(se.omega.values - sr.omega.values).max(),
-            np.abs(se.k.values - sr.k.values).max(),
-            max(np.abs(x.values - y.values).max() for x, y in zip(se.u.components, sr.u.components)),
+            np.abs(se.omega - sr.omega).max(),
+            np.abs(se.k - sr.k).max(),
+            max(np.abs(x - y).max() for x, y in zip(se.u, sr.u)),
         )
     ratio = diffs[2e-4] / diffs[1e-4]
     ok_ratio = 4.0 * 0.7 <= ratio <= 4.0 * 1.3

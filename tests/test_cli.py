@@ -1,8 +1,12 @@
 """End-to-end command tests: outputs, determinism, exit codes."""
 
 import json
+import struct
 
 from kolmobox import cli
+from kolmobox import fields as F
+from kolmobox import model as M
+from kolmobox import snapshot as snap
 
 HOMOG = """
 dim = 1
@@ -60,8 +64,7 @@ alpha2 = 1.4285714285714286
     assert names == {"k_exponent", "omega_exponent", "L_min_exponent"}
 
 
-def test_balance_command(tmp_path, monkeypatch):
-    monkeypatch.setenv("KOLMO_THREADS", "2")
+def test_balance_command(tmp_path):
     cfg = write_cfg(
         tmp_path,
         """
@@ -163,3 +166,69 @@ def test_config_error_exit_code(tmp_path):
 
 def test_missing_config_file(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+def run_cli(tmp_path, capsys, text, command="run"):
+    """(exit code, stderr lines) of one command on a config text."""
+    cfg = write_cfg(tmp_path, text, name=f"{command}.cfg")
+    code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr().err.splitlines()
+
+
+def test_solver_error_exits_2_and_names_the_error(tmp_path, capsys):
+    # stiff homogeneous decay without the guard: omega overshoots through zero
+    code, err = run_cli(tmp_path, capsys, "dim = 1\nn = 4\nt_end = 1\nic_omega0 = 1e4\nguard = false\n")
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: DegenerateOmega: min(omega) = ")
+
+
+def snapshot_file(tmp_path, dim, n):
+    """A homogeneous snapshot on Grid(dim, n, 1.0)."""
+    g = F.Grid(dim, n, 1.0)
+    ic = M.HomogeneousIC(u_const=(0.0,) * dim, omega0=1.0, k0=1.0)
+    path = tmp_path / "ic.kbox"
+    snap.write_snapshot(path, M.homogeneous_state(g, ic, M.ModelParams()))
+    return path
+
+
+def test_snapshot_grid_must_match_config_n(tmp_path, capsys):
+    path = snapshot_file(tmp_path, 1, 8)
+    text = f"dim = 1\nn = 16\nt_end = 0.1\nic = snapshot\nsnapshot_path = {path}\n"
+    code, err = run_cli(tmp_path, capsys, text)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ValidationError: snapshot_path: ")
+    code, _ = run_cli(tmp_path, capsys, text.replace("n = 16", "n = 8"))
+    assert code == 0
+
+
+def test_snapshot_grid_must_match_config_dim(tmp_path, capsys):
+    path = snapshot_file(tmp_path, 2, 8)
+    text = (f"dim = 3\nn = 8\nt_end = 0.1\nforcing = constant\nforcing_vector = 1, 0, 0\n"
+            f"ic = snapshot\nsnapshot_path = {path}\n")
+    code, err = run_cli(tmp_path, capsys, text)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ValidationError: snapshot_path: ")
+
+
+def test_snapshot_ic_cannot_be_refined(tmp_path, capsys):
+    # bounds refines to n = 16, which an n = 8 snapshot cannot provide
+    path = snapshot_file(tmp_path, 1, 8)
+    text = f"dim = 1\nn = 8\nt_end = 0.1\nic = snapshot\nsnapshot_path = {path}\n"
+    code, err = run_cli(tmp_path, capsys, text, command="bounds")
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ValidationError: snapshot_path: ")
+    assert not (tmp_path / "o" / "series.ndjson").exists()
+
+
+def test_malformed_snapshot_exits_2(tmp_path, capsys):
+    path = snapshot_file(tmp_path, 1, 4)
+    data = path.read_bytes()
+    path.write_bytes(data[:12] + struct.pack("<I", 3) + data[16:])  # odd n
+    text = f"dim = 1\nn = 4\nt_end = 0.1\nic = snapshot\nsnapshot_path = {path}\n"
+    code, err = run_cli(tmp_path, capsys, text)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: SnapshotError: ")
+    path.write_bytes(data[:6])
+    code, err = run_cli(tmp_path, capsys, text)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: SnapshotError: ")

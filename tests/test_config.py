@@ -83,7 +83,7 @@ class TestBuildProblem:
         assert p.env.omega_star == pytest.approx(2.0)
         assert p.env.omega_sup == pytest.approx(2.0)
         assert p.env.k_star == pytest.approx(0.5)
-        assert p.state.omega.values.flat[0] == 2.0
+        assert p.state.omega.flat[0] == 2.0
 
     def test_perturbed_state_and_env(self):
         cfg = C.parse_config(
@@ -96,7 +96,7 @@ class TestBuildProblem:
         # initial velocity is projected
         import kolmobox.fields as F
 
-        assert np.abs(F.divergence(p.state.u).values).max() <= 1e-12
+        assert np.abs(F.divergence(p.grid, p.state.u)).max() <= 1e-12
 
     def test_omega_pushed_below_star_rejected(self):
         text = (
@@ -130,14 +130,14 @@ class TestBuildProblem:
         )
         p1 = C.build_problem(C.parse_config(text))
         p2 = C.build_problem(C.parse_config(text))
-        assert np.array_equal(p1.state.omega.values, p2.state.omega.values)
-        assert not np.all(p1.state.omega.values == 1.0)
+        assert np.array_equal(p1.state.omega, p2.state.omega)
+        assert not np.all(p1.state.omega == 1.0)
 
     def test_forcing_builders(self):
         cfg = C.parse_config(MINIMAL + "forcing = constant\nforcing_vector = 0.5\n")
         p = C.build_problem(cfg)
         assert p.forcing is not None
-        assert np.all(p.forcing.components[0].values == 0.5)
+        assert np.all(p.forcing[0] == 0.5)
 
         cfg2 = C.parse_config(
             "dim = 2\nn = 16\nt_end = 1\nforcing = single_mode\n"
@@ -145,8 +145,8 @@ class TestBuildProblem:
             "forcing_component = 0\n"
         )
         p2 = C.build_problem(cfg2)
-        assert np.abs(p2.forcing.components[1].values).max() == 0.0
-        assert np.abs(p2.forcing.components[0].values).max() > 0.0
+        assert np.abs(p2.forcing[1]).max() == 0.0
+        assert np.abs(p2.forcing[0]).max() > 0.0
 
     def test_snapshot_ic_round_trip(self, tmp_path):
         from kolmobox import snapshot as snap
@@ -157,4 +157,4 @@ class TestBuildProblem:
         snap.write_snapshot(path, p.state)
         cfg2 = C.parse_config(f"dim = 1\nn = 8\nt_end = 1\nic = snapshot\nsnapshot_path = {path}\n")
         p2 = C.build_problem(cfg2)
-        np.testing.assert_array_equal(p2.state.omega.values, p.state.omega.values)
+        np.testing.assert_array_equal(p2.state.omega, p.state.omega)

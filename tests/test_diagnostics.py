@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import (
+    const,
+    const_vector,
     entropy_bracket_constant,
     exact_homogeneous_trajectory,
     structured_problem,
+    zero_vector,
 )
 
 from kolmobox import diagnostics as D
@@ -27,9 +30,8 @@ ENV1 = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1.0)
 class TestRecord:
     def test_resting_cube(self):
         g = F.Grid(3, 8, 1.0)
-        one = F.ScalarField.constant(g, 1.0)
-        st = M.State(t=0.0, u=F.VectorField.zero(g), omega=one, k=one,
-                     p=F.ScalarField.constant(g, 0.0))
+        one = const(g, 1.0)
+        st = M.State(t=0.0, grid=g, u=zero_vector(g), omega=one, k=one, p=const(g, 0.0))
         rec = D.record(st, None, PARAMS, ENV1)
         assert rec.E_kin == 0.0
         assert rec.E_turb == pytest.approx(1.0)
@@ -51,27 +53,26 @@ class TestRecord:
     def test_dissipation_composition_for_shear_mode(self):
         g = F.Grid(2, 32, 1.0)
         x, y = g.coords()
-        u = F.VectorField.from_arrays(g, [np.sin(2 * np.pi * y), np.zeros(g.shape)])
-        one = F.ScalarField.constant(g, 1.0)
-        st = M.State(t=0.0, u=u, omega=one, k=one, p=F.ScalarField.constant(g, 0.0))
+        u = np.stack([np.sin(2 * np.pi * y), np.zeros(g.shape)])
+        one = const(g, 1.0)
+        st = M.State(t=0.0, grid=g, u=u, omega=one, k=one, p=const(g, 0.0))
         rec = D.record(st, None, PARAMS, ENV1)
-        dsq = F.frobenius_sq(F.sym_gradient(u))
-        assert rec.dissipation == pytest.approx(PARAMS.nu0 * F.integrate(dsq))
+        dsq = F.frobenius_sq(g, F.sym_gradient(g, u))
+        assert rec.dissipation == pytest.approx(PARAMS.nu0 * F.integrate(g, dsq))
 
     def test_power_in(self):
         g = F.Grid(2, 8, 1.0)
-        u = F.VectorField.constant(g, [2.0, 0.0])
-        f = F.VectorField.constant(g, [0.5, 1.0])
-        one = F.ScalarField.constant(g, 1.0)
-        st = M.State(t=0.0, u=u, omega=one, k=one, p=F.ScalarField.constant(g, 0.0))
+        u = const_vector(g, [2.0, 0.0])
+        f = const_vector(g, [0.5, 1.0])
+        one = const(g, 1.0)
+        st = M.State(t=0.0, grid=g, u=u, omega=one, k=one, p=const(g, 0.0))
         rec = D.record(st, f, PARAMS, ENV1)
         assert rec.power_in == pytest.approx(1.0)
 
     def test_ndjson_format(self):
         g = F.Grid(1, 8, 1.0)
-        one = F.ScalarField.constant(g, 1.0)
-        st = M.State(t=0.5, u=F.VectorField.zero(g), omega=one, k=one,
-                     p=F.ScalarField.constant(g, 0.0))
+        one = const(g, 1.0)
+        st = M.State(t=0.5, grid=g, u=zero_vector(g), omega=one, k=one, p=const(g, 0.0))
         line = D.ndjson_line(D.record(st, None, PARAMS, ENV1, guard_activations=3))
         import json
 
@@ -82,8 +83,7 @@ class TestRecord:
         # 17 significant digits are preserved
         assert f"{1/3:.17g}" in D.ndjson_line(
             D.record(
-                M.State(t=1 / 3, u=F.VectorField.zero(g), omega=one, k=one,
-                        p=F.ScalarField.constant(g, 0.0)),
+                M.State(t=1 / 3, grid=g, u=zero_vector(g), omega=one, k=one, p=const(g, 0.0)),
                 None, PARAMS, ENV1,
             )
         )
@@ -95,10 +95,11 @@ def fabricated_trajectory(masses, times, grid, params=PARAMS, env=ENV1):
     for t, m in zip(times, masses):
         st = M.State(
             t=float(t),
-            u=F.VectorField.zero(grid),
-            omega=F.ScalarField.constant(grid, 1.0),
-            k=F.ScalarField.constant(grid, m),
-            p=F.ScalarField.constant(grid, 0.0),
+            grid=grid,
+            u=zero_vector(grid),
+            omega=const(grid, 1.0),
+            k=const(grid, m),
+            p=const(grid, 0.0),
         )
         states.append(st)
         records.append(D.record(st, None, params, env))
@@ -113,10 +114,10 @@ class TestOmegaBalance:
         states, records = [], []
         tiny = M.ModelParams(alpha1=1e-300, alpha2=1.0)  # sink negligible
         for t in times:
-            st = M.State(t=float(t), u=F.VectorField.zero(g),
-                         omega=F.ScalarField.constant(g, 1.0),
-                         k=F.ScalarField.constant(g, 1.0),
-                         p=F.ScalarField.constant(g, 0.0))
+            st = M.State(t=float(t), grid=g, u=zero_vector(g),
+                         omega=const(g, 1.0),
+                         k=const(g, 1.0),
+                         p=const(g, 0.0))
             states.append(st)
             records.append(D.record(st, None, tiny, ENV1))
         traj = T.Trajectory(tuple(times), tuple(states), tuple(records), tiny, ENV1)
@@ -141,21 +142,20 @@ class TestOmegaBalance:
         res = {}
         for dt in (0.001, 0.0005):
             om, kk = om0.copy(), k0.copy()
-            u = F.VectorField.zero(g)
+            u = zero_vector(g)
             times, states, records = [], [], []
             t = 0.0
             nsteps = int(round(0.5 / dt))
             for i in range(nsteps + 1):
-                st = M.State(t=t, u=u, omega=F.ScalarField(g, om), k=F.ScalarField(g, kk),
-                             p=F.ScalarField.constant(g, 0.0))
+                st = M.State(t=t, grid=g, u=u, omega=om, k=kk, p=const(g, 0.0))
                 times.append(t)
                 states.append(st)
                 records.append(D.record(st, None, PARAMS, env))
                 if i == nsteps:
                     break
                 _, dom, dk = M.rhs(st, t, None, PARAMS, env)
-                om = om + dt * dom.values
-                kk = kk + dt * dk.values
+                om = om + dt * dom
+                kk = kk + dt * dk
                 t += dt
             traj = T.Trajectory(tuple(times), tuple(states), tuple(records), PARAMS, env)
             res[dt] = D.omega_balance_residual(traj, (0.0, 0.5))
@@ -240,10 +240,10 @@ class TestLengthScale:
     def test_saturation_at_t0(self):
         g = F.Grid(1, 8, 1.0)
         env = M.ComparisonEnvelope(omega_star=0.5, omega_sup=2.0, k_star=0.8)
-        st = M.State(t=0.0, u=F.VectorField.zero(g),
-                     omega=F.ScalarField.constant(g, 2.0),
-                     k=F.ScalarField.constant(g, 0.8),
-                     p=F.ScalarField.constant(g, 0.0))
+        st = M.State(t=0.0, grid=g, u=zero_vector(g),
+                     omega=const(g, 2.0),
+                     k=const(g, 0.8),
+                     p=const(g, 0.0))
         chk = D.length_scale_check(st, env, PARAMS)
         assert chk.L_min == pytest.approx(chk.bound)
         assert chk.satisfied
@@ -274,20 +274,20 @@ class TestLengthScale:
     def test_violated_bound_reported(self):
         g = F.Grid(1, 8, 1.0)
         env = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1.0)
-        st = M.State(t=0.0, u=F.VectorField.zero(g),
-                     omega=F.ScalarField.constant(g, 1.0),
-                     k=F.ScalarField.constant(g, 0.5),  # below k_star
-                     p=F.ScalarField.constant(g, 0.0))
+        st = M.State(t=0.0, grid=g, u=zero_vector(g),
+                     omega=const(g, 1.0),
+                     k=const(g, 0.5),  # below k_star
+                     p=const(g, 0.0))
         chk = D.length_scale_check(st, env, PARAMS)
         assert not chk.satisfied
         assert chk.L_min < chk.bound
 
     def test_degenerate_omega(self):
         g = F.Grid(1, 8, 1.0)
-        st = M.State(t=0.0, u=F.VectorField.zero(g),
-                     omega=F.ScalarField.constant(g, 0.0),
-                     k=F.ScalarField.constant(g, 1.0),
-                     p=F.ScalarField.constant(g, 0.0))
+        st = M.State(t=0.0, grid=g, u=zero_vector(g),
+                     omega=const(g, 0.0),
+                     k=const(g, 1.0),
+                     p=const(g, 0.0))
         with pytest.raises(DegenerateOmega):
             D.length_scale_check(st, ENV1, PARAMS)
 
@@ -295,7 +295,7 @@ class TestLengthScale:
 class TestEntropy:
     def test_zero_field(self):
         g = F.Grid(2, 8, 1.0)
-        phi, grad = D.entropy_functional(F.ScalarField.constant(g, 0.0), 0.5)
+        phi, grad = D.entropy_functional(g, const(g, 0.0), 0.5)
         assert phi == 0.0 and grad == 0.0
 
     def test_point_value(self):
@@ -320,16 +320,16 @@ class TestEntropy:
     def test_weighted_gradient(self):
         g = F.Grid(1, 64, 1.0)
         x, = g.coords()
-        k = F.ScalarField(g, 1.0 + 0.5 * np.sin(2 * np.pi * x))
-        _, wgrad = D.entropy_functional(k, 0.5)
-        grad = F.gradient(k).components[0].values
-        expected = F.integrate(F.ScalarField(g, grad**2 / (1.0 + k.values) ** 0.5))
+        k = 1.0 + 0.5 * np.sin(2 * np.pi * x)
+        _, wgrad = D.entropy_functional(g, k, 0.5)
+        grad = F.gradient(g, k)[0]
+        expected = F.integrate(g, grad**2 / (1.0 + k) ** 0.5)
         assert wgrad == pytest.approx(expected)
 
     def test_bad_delta(self):
         g = F.Grid(1, 8, 1.0)
         with pytest.raises(BadDelta):
-            D.entropy_functional(F.ScalarField.constant(g, 1.0), 1.0)
+            D.entropy_functional(g, const(g, 1.0), 1.0)
         with pytest.raises(BadDelta):
             D.entropy_phi(1.0, 0.0)
 
@@ -365,10 +365,10 @@ class TestDecayFit:
         times = np.linspace(1.0, 2.0, 5)
         states, records = [], []
         for t in times:
-            st = M.State(t=float(t), u=F.VectorField.zero(g),
-                         omega=F.ScalarField.constant(g, 1.0),
-                         k=F.ScalarField.constant(g, -1.0),
-                         p=F.ScalarField.constant(g, 0.0))
+            st = M.State(t=float(t), grid=g, u=zero_vector(g),
+                         omega=const(g, 1.0),
+                         k=const(g, -1.0),
+                         p=const(g, 0.0))
             states.append(st)
             records.append(D.record(st, None, PARAMS, ENV1))
         traj = T.Trajectory(tuple(times), tuple(states), tuple(records), PARAMS, ENV1)

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import pairing, random_vector
+from conftest import const, const_vector, pairing, random_vector, zero_vector
 
 from kolmobox import fields as F
 from kolmobox import model as M
-from kolmobox.errors import DegenerateOmega
+from kolmobox.errors import DegenerateOmega, IncompatibleGrid
 
 
 PARAMS = M.ModelParams(alpha1=1.0, alpha2=10.0 / 7.0)
@@ -90,74 +90,90 @@ class TestHomogeneousSolution:
         assert om == pytest.approx(0.25) and k == pytest.approx(0.25)
 
 
+class TestState:
+    def test_shape_mismatch(self):
+        g = F.Grid(1, 8, 1.0)
+        good = dict(t=0.0, grid=g, u=zero_vector(g), omega=const(g, 1.0), k=const(g, 1.0),
+                    p=const(g, 0.0))
+        M.State(**good)
+        for name, bad in (("u", np.zeros(g.shape)), ("u", np.zeros((2, 8))),
+                          ("omega", np.zeros(9)), ("k", np.zeros((8, 1))), ("p", np.zeros(4))):
+            with pytest.raises(IncompatibleGrid):
+                M.State(**{**good, name: bad})
+
+    def test_arrays_read_only(self):
+        g = F.Grid(2, 8, 1.0)
+        st = M.homogeneous_state(g, M.HomogeneousIC(u_const=(0.1, 0.2), omega0=1.0, k0=1.0), PARAMS)
+        for arr in (st.u, st.omega, st.k, st.p):
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(ValueError):
+            st.u[1, 0, 0] = 1.0
+
+
 class TestCoefficients:
     def test_unit_quotient(self):
         g = F.Grid(1, 8, 1.0)
-        one = F.ScalarField.constant(g, 1.0)
+        one = const(g, 1.0)
         out = M.eddy_coefficient(one, one, M.ModelParams())
-        assert np.all(out.values == 1.0)
+        assert np.all(out == 1.0)
 
     def test_positive_part_clips_k(self):
         g = F.Grid(1, 8, 1.0)
         p = M.ModelParams(regularized=True, eps=0.5, r=3.5)
-        out = M.eddy_coefficient(
-            F.ScalarField.constant(g, -1.0), F.ScalarField.constant(g, 1.0), p
-        )
-        assert np.all(out.values == 0.0)
+        out = M.eddy_coefficient(const(g, -1.0), const(g, 1.0), p)
+        assert np.all(out == 0.0)
 
     def test_positive_part_clips_omega(self):
         g = F.Grid(1, 8, 1.0)
         p = M.ModelParams(regularized=True, eps=1.0, r=3.5)
-        out = M.eddy_coefficient(
-            F.ScalarField.constant(g, 2.0), F.ScalarField.constant(g, -1.0), p
-        )
-        assert np.all(out.values == 2.0)
+        out = M.eddy_coefficient(const(g, 2.0), const(g, -1.0), p)
+        assert np.all(out == 2.0)
 
     def test_degenerate_omega_raises(self):
         g = F.Grid(1, 8, 1.0)
         with pytest.raises(DegenerateOmega):
-            M.eddy_coefficient(
-                F.ScalarField.constant(g, 1.0), F.ScalarField.constant(g, 0.0), M.ModelParams()
-            )
+            M.eddy_coefficient(const(g, 1.0), const(g, 0.0), M.ModelParams())
 
     def test_production_denominator(self):
         g = F.Grid(1, 8, 1.0)
         p = M.ModelParams(regularized=True, eps=1.0, r=3.5)
-        one = F.ScalarField.constant(g, 1.0)
+        one = const(g, 1.0)
         out = M.production_coefficient(one, one, p)
-        assert np.all(out.values == pytest.approx(1.0 / 3.0))
+        assert np.all(out == pytest.approx(1.0 / 3.0))
 
     def test_production_bounded_by_inverse_eps(self):
         g = F.Grid(1, 8, 1.0)
         p = M.ModelParams(regularized=True, eps=1.0, r=3.5)
-        big = F.ScalarField.constant(g, 1e6)
-        one = F.ScalarField.constant(g, 1.0)
+        big = const(g, 1e6)
+        one = const(g, 1.0)
         out = M.production_coefficient(big, one, p)
-        assert np.all(out.values < 1.0 / p.eps)
-        assert out.values.flat[0] == pytest.approx(0.999999, rel=1e-5)
+        assert np.all(out < 1.0 / p.eps)
+        assert out.flat[0] == pytest.approx(0.999999, rel=1e-5)
 
     def test_unregularized_production_equals_eddy(self, rng):
         g = F.Grid(2, 8, 1.0)
         p = M.ModelParams()
-        k = F.ScalarField(g, rng.uniform(0.5, 2.0, g.shape))
-        om = F.ScalarField(g, rng.uniform(0.5, 2.0, g.shape))
+        k = rng.uniform(0.5, 2.0, g.shape)
+        om = rng.uniform(0.5, 2.0, g.shape)
         np.testing.assert_array_equal(
-            M.eddy_coefficient(k, om, p).values, M.production_coefficient(k, om, p).values
+            M.eddy_coefficient(k, om, p), M.production_coefficient(k, om, p)
         )
 
     def test_nonnegative(self, rng):
         g = F.Grid(2, 8, 1.0)
         p = M.ModelParams(regularized=True, eps=1e-2, r=3.5)
-        k = F.ScalarField(g, rng.standard_normal(g.shape))
-        om = F.ScalarField(g, rng.standard_normal(g.shape))
+        k = rng.standard_normal(g.shape)
+        om = rng.standard_normal(g.shape)
         assert M.eddy_coefficient(k, om, p).min() >= 0.0
 
     def test_production_bound_on_random_fields(self, rng):
         g = F.Grid(2, 16, 1.0)
         p = M.ModelParams(regularized=True, eps=0.05, r=3.5)
         for _ in range(20):
-            k = F.ScalarField(g, rng.uniform(-5.0, 100.0, g.shape))
-            om = F.ScalarField(g, rng.uniform(-5.0, 5.0, g.shape))
+            k = rng.uniform(-5.0, 100.0, g.shape)
+            om = rng.uniform(-5.0, 5.0, g.shape)
             assert M.production_coefficient(k, om, p).max() <= 1.0 / p.eps
 
 
@@ -168,10 +184,10 @@ class TestRhs:
         ic = M.HomogeneousIC(u_const=(0.3, -0.2), omega0=1.5, k0=0.7)
         st = M.homogeneous_state(g, ic, p)
         du, dom, dk = M.rhs(st, 0.0, None, p, ENV)
-        for c in du.components:
-            assert np.abs(c.values).max() == 0.0
-        np.testing.assert_array_equal(dom.values, np.full(g.shape, -(1.0 * (1.5 * 1.5))))
-        np.testing.assert_array_equal(dk.values, np.full(g.shape, -(p.alpha2 * (0.7 * 1.5))))
+        for c in du:
+            assert np.abs(c).max() == 0.0
+        np.testing.assert_array_equal(dom, np.full(g.shape, -(1.0 * (1.5 * 1.5))))
+        np.testing.assert_array_equal(dk, np.full(g.shape, -(p.alpha2 * (0.7 * 1.5))))
 
     def test_envelope_pair_is_exact_regularized_solution(self):
         # at omega == omega_low(t) the eps damping and source cancel exactly,
@@ -184,58 +200,59 @@ class TestRhs:
         kap = M.kappa(t, env, p)
         st = M.State(
             t=t,
-            u=F.VectorField.zero(g),
-            omega=F.ScalarField.constant(g, olow),
-            k=F.ScalarField.constant(g, kap),
-            p=F.ScalarField.constant(g, 0.0),
+            grid=g,
+            u=zero_vector(g),
+            omega=const(g, olow),
+            k=const(g, kap),
+            p=const(g, 0.0),
         )
         _, dom, dk = M.rhs(st, t, None, p, env)
-        np.testing.assert_allclose(dom.values, -p.alpha1 * olow**2, rtol=1e-13)
+        np.testing.assert_allclose(dom, -p.alpha1 * olow**2, rtol=1e-13)
         # omega_star == omega_sup here, so omega rides both envelopes at once
-        np.testing.assert_allclose(dk.values, -p.alpha2 * kap * olow, rtol=1e-13)
+        np.testing.assert_allclose(dk, -p.alpha2 * kap * olow, rtol=1e-13)
 
     def test_production_matches_frobenius_for_shear_mode(self):
         g = F.Grid(2, 32, 1.0)
         x, y = g.coords()
-        u = F.VectorField.from_arrays(g, [np.sin(2 * np.pi * y), np.zeros(g.shape)])
-        one = F.ScalarField.constant(g, 1.0)
-        st = M.State(t=0.0, u=u, omega=one, k=one, p=F.ScalarField.constant(g, 0.0))
+        u = np.stack([np.sin(2 * np.pi * y), np.zeros(g.shape)])
+        one = const(g, 1.0)
+        st = M.State(t=0.0, grid=g, u=u, omega=one, k=one, p=const(g, 0.0))
         p = M.ModelParams(nu0=1.3)
         _, _, dk = M.rhs(st, 0.0, None, p, ENV)
-        dsq = F.frobenius_sq(F.sym_gradient(u)).values
+        dsq = F.frobenius_sq(g, F.sym_gradient(g, u))
         # with k = omega = 1 the non-production terms vanish except -alpha2*k*omega
         expected = p.nu0 * dsq - p.alpha2
-        np.testing.assert_allclose(dk.values, expected, atol=1e-12)
+        np.testing.assert_allclose(dk, expected, atol=1e-12)
 
     def test_mean_identities_unregularized(self, rng):
         # integrate(domega) == -alpha1 integral(omega+ omega) exactly;
         # integrate(dk) == integral(nu0 prod |D|^2) - alpha2 integral(k omega+)
         g = F.Grid(2, 16, 1.0)
         p = M.ModelParams(alpha1=0.9, alpha2=1.4, nu0=0.8)
-        u, _ = F.leray_project(random_vector(g, rng))
-        om = F.ScalarField(g, rng.uniform(0.5, 1.5, g.shape))
-        kk = F.ScalarField(g, rng.uniform(0.5, 1.5, g.shape))
-        st = M.State(t=0.0, u=u, omega=om, k=kk, p=F.ScalarField.constant(g, 0.0))
+        u, _ = F.leray_project(g, random_vector(g, rng))
+        om = rng.uniform(0.5, 1.5, g.shape)
+        kk = rng.uniform(0.5, 1.5, g.shape)
+        st = M.State(t=0.0, grid=g, u=u, omega=om, k=kk, p=const(g, 0.0))
         _, dom, dk = M.rhs(st, 0.0, None, p, ENV)
 
-        sink_om = p.alpha1 * pairing(np.maximum(om.values, 0), om.values, g)
-        got = F.integrate(dom)
+        sink_om = p.alpha1 * pairing(np.maximum(om, 0), om, g)
+        got = F.integrate(g, dom)
         assert got == pytest.approx(-sink_om, rel=1e-10, abs=1e-11)
 
-        prod = M.production_coefficient(kk, om, p).values
-        dsq = F.frobenius_sq(F.sym_gradient(u)).values
+        prod = M.production_coefficient(kk, om, p)
+        dsq = F.frobenius_sq(g, F.sym_gradient(g, u))
         production = p.nu0 * pairing(prod, dsq, g)
-        sink_k = p.alpha2 * pairing(kk.values, np.maximum(om.values, 0), g)
+        sink_k = p.alpha2 * pairing(kk, np.maximum(om, 0), g)
         scale = abs(production) + abs(sink_k) + 1.0
-        assert abs(F.integrate(dk) - (production - sink_k)) <= 1e-12 * scale
+        assert abs(F.integrate(g, dk) - (production - sink_k)) <= 1e-12 * scale
 
     def test_forcing_enters_du_only(self):
         g = F.Grid(2, 8, 1.0)
         p = M.ModelParams()
         ic = M.HomogeneousIC(u_const=(0.0, 0.0), omega0=1.0, k0=1.0)
         st = M.homogeneous_state(g, ic, p)
-        f = F.VectorField.constant(g, [0.3, -0.1])
+        f = const_vector(g, [0.3, -0.1])
         du, dom, dk = M.rhs(st, 0.0, f, p, ENV)
-        np.testing.assert_array_equal(du.components[0].values, np.full(g.shape, 0.3))
-        np.testing.assert_array_equal(du.components[1].values, np.full(g.shape, -0.1))
-        assert np.all(dom.values == -1.0)
+        np.testing.assert_array_equal(du[0], np.full(g.shape, 0.3))
+        np.testing.assert_array_equal(du[1], np.full(g.shape, -0.1))
+        assert np.all(dom == -1.0)

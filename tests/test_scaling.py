@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import exact_homogeneous_trajectory, structured_problem
+from conftest import const, exact_homogeneous_trajectory, structured_problem
 
 from kolmobox import diagnostics as D
 from kolmobox import fields as F
@@ -131,10 +131,10 @@ class TestTransformState:
         g = F.Grid(2, 16, 1.0)
         st = self.homog_state(g)
         out = S.transform_state(st, S.family_from(1.0, 1.0), g)
-        assert np.array_equal(out.omega.values, st.omega.values)
-        assert np.array_equal(out.k.values, st.k.values)
-        for a, b in zip(out.u.components, st.u.components):
-            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(out.omega, st.omega)
+        assert np.array_equal(out.k, st.k)
+        for a, b in zip(out.u, st.u):
+            assert np.array_equal(a, b)
         assert out.t == st.t
 
     def test_homogeneous_scaling(self):
@@ -143,9 +143,9 @@ class TestTransformState:
         sp = S.family_from(2.0, 3.0)
         target = F.Grid(2, 16, g.side / sp.beta)
         out = S.transform_state(st, sp, target)
-        assert np.all(out.omega.values == sp.rho * 1.5)
-        assert np.all(out.k.values == sp.sigma * 0.7)
-        assert np.all(out.u.components[0].values == sp.gamma * 0.2)
+        assert np.all(out.omega == sp.rho * 1.5)
+        assert np.all(out.k == sp.sigma * 0.7)
+        assert np.all(out.u[0] == sp.gamma * 0.2)
         assert out.t == st.t / sp.alpha
 
     def test_single_mode_resample_oracle(self):
@@ -155,17 +155,18 @@ class TestTransformState:
         x, = g.coords()
         st = M.State(
             t=0.0,
-            u=F.VectorField.from_arrays(g, [np.sin(2 * np.pi * x)]),
-            omega=F.ScalarField.constant(g, 1.0),
-            k=F.ScalarField.constant(g, 1.0),
-            p=F.ScalarField.constant(g, 0.0),
+            grid=g,
+            u=np.stack([np.sin(2 * np.pi * x)]),
+            omega=const(g, 1.0),
+            k=const(g, 1.0),
+            p=const(g, 0.0),
         )
         sp = S.family_from(2.0, 1.0)  # beta = 2
         target = F.Grid(1, 64, g.side / 2.0)
         out = S.transform_state(st, sp, target)
         xt, = target.coords()
         expected = sp.gamma * np.sin(2 * np.pi * (2.0 * xt))
-        np.testing.assert_allclose(out.u.components[0].values, expected, atol=1e-12)
+        np.testing.assert_allclose(out.u[0], expected, atol=1e-12)
 
     def test_wrong_side_rejected(self):
         g = F.Grid(1, 16, 1.0)
@@ -179,10 +180,11 @@ class TestTransformState:
         x, = g.coords()
         st = M.State(
             t=0.8,
-            u=F.VectorField.from_arrays(g, [np.sin(2 * np.pi * x)]),
-            omega=F.ScalarField(g, 2.0 + np.cos(2 * np.pi * x)),
-            k=F.ScalarField(g, 2.0 + np.sin(4 * np.pi * x)),
-            p=F.ScalarField.constant(g, 0.0),
+            grid=g,
+            u=np.stack([np.sin(2 * np.pi * x)]),
+            omega=2.0 + np.cos(2 * np.pi * x),
+            k=2.0 + np.sin(4 * np.pi * x),
+            p=const(g, 0.0),
         )
         sp1 = S.family_from(2.0, 1.5)
         sp2 = S.family_from(0.8, 2.5)
@@ -199,11 +201,9 @@ class TestTransformState:
         two_step = S.transform_state(S.transform_state(st, sp2, g2), sp1, g12a)
         one_step = S.transform_state(st, sp12, g12b)
         assert abs(g12a.side - g12b.side) <= 1e-12
-        np.testing.assert_allclose(two_step.omega.values, one_step.omega.values, atol=1e-10)
-        np.testing.assert_allclose(two_step.k.values, one_step.k.values, atol=1e-10)
-        np.testing.assert_allclose(
-            two_step.u.components[0].values, one_step.u.components[0].values, atol=1e-10
-        )
+        np.testing.assert_allclose(two_step.omega, one_step.omega, atol=1e-10)
+        np.testing.assert_allclose(two_step.k, one_step.k, atol=1e-10)
+        np.testing.assert_allclose(two_step.u[0], one_step.u[0], atol=1e-10)
         assert two_step.t == pytest.approx(one_step.t, rel=1e-12)
 
 
@@ -237,8 +237,7 @@ class TestPdeResidual:
                      T.StepConfig(dt_max=5e-4, guard=False), 0.0025)
         base = S.pde_residual(traj, params)
         states = tuple(
-            M.State(t=s.t, u=s.u, omega=s.omega,
-                    k=F.ScalarField(g, 1.01 * s.k.values), p=s.p)
+            M.State(t=s.t, grid=g, u=s.u, omega=s.omega, k=1.01 * s.k, p=s.p)
             for s in traj.states
         )
         records = tuple(D.record(s, None, params, env) for s in states)

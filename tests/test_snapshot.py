@@ -8,18 +8,20 @@ import pytest
 from kolmobox import fields as F
 from kolmobox import model as M
 from kolmobox import snapshot as snap
+from kolmobox.errors import SnapshotError
 
 
 def make_state(dim=2, n=8, side=1.5, rng=None):
     rng = rng or np.random.default_rng(3)
     g = F.Grid(dim, n, side)
-    u = F.VectorField.from_arrays(g, [rng.standard_normal(g.shape) for _ in range(dim)])
+    u = np.stack([rng.standard_normal(g.shape) for _ in range(dim)])
     return M.State(
         t=0.0,
+        grid=g,
         u=u,
-        omega=F.ScalarField(g, rng.uniform(0.5, 2.0, g.shape)),
-        k=F.ScalarField(g, rng.uniform(0.5, 2.0, g.shape)),
-        p=F.ScalarField(g, rng.standard_normal(g.shape)),
+        omega=rng.uniform(0.5, 2.0, g.shape),
+        k=rng.uniform(0.5, 2.0, g.shape),
+        p=rng.standard_normal(g.shape),
     )
 
 
@@ -39,11 +41,11 @@ def test_values_survive_exactly(tmp_path):
     snap.write_snapshot(path, st)
     st2 = snap.state_from_snapshot(path)
     assert st2.grid == st.grid
-    np.testing.assert_array_equal(st2.omega.values, st.omega.values)
-    np.testing.assert_array_equal(st2.k.values, st.k.values)
-    np.testing.assert_array_equal(st2.p.values, st.p.values)
-    for a, b in zip(st2.u.components, st.u.components):
-        np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(st2.omega, st.omega)
+    np.testing.assert_array_equal(st2.k, st.k)
+    np.testing.assert_array_equal(st2.p, st.p)
+    for a, b in zip(st2.u, st.u):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_header_layout(tmp_path):
@@ -86,3 +88,49 @@ def test_missing_field(tmp_path):
     (tmp_path / "nop.kbox").write_bytes(data[: -(4 + 8 * 8)])
     with pytest.raises(ValueError):
         snap.state_from_snapshot(tmp_path / "nop.kbox")
+
+
+def valid_snapshot_bytes(tmp_path):
+    path = tmp_path / "valid.kbox"
+    snap.write_snapshot(path, make_state(dim=1, n=4))
+    return path.read_bytes()
+
+
+def test_truncation_at_every_offset_raises_snapshot_error(tmp_path):
+    data = valid_snapshot_bytes(tmp_path)
+    assert len(data) == 24 + 4 * (4 + 8 * 4)  # u, omega, k, p
+    cut = tmp_path / "cut.kbox"
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        with pytest.raises(SnapshotError):
+            snap.state_from_snapshot(cut)
+
+
+HEADER_FAULTS = {
+    "magic": (0, b"KBOY"),
+    "version_2": (4, struct.pack("<I", 2)),
+    "version_0": (4, struct.pack("<I", 0)),
+    "dim_0": (8, struct.pack("<I", 0)),
+    "dim_2": (8, struct.pack("<I", 2)),
+    "dim_4": (8, struct.pack("<I", 4)),
+    "n_odd": (12, struct.pack("<I", 5)),
+    "n_2": (12, struct.pack("<I", 2)),
+    "n_8": (12, struct.pack("<I", 8)),
+    "n_huge": (12, struct.pack("<I", 2**31)),
+    "side_negative": (16, struct.pack("<d", -1.0)),
+    "side_zero": (16, struct.pack("<d", 0.0)),
+    "side_nan": (16, struct.pack("<d", float("nan"))),
+    "side_inf": (16, struct.pack("<d", float("inf"))),
+    "tag_non_ascii": (24, b"\xffu_1"),
+    "tag_unknown": (24, b"u__9"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(HEADER_FAULTS))
+def test_corrupt_header_field_raises_snapshot_error(tmp_path, fault):
+    data = valid_snapshot_bytes(tmp_path)
+    offset, patch = HEADER_FAULTS[fault]
+    bad = tmp_path / "bad.kbox"
+    bad.write_bytes(data[:offset] + patch + data[offset + len(patch):])
+    with pytest.raises(SnapshotError):
+        snap.state_from_snapshot(bad)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import structured_problem
+from conftest import const, const_vector, structured_problem, zero_vector
 
 from kolmobox import fields as F
 from kolmobox import model as M
@@ -46,10 +46,11 @@ class TestCflDt:
         g = F.Grid(1, 8, 1.0)
         st = M.State(
             t=0.0,
-            u=F.VectorField.constant(g, [10.0]),
-            omega=F.ScalarField.constant(g, 1.0),
-            k=F.ScalarField.constant(g, 1e-8),  # negligible diffusivity
-            p=F.ScalarField.constant(g, 0.0),
+            grid=g,
+            u=const_vector(g, [10.0]),
+            omega=const(g, 1.0),
+            k=const(g, 1e-8),  # negligible diffusivity
+            p=const(g, 0.0),
         )
         cfg = T.StepConfig(cfl_safety=0.4)
         assert T.cfl_dt(st, PARAMS, cfg) == pytest.approx(0.4 * g.h / 10.0, rel=1e-6)
@@ -77,8 +78,8 @@ class TestStepExplicit:
             return 0.5 * (w0 + (w1 + dt * dw1)), 0.5 * (k0 + (k1 + dt * dk1))
 
         w_ref, k_ref = scalar_heun(1.0, 1.0)
-        assert np.all(out.omega.values == w_ref)
-        assert np.all(out.k.values == k_ref)
+        assert np.all(out.omega == w_ref)
+        assert np.all(out.k == k_ref)
         assert out.guard_hits == 0
 
     def test_local_error_third_order_against_envelope(self):
@@ -87,7 +88,7 @@ class TestStepExplicit:
         for dt in (0.1, 0.05):
             out = T.step_explicit(st, dt, None, PARAMS, env, T.StepConfig())
             _, w_exact, _ = M.homogeneous_solution(dt, ic, PARAMS)
-            errs[dt] = abs(out.omega.values.flat[0] - w_exact)
+            errs[dt] = abs(out.omega.flat[0] - w_exact)
             assert errs[dt] <= 0.6 * dt**3
         assert 6.0 <= errs[0.1] / errs[0.05] <= 8.8
 
@@ -95,7 +96,7 @@ class TestStepExplicit:
         g, st, env, params = structured_problem(n=16)
         dt = T.cfl_dt(st, params, T.StepConfig())
         out = T.step_explicit(st, dt, None, params, env, T.StepConfig())
-        assert np.abs(F.divergence(out.u).values).max() <= 1e-12 * (1.0 + out.u.max_abs())
+        assert np.abs(F.divergence(g, out.u)).max() <= 1e-12 * (1.0 + np.abs(out.u).max())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the trigger
     def test_nonfinite_rejected(self):
@@ -109,10 +110,11 @@ class TestStepExplicit:
         env = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1.0)
         st = M.State(
             t=0.0,
-            u=F.VectorField.zero(g),
-            omega=F.ScalarField.constant(g, 0.5),
-            k=F.ScalarField.constant(g, 0.5),
-            p=F.ScalarField.constant(g, 0.0),
+            grid=g,
+            u=zero_vector(g),
+            omega=const(g, 0.5),
+            k=const(g, 0.5),
+            p=const(g, 0.0),
         )
         dt = 1e-3
         out = T.step_explicit(st, dt, None, PARAMS, env, T.StepConfig(guard=True))
@@ -121,6 +123,19 @@ class TestStepExplicit:
         out2 = T.step_explicit(st, dt, None, PARAMS, env, T.StepConfig(guard=False))
         assert out2.guard_hits == 0
         assert out2.omega.min() < M.omega_lower(dt, env, PARAMS) * 0.95
+
+
+class TestInputStateUnchanged:
+    @pytest.mark.parametrize("scheme", ["explicit_rk2", "rothe_picard"])
+    def test_step_leaves_input_arrays_bit_identical(self, scheme):
+        params = regularized_params()
+        g, st, env, _ = structured_problem(n=16)
+        before = [a.copy() for a in (st.u, st.omega, st.k, st.p)]
+        step = T.step_explicit if scheme == "explicit_rk2" else T.step_rothe
+        out = step(st, 1e-4, None, params, env, T.StepConfig(scheme=scheme))
+        assert out.t == st.t + 1e-4
+        for old, now in zip(before, (st.u, st.omega, st.k, st.p)):
+            assert np.array_equal(old, now)
 
 
 class TestRun:
@@ -133,8 +148,8 @@ class TestRun:
         g, ic, env, st = homogeneous()
         traj = T.run(st, 2.0, None, PARAMS, env, T.StepConfig(dt_max=1e-3), 0.25)
         _, w_exact, k_exact = M.homogeneous_solution(2.0, ic, PARAMS)
-        w = traj.states[-1].omega.values.flat[0]
-        k = traj.states[-1].k.values.flat[0]
+        w = traj.states[-1].omega.flat[0]
+        k = traj.states[-1].k.flat[0]
         assert abs(w - w_exact) / w_exact <= 1e-4
         assert abs(k - k_exact) / k_exact <= 1e-4
 
@@ -144,8 +159,8 @@ class TestRun:
         full = T.run(st, 2.0, None, PARAMS, env, cfg, 0.25)
         half = T.run(st, 1.0, None, PARAMS, env, cfg, 0.25)
         rest = T.run(half.states[-1], 2.0, None, PARAMS, env, cfg, 0.25)
-        assert np.array_equal(full.states[-1].omega.values, rest.states[-1].omega.values)
-        assert np.array_equal(full.states[-1].k.values, rest.states[-1].k.values)
+        assert np.array_equal(full.states[-1].omega, rest.states[-1].omega)
+        assert np.array_equal(full.states[-1].k, rest.states[-1].k)
         assert full.times[-1] == rest.times[-1]
 
     def test_sample_times_and_records(self):
@@ -174,20 +189,19 @@ class TestRun:
         L = 2 * np.pi
         g = F.Grid(3, 12, L)
         x, y, z = g.coords()
-        u = F.VectorField.from_arrays(
-            g,
+        u = np.stack(
             [0.3 * np.sin(2 * np.pi * y / L), 0.3 * np.sin(2 * np.pi * z / L),
              0.3 * np.sin(2 * np.pi * x / L)],
         )
-        u, _ = F.leray_project(u)
-        om = F.ScalarField(g, 1.0 + 0.1 * np.cos(2 * np.pi * x / L))
-        kk = F.ScalarField(g, 1.0 + 0.1 * np.sin(2 * np.pi * y / L))
+        u, _ = F.leray_project(g, u)
+        om = 1.0 + 0.1 * np.cos(2 * np.pi * x / L)
+        kk = 1.0 + 0.1 * np.sin(2 * np.pi * y / L)
         env = M.ComparisonEnvelope(omega_star=float(om.min()), omega_sup=float(om.max()),
                                    k_star=float(kk.min()))
-        st = M.State(t=0.0, u=u, omega=om, k=kk, p=F.ScalarField.constant(g, 0.0))
+        st = M.State(t=0.0, grid=g, u=u, omega=om, k=kk, p=const(g, 0.0))
         traj = T.run(st, 0.1, None, params, env, T.StepConfig(guard=False), 0.025)
         final = traj.states[-1]
-        assert np.abs(F.divergence(final.u).values).max() <= 1e-12
+        assert np.abs(F.divergence(g, final.u)).max() <= 1e-12
         assert traj.records[-1].envelope_violation_omega_low == 0.0
 
     def test_rothe_scheme_through_run(self):
@@ -197,7 +211,7 @@ class TestRun:
         cfg_e = T.StepConfig(guard=False)
         traj_r = T.run(st, 0.1, None, params, env, cfg_r, 0.025)
         traj_e = T.run(st, 0.1, None, params, env, cfg_e, 0.025)
-        d = np.abs(traj_r.states[-1].omega.values - traj_e.states[-1].omega.values).max()
+        d = np.abs(traj_r.states[-1].omega - traj_e.states[-1].omega).max()
         assert d <= 1e-2  # first- vs second-order schemes at the CFL step size
         assert traj_r.times[-1] == 0.1
 
@@ -212,11 +226,11 @@ class TestForcingAndRetry:
         st = M.homogeneous_state(g, ic, PARAMS)
 
         def forcing(t):
-            return F.VectorField.constant(g, [t, 0.0])
+            return const_vector(g, [t, 0.0])
 
         dt = 0.25
         out = T.step_explicit(st, dt, forcing, PARAMS, env, T.StepConfig())
-        assert out.u.components[0].values.flat[0] == pytest.approx(dt * dt / 2.0, rel=1e-12)
+        assert out.u[0].flat[0] == pytest.approx(dt * dt / 2.0, rel=1e-12)
 
     def test_run_retries_with_halved_dt(self, monkeypatch):
         g, ic, env, st = homogeneous()
@@ -260,27 +274,28 @@ class TestRothe:
         k1 = bisect(lambda k: k - 1.0 + dt * (a2 * k * w1 + eps * abs(k) ** (r - 2) * k - eps * kap ** (r - 1)), 0.1, 1.5)
 
         out = T.step_rothe(st, dt, None, params, env, T.StepConfig(scheme="rothe_picard"))
-        assert abs(out.omega.values.flat[0] - w1) <= 1e-9
-        assert abs(out.k.values.flat[0] - k1) <= 1e-9
+        assert abs(out.omega.flat[0] - w1) <= 1e-9
+        assert abs(out.k.flat[0] - k1) <= 1e-9
 
         # residual vanishes at the oracle point
         cand = M.State(
             t=dt,
-            u=F.VectorField.zero(g),
-            omega=F.ScalarField.constant(g, w1),
-            k=F.ScalarField.constant(g, k1),
-            p=F.ScalarField.constant(g, 0.0),
+            grid=g,
+            u=zero_vector(g),
+            omega=const(g, w1),
+            k=const(g, k1),
+            p=const(g, 0.0),
         )
         _, rom, rk = T.operator_apply(cand, st, dt, None, params, env)
-        assert np.abs(rom.values).max() <= 1e-12
-        assert np.abs(rk.values).max() <= 1e-12
+        assert np.abs(rom).max() <= 1e-12
+        assert np.abs(rk).max() <= 1e-12
 
     def test_zero_dt_identity(self):
         params = regularized_params()
         g, ic, env, st = homogeneous()
         out = T.step_rothe(st, 0.0, None, params, env, T.StepConfig(scheme="rothe_picard"))
         assert out.t == st.t
-        assert np.array_equal(out.omega.values, st.omega.values)
+        assert np.array_equal(out.omega, st.omega)
 
     def test_agrees_with_explicit_at_second_order(self):
         params = regularized_params()
@@ -293,9 +308,9 @@ class TestRothe:
                 T.StepConfig(scheme="rothe_picard", guard=False, picard_tol=1e-13),
             )
             diffs[dt] = max(
-                np.abs(se.omega.values - sr.omega.values).max(),
-                np.abs(se.k.values - sr.k.values).max(),
-                max(np.abs(a.values - b.values).max() for a, b in zip(se.u.components, sr.u.components)),
+                np.abs(se.omega - sr.omega).max(),
+                np.abs(se.k - sr.k).max(),
+                max(np.abs(a - b).max() for a, b in zip(se.u, sr.u)),
             )
         ratio = diffs[2e-4] / diffs[1e-4]
         assert 4.0 * 0.7 <= ratio <= 4.0 * 1.3
@@ -321,18 +336,19 @@ class TestOperatorApply:
         env = M.ComparisonEnvelope(omega_star=0.8, omega_sup=1.2, k_star=0.9)
         zero = M.State(
             t=0.0,
-            u=F.VectorField.zero(g),
-            omega=F.ScalarField.constant(g, 0.0),
-            k=F.ScalarField.constant(g, 0.0),
-            p=F.ScalarField.constant(g, 0.0),
+            grid=g,
+            u=zero_vector(g),
+            omega=const(g, 0.0),
+            k=const(g, 0.0),
+            p=const(g, 0.0),
         )
         ru, rom, rk = T.operator_apply(zero, zero, math.inf, None, params, env)
         src_om = params.eps * M.omega_lower(0.0, env, params) ** (params.r - 1.0)
         src_k = params.eps * M.kappa(0.0, env, params) ** (params.r - 1.0)
-        for c in ru.components:
-            assert np.abs(c.values).max() == 0.0
-        np.testing.assert_allclose(rom.values, -src_om, rtol=1e-13)
-        np.testing.assert_allclose(rk.values, -src_k, rtol=1e-13)
+        for c in ru:
+            assert np.abs(c).max() == 0.0
+        np.testing.assert_allclose(rom, -src_om, rtol=1e-13)
+        np.testing.assert_allclose(rk, -src_k, rtol=1e-13)
 
     def test_r_coercivity_spot_check(self, rng):
         # qualitative: <U, A(U)> >= eps 2^(2-r) ||U||_{W^{1,r}}^r - C, C fitted once
@@ -342,20 +358,20 @@ class TestOperatorApply:
         r = params.r
         fitted_C = 1.0
         for _ in range(10):
-            u = F.VectorField.from_arrays(g, [rng.standard_normal(g.shape) for _ in range(2)])
-            u, _ = F.leray_project(u)
-            om = F.ScalarField(g, rng.uniform(0.2, 2.0, g.shape))
-            kk = F.ScalarField(g, rng.uniform(0.2, 2.0, g.shape))
-            st = M.State(t=0.3, u=u, omega=om, k=kk, p=F.ScalarField.constant(g, 0.0))
+            u = np.stack([rng.standard_normal(g.shape) for _ in range(2)])
+            u, _ = F.leray_project(g, u)
+            om = rng.uniform(0.2, 2.0, g.shape)
+            kk = rng.uniform(0.2, 2.0, g.shape)
+            st = M.State(t=0.3, grid=g, u=u, omega=om, k=kk, p=const(g, 0.0))
             ru, rom, rk = T.operator_apply(st, st, math.inf, None, params, env)
             src_om = params.eps * M.omega_lower(st.t, env, params) ** (r - 1)
             src_k = params.eps * M.kappa(st.t, env, params) ** (r - 1)
             hd = g.h**g.dim
-            lhs = sum(hd * np.sum(uc.values * rc.values) for uc, rc in zip(u.components, ru.components))
-            lhs += hd * np.sum(om.values * (rom.values + src_om))
-            lhs += hd * np.sum(kk.values * (rk.values + src_k))
+            lhs = sum(hd * np.sum(uc * rc) for uc, rc in zip(u, ru))
+            lhs += hd * np.sum(om * (rom + src_om))
+            lhs += hd * np.sum(kk * (rk + src_k))
             norm = sum(
-                F.w1p_seminorm(f, r) ** r + F.lp_norm(f, r) ** r
-                for f in (*u.components, om, kk)
+                F.w1p_seminorm(g, f, r) ** r + F.lp_norm(g, f, r) ** r
+                for f in (*u, om, kk)
             )
             assert lhs >= params.eps * 2.0 ** (2.0 - r) * norm - fitted_C
