@@ -11,6 +11,7 @@ config, snapshot, I/O or solver error, reported on one stderr line.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -242,8 +243,29 @@ def cmd_scaling(cfg: RunConfig, outdir: Path, rho: float, gamma: float) -> int:
 
 # ---------------------------------------------------------------------------
 
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _recycle_freed_arrays() -> None:
+    """Let glibc's heap keep freed field arrays for reuse instead of unmapping them.
+
+    By default every array above the dynamic mmap threshold (128 KiB at first)
+    is mapped fresh and its pages faulted in again on first write.  Raise the
+    threshold to glibc's own 64-bit ceiling (32 MiB) and keep up to twice that
+    at the top of the heap.  Skipped where the C library has no `mallopt`.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
 
 def main(argv: Optional[List[str]] = None) -> int:
+    _recycle_freed_arrays()
     parser = argparse.ArgumentParser(
         prog="kolmo-box",
         description="Periodic-box two-equation turbulence model: runs and verifications",

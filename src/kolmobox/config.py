@@ -276,7 +276,11 @@ def _validate(cfg: RunConfig):
     if cfg.forcing == "single_mode":
         _require(0 <= cfg.forcing_axis < cfg.dim, "forcing_axis", "out of range")
         _require(0 <= cfg.forcing_component < cfg.dim, "forcing_component", "out of range")
-        _require(cfg.forcing_wavenumber >= 1, "forcing_wavenumber", "must be >= 1")
+        _require(
+            1 <= cfg.forcing_wavenumber < cfg.n // 2,
+            "forcing_wavenumber",
+            f"wavenumber {cfg.forcing_wavenumber} not resolvable on n = {cfg.n}",
+        )
     _require(cfg.seed >= 0, "seed", "must be a nonnegative integer")
 
 

@@ -7,13 +7,16 @@ components along a leading axis, shape `(d, *grid.shape)`, and a tensor such
 as D(u) stacks two leading axes, shape `(d, d, *grid.shape)`.  Operators take
 the grid first and return new arrays; they never write into their inputs.
 Stencils count the spatial axes from the end, so one call serves a scalar and
-every component of a vector alike.
+every component of a vector alike.  They are slice differences with periodic
+wrap written into one fresh array (`_diff`, `_next`), with the same
+subtraction and then the same division as a rolled copy would give, bit for
+bit.
 
 Spatial derivatives are second-order centered differences, diffusion
 operators are written in conservative flux form, and the Leray projection uses
-the discrete Fourier transform with the exact symbol of the centered
-difference.  These choices make the discrete counterparts of the continuous
-identities exact:
+the real-to-complex discrete Fourier transform with the exact symbol of the
+centered difference, built once per grid.  These choices make the discrete
+counterparts of the continuous identities exact:
 
 * integration by parts:   sum(div(v) * f) == -sum(v . grad(f))
 * conservativity:         integrate(div_flux(a, f)) == 0
@@ -27,7 +30,9 @@ arrays, one component at a time, so diagnostics are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,25 +109,66 @@ class Grid:
 # stencil primitives; `ax` is a spatial axis 0..d-1, counted from the end
 
 
+def _along(axis: int, start: int, stop: int) -> tuple:
+    """Index selecting [start, stop) along `axis` (negative) and everything else."""
+    return (Ellipsis, slice(start, stop)) + (slice(None),) * (-1 - axis)
+
+
+def _diff(a: np.ndarray, axis: int, hi: int, lo: int) -> np.ndarray:
+    """New array a[j+hi] - a[j+lo] along `axis`, periodic; -1 <= lo <= 0 <= hi <= 1.
+
+    One subtraction runs over the flattened arrays, offset by whole rows of
+    `axis`; it gets every point right except the rows whose stencil wraps,
+    which are then overwritten.
+    """
+    n, row = a.shape[axis], math.prod(a.shape[a.ndim + axis + 1:])
+    out = np.empty(a.shape, dtype=np.result_type(a, 1.0))
+    flat, oflat = a.reshape(-1), out.reshape(-1)
+    m = (hi - lo) * row
+    np.subtract(flat[m:], flat[: flat.size - m], out=oflat[-lo * row: oflat.size - hi * row])
+    for j in (*range(-lo), *range(n - hi, n)):
+        jh, jl = (j + hi) % n, (j + lo) % n
+        np.subtract(a[_along(axis, jh, jh + 1)], a[_along(axis, jl, jl + 1)],
+                    out=out[_along(axis, j, j + 1)])
+    return out
+
+
+def _next(a: np.ndarray, axis: int) -> np.ndarray:
+    """New array a[j+1] along `axis` with periodic wrap."""
+    n, row = a.shape[axis], math.prod(a.shape[a.ndim + axis + 1:])
+    out = np.empty(a.shape, dtype=np.result_type(a, 1.0))
+    out.reshape(-1)[: a.size - row] = a.reshape(-1)[row:]
+    out[_along(axis, n - 1, n)] = a[_along(axis, 0, 1)]
+    return out
+
+
 def _centered(a: np.ndarray, ax: int, g: Grid) -> np.ndarray:
     """Second-order centered difference with periodic wrap."""
-    axis = ax - g.dim
-    return (np.roll(a, -1, axis=axis) - np.roll(a, 1, axis=axis)) / (2.0 * g.h)
+    out = _diff(a, ax - g.dim, 1, -1)
+    out /= 2.0 * g.h
+    return out
 
 
 def _fwd(a: np.ndarray, ax: int, g: Grid) -> np.ndarray:
     """Two-point difference at the face j+1/2 along `ax`."""
-    return (np.roll(a, -1, axis=ax - g.dim) - a) / g.h
+    out = _diff(a, ax - g.dim, 1, 0)
+    out /= g.h
+    return out
 
 
 def _face_avg(a: np.ndarray, ax: int, g: Grid) -> np.ndarray:
     """Arithmetic mean of the two cells adjacent to face j+1/2."""
-    return 0.5 * (a + np.roll(a, -1, axis=ax - g.dim))
+    out = _next(a, ax - g.dim)
+    out += a
+    out *= 0.5
+    return out
 
 
 def _face_div(flux: np.ndarray, ax: int, g: Grid, h: float) -> np.ndarray:
     """Difference of face fluxes j+1/2 and j-1/2, divided by h."""
-    return (flux - np.roll(flux, 1, axis=ax - g.dim)) / h
+    out = _diff(flux, ax - g.dim, 0, -1)
+    out /= h
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +228,7 @@ def div_flux(g: Grid, a: np.ndarray, f: np.ndarray) -> np.ndarray:
     h2 = g.h * g.h
     out = np.zeros(g.shape)
     for ax in range(g.dim):
-        flux = _face_avg(av, ax, g) * (np.roll(f, -1, axis=ax - g.dim) - f)
+        flux = _face_avg(av, ax, g) * _diff(f, ax - g.dim, 1, 0)
         out += _face_div(flux, ax, g, h2)
     return out
 
@@ -294,17 +340,27 @@ def max_face_gradient(g: Grid, f: np.ndarray) -> float:
 # Leray projection
 
 
-def _difference_symbol(grid: Grid) -> list:
-    """Fourier symbol sin(2 pi m / n) / h of the centered difference, per axis."""
-    n, h, d = grid.n, grid.h, grid.dim
-    base = np.sin(2.0 * np.pi * np.fft.fftfreq(n)) / h
+@lru_cache(maxsize=8)
+def _projection_symbols(g: Grid) -> tuple:
+    """Half-spectrum symbols of the centered difference and 1/sum(s^2), read-only.
+
+    The symbol along axis `ax` is sin(2 pi m / n) / h, shaped to broadcast
+    against `rfftn` output (the last axis keeps m = 0..n/2).  The reciprocal
+    is 0 where every symbol vanishes (mean and all-Nyquist modes).
+    """
+    n, d = g.n, g.dim
+    base = np.sin(2.0 * np.pi * np.fft.fftfreq(n)) / g.h
     base[n // 2] = 0.0  # sin(pi) is only ~1e-16 in floats; the symbol must vanish exactly
-    out = []
+    sym = []
     for ax in range(d):
         shape = [1] * d
-        shape[ax] = n
-        out.append(base.reshape(shape))
-    return out
+        shape[ax] = n if ax < d - 1 else n // 2 + 1
+        sym.append(base[: shape[ax]].reshape(shape))
+    denom = sum(s * s for s in sym)
+    inv = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0.0)
+    for arr in (*sym, inv):
+        arr.flags.writeable = False
+    return tuple(sym), inv
 
 
 def leray_project(g: Grid, v: np.ndarray) -> tuple:
@@ -312,17 +368,19 @@ def leray_project(g: Grid, v: np.ndarray) -> tuple:
 
     Returns (w, p) with w = v - gradient(p), mean(p) = 0, and the centered
     divergence of w at round-off level.  The pressure is solved in Fourier
-    space with the exact centered-difference symbol; modes where the symbol
-    vanishes (mean and Nyquist) carry no pressure and are left untouched in w,
-    which is harmless because the centered divergence annihilates them.
+    space (real-to-complex transform) with the exact centered-difference
+    symbol; modes where the symbol vanishes (mean and Nyquist) carry no
+    pressure and are left untouched in w, which is harmless because the
+    centered divergence annihilates them.
     """
-    sym = _difference_symbol(g)
-    vhat = np.fft.fftn(v, axes=tuple(range(1, g.dim + 1)))
-    denom = sum(s * s for s in sym)
-    div_hat = sum(1j * s * vh for s, vh in zip(sym, vhat))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phat = np.where(denom > 0.0, -div_hat / np.where(denom > 0.0, denom, 1.0), 0.0)
-    p = np.ascontiguousarray(np.fft.ifftn(phat).real)
+    sym, inv = _projection_symbols(g)
+    vhat = np.fft.rfftn(v, axes=tuple(range(1, g.dim + 1)))
+    phat = sym[0] * vhat[0]  # sum of s * vhat is the divergence divided by 1j
+    for s, vh in zip(sym[1:], vhat[1:]):
+        phat += s * vh
+    phat *= inv
+    phat *= -1j
+    p = np.fft.irfftn(phat, s=g.shape, axes=tuple(range(g.dim)))
     return v - gradient(g, p), p
 
 

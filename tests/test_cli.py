@@ -1,7 +1,11 @@
 """End-to-end command tests: outputs, determinism, exit codes."""
 
+import ctypes
 import json
 import struct
+import types
+
+import pytest
 
 from kolmobox import cli
 from kolmobox import fields as F
@@ -173,6 +177,22 @@ def run_cli(tmp_path, capsys, text, command="run"):
     cfg = write_cfg(tmp_path, text, name=f"{command}.cfg")
     code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
     return code, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("wavenumber", [4, 5, 8])
+def test_unresolvable_forcing_wavenumber_exits_2(tmp_path, capsys, wavenumber):
+    code, err = run_cli(
+        tmp_path, capsys, HOMOG + f"forcing = single_mode\nforcing_wavenumber = {wavenumber}\n"
+    )
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ValidationError: ")
+
+
+def test_runs_without_mallopt(tmp_path, monkeypatch):
+    # a C library without mallopt: the allocator policy is skipped, the run goes on
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    cfg = write_cfg(tmp_path, "dim = 1\nn = 4\nt_end = 0.1\ndt_max = 0.01\n")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_solver_error_exits_2_and_names_the_error(tmp_path, capsys):

@@ -71,6 +71,13 @@ class TestParse:
                 "dim = 1\nn = 8\nt_end = 1\nic = perturbed\nperturb_modes = omega:0:4:0.1\n"
             )
 
+    @pytest.mark.parametrize("wavenumber", [4, 5, 8])
+    def test_unresolvable_forcing_wavenumber(self, wavenumber):
+        with pytest.raises(ValidationError, match="forcing_wavenumber"):
+            C.parse_config(
+                MINIMAL + f"forcing = single_mode\nforcing_wavenumber = {wavenumber}\n"
+            )
+
     def test_rothe_requires_regularized(self):
         with pytest.raises(ValidationError):
             C.parse_config(MINIMAL + "scheme = rothe_picard\n")

@@ -382,6 +382,65 @@ class TestLerayProject:
             assert np.abs(a - b).max() <= 1e-13 * (scale + 1.0)
 
 
+def fftn_projection(g, v):
+    """The complex-FFT projection with full-spectrum symbols, kept as a reference."""
+    n, d = g.n, g.dim
+    base = np.sin(2.0 * np.pi * np.fft.fftfreq(n)) / g.h
+    base[n // 2] = 0.0
+    sym = [base.reshape([n if i == ax else 1 for i in range(d)]) for ax in range(d)]
+    vhat = np.fft.fftn(v, axes=tuple(range(1, d + 1)))
+    denom = sum(s * s for s in sym)
+    div_hat = sum(1j * s * vh for s, vh in zip(sym, vhat))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phat = np.where(denom > 0.0, -div_hat / np.where(denom > 0.0, denom, 1.0), 0.0)
+    p = np.fft.ifftn(phat).real
+    return v - F.gradient(g, p), p
+
+
+class TestProjectionOracle:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_matches_complex_fft_reference(self, dim, n, rng):
+        g = F.Grid(dim, n, 1.7)
+        v = random_vector(g, rng)
+        w, p = F.leray_project(g, v)
+        w_ref, p_ref = fftn_projection(g, v)
+        tol = 1e-14 * np.abs(v).max()
+        assert np.abs(w - w_ref).max() <= tol
+        assert np.abs(p - p_ref).max() <= tol
+
+    def test_symbols_cached_read_only(self):
+        sym, inv = F._projection_symbols(F.Grid(2, 8, 1.0))
+        assert F._projection_symbols(F.Grid(2, 8, 1.0)) is F._projection_symbols(F.Grid(2, 8, 1.0))
+        assert inv.shape == (8, 5)
+        for arr in (*sym, inv):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+
+class TestStencilOracle:
+    """The slice stencils equal, bit for bit, the np.roll forms they replaced."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [4, 16])
+    @pytest.mark.parametrize("rank", [0, 1, 2], ids=["scalar", "vector", "tensor"])
+    def test_bitwise_against_roll(self, dim, n, rank, rng):
+        g = F.Grid(dim, n, 1.3)
+        a = rng.standard_normal((dim,) * rank + g.shape)
+        for ax in range(dim):
+            axis = ax - dim
+            nxt, prv = np.roll(a, -1, axis=axis), np.roll(a, 1, axis=axis)
+            assert np.array_equal(F._next(a, axis), nxt)
+            assert np.array_equal(F._diff(a, axis, 1, -1), nxt - prv)
+            assert np.array_equal(F._diff(a, axis, 1, 0), nxt - a)
+            assert np.array_equal(F._diff(a, axis, 0, -1), a - prv)
+            assert np.array_equal(F._centered(a, ax, g), (nxt - prv) / (2.0 * g.h))
+            assert np.array_equal(F._fwd(a, ax, g), (nxt - a) / g.h)
+            assert np.array_equal(F._face_avg(a, ax, g), 0.5 * (a + nxt))
+            assert np.array_equal(F._face_div(a, ax, g, 0.37), (a - prv) / 0.37)
+
+
 class TestReductions:
     def test_integrate_constant_cube(self):
         g = F.Grid(3, 8, 1.0)
