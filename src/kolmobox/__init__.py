@@ -9,7 +9,6 @@ from .errors import (
     KolmoboxError,
     NegativeCoefficient,
     NonpositiveParameter,
-    NonpositiveSample,
     NonpositiveSamples,
     ParseError,
     PicardDiverged,
@@ -41,7 +40,6 @@ __all__ = [
     "NonpositiveSamples",
     "BadDelta",
     "NonpositiveParameter",
-    "NonpositiveSample",
     "SnapshotError",
     "ParseError",
     "ValidationError",

@@ -30,7 +30,8 @@ class InsufficientSamples(KolmoboxError):
 
 
 class NonpositiveSamples(KolmoboxError):
-    """A log-fit was requested on data that is not strictly positive."""
+    """Samples that must be strictly positive are not: log-fit data, or a
+    coefficient-invariance (omega, k) sample."""
 
 
 class BadDelta(KolmoboxError):
@@ -39,10 +40,6 @@ class BadDelta(KolmoboxError):
 
 class NonpositiveParameter(KolmoboxError):
     """A scaling parameter that must be positive is not."""
-
-
-class NonpositiveSample(KolmoboxError):
-    """A coefficient-invariance sample (omega, k) must be strictly positive."""
 
 
 class SnapshotError(KolmoboxError, ValueError):

@@ -12,6 +12,14 @@ wrap written into one fresh array (`_diff`, `_next`), with the same
 subtraction and then the same division as a rolled copy would give, bit for
 bit.
 
+A caller that applies several operators to the same field can build the
+shared stencils once -- `partials`, `face_differences`, `face_averages` of a
+`check_coefficient`-ed coefficient, `sym_gradient` -- and hand them to the
+operators as keyword-only arguments; each operator builds what it is not
+given, and the result is the same bit for bit either way.  The shared pieces
+are lists with one array per axis, so their blocks have the sizes the
+operators' own temporaries have.
+
 Spatial derivatives are second-order centered differences, diffusion
 operators are written in conservative flux form, and the Leray projection uses
 the real-to-complex discrete Fourier transform with the exact symbol of the
@@ -41,6 +49,10 @@ from .errors import NegativeCoefficient
 __all__ = [
     "Grid",
     "gradient",
+    "partials",
+    "face_differences",
+    "face_averages",
+    "check_coefficient",
     "divergence",
     "sym_gradient",
     "frobenius_sq",
@@ -114,15 +126,16 @@ def _along(axis: int, start: int, stop: int) -> tuple:
     return (Ellipsis, slice(start, stop)) + (slice(None),) * (-1 - axis)
 
 
-def _diff(a: np.ndarray, axis: int, hi: int, lo: int) -> np.ndarray:
-    """New array a[j+hi] - a[j+lo] along `axis`, periodic; -1 <= lo <= 0 <= hi <= 1.
+def _diff(a: np.ndarray, axis: int, hi: int, lo: int, out=None) -> np.ndarray:
+    """a[j+hi] - a[j+lo] along `axis`, periodic; -1 <= lo <= 0 <= hi <= 1.
 
-    One subtraction runs over the flattened arrays, offset by whole rows of
-    `axis`; it gets every point right except the rows whose stencil wraps,
-    which are then overwritten.
+    Written into `out`, or into a new array.  One subtraction runs over the
+    flattened arrays, offset by whole rows of `axis`; it gets every point
+    right except the rows whose stencil wraps, which are then overwritten.
     """
     n, row = a.shape[axis], math.prod(a.shape[a.ndim + axis + 1:])
-    out = np.empty(a.shape, dtype=np.result_type(a, 1.0))
+    if out is None:
+        out = np.empty(a.shape, dtype=np.result_type(a, 1.0))
     flat, oflat = a.reshape(-1), out.reshape(-1)
     m = (hi - lo) * row
     np.subtract(flat[m:], flat[: flat.size - m], out=oflat[-lo * row: oflat.size - hi * row])
@@ -142,9 +155,9 @@ def _next(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _centered(a: np.ndarray, ax: int, g: Grid) -> np.ndarray:
+def _centered(a: np.ndarray, ax: int, g: Grid, out=None) -> np.ndarray:
     """Second-order centered difference with periodic wrap."""
-    out = _diff(a, ax - g.dim, 1, -1)
+    out = _diff(a, ax - g.dim, 1, -1, out)
     out /= 2.0 * g.h
     return out
 
@@ -172,12 +185,46 @@ def _face_div(flux: np.ndarray, ax: int, g: Grid, h: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# differential operators
+# shared stencils
+
+
+def partials(g: Grid, f: np.ndarray) -> list:
+    """Centered differences [df/dx_1, ..., df/dx_d]; for a vector, [j][i] = du_i/dx_j."""
+    return [_centered(f, ax, g) for ax in range(g.dim)]
 
 
 def gradient(g: Grid, f: np.ndarray) -> np.ndarray:
-    """Centered-difference gradient, one component per axis."""
-    return np.stack([_centered(f, ax, g) for ax in range(g.dim)])
+    """Centered-difference gradient: `partials` stacked along a new first axis."""
+    out = np.empty((g.dim,) + f.shape, dtype=np.result_type(f, 1.0))
+    for ax in range(g.dim):
+        _centered(f, ax, g, out[ax])
+    return out
+
+
+def face_differences(g: Grid, f: np.ndarray) -> list:
+    """Undivided face differences f[j+1] - f[j], one array per axis."""
+    return [_diff(f, ax - g.dim, 1, 0) for ax in range(g.dim)]
+
+
+def face_averages(g: Grid, a: np.ndarray) -> list:
+    """Face coefficients 0.5*(a[j] + a[j+1]) along each axis, as used by `div_flux`."""
+    return [_face_avg(a, ax, g) for ax in range(g.dim)]
+
+
+def check_coefficient(a: np.ndarray) -> np.ndarray:
+    """A diffusion coefficient fit for the flux forms; `a` itself if nothing is negative.
+
+    Entries below -1e-12 raise NegativeCoefficient; round-off negatives become
+    zero, so the dissipation form stays nonnegative.
+    """
+    amin = a.min()
+    if amin < -_COEFF_TOL:
+        raise NegativeCoefficient(f"coefficient minimum {amin} < -{_COEFF_TOL}")
+    return np.maximum(a, 0.0) if amin < 0.0 else a
+
+
+# ---------------------------------------------------------------------------
+# differential operators
 
 
 def divergence(g: Grid, v: np.ndarray) -> np.ndarray:
@@ -188,14 +235,20 @@ def divergence(g: Grid, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def sym_gradient(g: Grid, u: np.ndarray) -> np.ndarray:
-    """Symmetrized velocity gradient D_ij = 0.5*(du_i/dx_j + du_j/dx_i)."""
+def sym_gradient(g: Grid, u: np.ndarray, *, grad=None) -> np.ndarray:
+    """Symmetrized velocity gradient D_ij = 0.5*(du_i/dx_j + du_j/dx_i).
+
+    `grad` is `partials(g, u)` if the caller already holds it.
+    """
     d = g.dim
-    du = [_centered(u, j, g) for j in range(d)]  # du[j][i] = du_i/dx_j
+    if grad is None:
+        grad = partials(g, u)
     D = np.empty((d, d) + g.shape)
     for i in range(d):
         for j in range(i, d):
-            D[i, j] = D[j, i] = 0.5 * (du[j][i] + du[i][j])
+            np.add(grad[j][i], grad[i][j], out=D[i, j])
+            D[i, j] *= 0.5
+            D[j, i] = D[i, j]
     return D
 
 
@@ -209,27 +262,23 @@ def frobenius_sq(g: Grid, D: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_coefficient(a: np.ndarray) -> np.ndarray:
-    amin = a.min()
-    if amin < -_COEFF_TOL:
-        raise NegativeCoefficient(f"coefficient minimum {amin} < -{_COEFF_TOL}")
-    # round-off negatives are treated as zero so the dissipation form stays nonneg
-    return np.maximum(a, 0.0) if amin < 0.0 else a
-
-
-def div_flux(g: Grid, a: np.ndarray, f: np.ndarray) -> np.ndarray:
+def div_flux(g: Grid, a: np.ndarray, f: np.ndarray, *, faces=None, diffs=None) -> np.ndarray:
     """Conservative variable-coefficient diffusion div(a grad f).
 
     Face coefficients are arithmetic means of the adjacent cells; the discrete
     integral of the result over the torus is exactly zero, and the quadratic
-    form sum(f * div_flux(a, f)) is nonpositive whenever a >= 0.
+    form sum(f * div_flux(a, f)) is nonpositive whenever a >= 0.  `faces` is
+    `face_averages(g, check_coefficient(a))` (then `a` is not read) and
+    `diffs` is `face_differences(g, f)`, if the caller already holds them.
     """
-    av = _check_coefficient(a)
+    if faces is None:
+        faces = face_averages(g, check_coefficient(a))
+    if diffs is None:
+        diffs = face_differences(g, f)
     h2 = g.h * g.h
     out = np.zeros(g.shape)
     for ax in range(g.dim):
-        flux = _face_avg(av, ax, g) * _diff(f, ax - g.dim, 1, 0)
-        out += _face_div(flux, ax, g, h2)
+        out += _face_div(faces[ax] * diffs[ax], ax, g, h2)
     return out
 
 
@@ -240,77 +289,102 @@ def div_tensor_flux(g: Grid, a: np.ndarray, D: np.ndarray) -> np.ndarray:
     discrete momentum/energy pairing with `sym_gradient` exact:
     sum(u . div_tensor_flux(a, D(u))) == -sum(a * |D(u)|^2).
     """
-    av = _check_coefficient(a)
+    av = check_coefficient(a)
     out = np.zeros((g.dim,) + g.shape)
     for j in range(g.dim):
         out += _centered(av * D[:, j], j, g)
     return out
 
 
-def _face_gradient_sq(g: Grid, f: np.ndarray, normal_axis: int) -> tuple:
+def _face_gradient_sq(g: Grid, grad, diffs, normal_axis: int) -> tuple:
     """(normal derivative, squared gradient magnitude) at the faces j+1/2."""
-    gn = _fwd(f, normal_axis, g)
+    gn = diffs[normal_axis] / g.h
     mag2 = gn * gn
     for ax in range(g.dim):
         if ax == normal_axis:
             continue
-        t = _face_avg(_centered(f, ax, g), normal_axis, g)
-        mag2 = mag2 + t * t
+        t = _face_avg(grad[ax], normal_axis, g)
+        t *= t
+        mag2 += t
     return gn, mag2
 
 
-def r_laplacian(g: Grid, f: np.ndarray, r: float) -> np.ndarray:
+def r_laplacian(g: Grid, f: np.ndarray, r: float, *, grad=None, diffs=None,
+                maxima=None) -> np.ndarray:
     """Degenerate diffusion div(|grad f|^(r-2) grad f) in flux form.
 
     The face flux uses the two-point normal derivative and face-averaged
     tangential centered differences for the gradient magnitude.  Conservative
     (integral exactly zero) and dissipative (sum(f * r_laplacian(f)) <= 0).
-    r == 2 is allowed and reduces to div_flux with unit coefficient.
+    r == 2 is allowed and reduces to div_flux with unit coefficient.  `grad`
+    and `diffs` are `partials(g, f)` and `face_differences(g, f)` if the
+    caller already holds them; a list `maxima` receives the largest squared
+    face-gradient magnitude of each face direction.
     """
     if r < 2.0:
         raise ValueError(f"r must be >= 2, got {r}")
+    if grad is None and g.dim > 1:
+        grad = partials(g, f)
+    if diffs is None:
+        diffs = face_differences(g, f)
     out = np.zeros(g.shape)
     for ax in range(g.dim):
-        gn, mag2 = _face_gradient_sq(g, f, ax)
-        flux = mag2 ** ((r - 2.0) / 2.0) * gn if r != 2.0 else gn
+        gn, mag2 = _face_gradient_sq(g, grad, diffs, ax)
+        if maxima is not None:
+            maxima.append(float(mag2.max()))
+        if r == 2.0:
+            flux = gn
+        else:
+            flux = mag2
+            flux **= (r - 2.0) / 2.0
+            flux *= gn
         out += _face_div(flux, ax, g, g.h)
     return out
 
 
-def r_laplacian_vec(g: Grid, u: np.ndarray, r: float) -> np.ndarray:
+def r_laplacian_vec(g: Grid, u: np.ndarray, r: float, *, grad=None, D=None) -> np.ndarray:
     """Row-wise div(|D(u)|^(r-2) D(u)) with face-assembled tensor magnitude.
 
     Mirrors the scalar construction: at a face with normal axis j, tensor
     entries involving direction j take their normal part from the two-point
-    difference, all other parts are face averages of centered values.
+    difference, all other parts are face averages of centered values.  `grad`
+    and `D` are `partials(g, u)` and `sym_gradient(g, u)` if the caller
+    already holds them.
     """
     if r < 2.0:
         raise ValueError(f"r must be >= 2, got {r}")
     d = g.dim
-    du = [_centered(u, j, g) for j in range(d)]  # du[j][i] = du_i/dx_j
+    if grad is None:
+        grad = partials(g, u)  # grad[j][i] = du_i/dx_j
+    if D is None:
+        D = sym_gradient(g, u, grad=grad)
 
     out = np.zeros(u.shape)
     for j in range(d):  # faces with normal j
+        fwd = _fwd(u, j, g)  # two-point du_i/dx_j at the faces, every i at once
         face = {}
         for a in range(d):
             for b in range(a, d):
                 if a == b == j:
-                    face[(a, b)] = _fwd(u[j], j, g)
+                    face[(a, b)] = fwd[j]
                 elif a == j or b == j:
                     i = b if a == j else a  # the non-normal index
-                    two_point = _fwd(u[i], j, g)
-                    tangent = _face_avg(du[i][j], j, g)
-                    face[(a, b)] = 0.5 * (two_point + tangent)
+                    t = _face_avg(grad[i][j], j, g)
+                    t += fwd[i]
+                    t *= 0.5
+                    face[(a, b)] = t
                 else:
-                    dab = 0.5 * (du[b][a] + du[a][b])
-                    face[(a, b)] = _face_avg(dab, j, g)
+                    face[(a, b)] = _face_avg(D[a, b], j, g)
         mag2 = np.zeros(g.shape)
-        for a in range(d):
-            mag2 += face[(a, a)] ** 2
-            for b in range(a + 1, d):
-                mag2 += 2.0 * face[(a, b)] ** 2
-        w = mag2 ** ((r - 2.0) / 2.0) if r != 2.0 else 1.0
-        flux = np.stack([w * face[(min(i, j), max(i, j))] for i in range(d)])
+        for (a, b), v in face.items():
+            mag2 += v**2 if a == b else 2.0 * v**2
+        w = 1.0
+        if r != 2.0:
+            w = mag2
+            w **= (r - 2.0) / 2.0
+        flux = np.empty(u.shape)
+        for i in range(d):
+            np.multiply(w, face[(min(i, j), max(i, j))], out=flux[i])
         out += _face_div(flux, j, g, g.h)
     return out
 
@@ -329,9 +403,11 @@ def vector_signed_power(v, r: float) -> np.ndarray:
 
 def max_face_gradient(g: Grid, f: np.ndarray) -> float:
     """Largest face gradient magnitude, as used by the r-Laplacian fluxes."""
+    grad = partials(g, f) if g.dim > 1 else None
+    diffs = face_differences(g, f)
     m = 0.0
     for ax in range(g.dim):
-        _, mag2 = _face_gradient_sq(g, f, ax)
+        _, mag2 = _face_gradient_sq(g, grad, diffs, ax)
         m = max(m, float(mag2.max()))
     return float(np.sqrt(m))
 
@@ -410,17 +486,21 @@ def w1p_seminorm(g: Grid, f: np.ndarray, p: float) -> float:
     return float((g.h**g.dim * np.sum(mag2 ** (p / 2.0))) ** (1.0 / p))
 
 
-def advect(g: Grid, u: np.ndarray, f: np.ndarray) -> np.ndarray:
+def advect(g: Grid, u: np.ndarray, f: np.ndarray, *, grad=None) -> np.ndarray:
     """Skew-symmetric advection 0.5*(u . grad f + div(u f)) of a scalar or vector f.
 
     The discrete pairing sum(f * advect(u, f)) vanishes exactly (integration
     by parts of the centered difference), which is the discrete counterpart of
     the convective terms dropping out of energy balances.  A vector f is
-    advected componentwise.
+    advected componentwise.  `grad` is `partials(g, f)` if the caller already
+    holds it.
     """
     out = np.zeros(f.shape)
     for ax in range(g.dim):
-        out += 0.5 * (u[ax] * _centered(f, ax, g) + _centered(u[ax] * f, ax, g))
+        t = u[ax] * (_centered(f, ax, g) if grad is None else grad[ax])
+        t += _centered(u[ax] * f, ax, g)
+        t *= 0.5
+        out += t
     return out
 
 

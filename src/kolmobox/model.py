@@ -7,6 +7,10 @@ quotient k+/(eps + omega+), adds degenerate r-Laplacian dissipation with
 weight eps, odd-power damping, and time-dependent coercivity sources built
 from the comparison envelopes, which makes the decaying envelope pair an exact
 spatially constant solution.
+
+`rhs` evaluates each stencil of the system once and shares it between the
+operators that read it; it can also report the maxima the CFL step needs, so
+a time stepper does not build the same stencils again.
 """
 
 from __future__ import annotations
@@ -214,6 +218,8 @@ def rhs(
     forcing: Optional[np.ndarray],
     params: ModelParams,
     env: ComparisonEnvelope,
+    *,
+    limits: Optional[list] = None,
 ):
     """Semi-discrete right-hand sides (du, domega, dk), pressure excluded.
 
@@ -221,43 +227,83 @@ def rhs(
     to the homogeneous ODE system, and for eps = 0 the integrals of domega and
     dk reduce exactly to the damping/production integrals (advection and
     fluxes are conservative).
+
+    Every stencil is evaluated once: the checked eddy coefficient and its face
+    averages, the velocity gradient and D(u), and for omega and k the centered
+    gradient and the face differences are built here and handed to the
+    operators, and each is dropped after its last use.  A list `limits`
+    receives the inputs of the CFL step for this state: the largest eddy
+    coefficient, then (regularized) the largest |D(u)|^2 and squared face
+    gradients of omega and k.
     """
     g = state.grid
     u, om, kk = state.u, state.omega, state.k
+    eps, r = params.eps, params.r
     eddy = eddy_coefficient(kk, om, params)
-    D = F.sym_gradient(g, u)
-    om_pos = np.maximum(om, 0.0)
+    if limits is not None:
+        limits.append(float(eddy.max()))
+    av = F.check_coefficient(eddy)
 
-    du = -F.advect_vec(g, u, u) + params.nu0 * F.div_tensor_flux(g, eddy, D)
+    grad_u = F.partials(g, u)
+    adv = F.advect_vec(g, u, u, grad=grad_u)
+    D = F.sym_gradient(g, u, grad=grad_u)
+    lap_u = F.r_laplacian_vec(g, u, r, grad=grad_u, D=D) if params.regularized else None
+    del grad_u
+    du = F.div_tensor_flux(g, av, D)
+    du *= params.nu0
+    du -= adv
+    del adv
+    dsq = F.frobenius_sq(g, D)
+    del D
     if forcing is not None:
-        du = du + forcing
-
-    domega = (
-        -F.advect(g, u, om)
-        + params.nu1 * F.div_flux(g, eddy, om)
-        - params.alpha1 * (om_pos * om)
-    )
-
-    prod = production_coefficient(kk, om, params)
-    dk = (
-        -F.advect(g, u, kk)
-        + params.nu2 * F.div_flux(g, eddy, kk)
-        + params.nu0 * (prod * F.frobenius_sq(g, D))
-        - params.alpha2 * (kk * om_pos)
-    )
-
+        du += forcing
     if params.regularized:
-        eps, r = params.eps, params.r
-        du = du + eps * (F.r_laplacian_vec(g, u, r) - F.vector_signed_power(u, r))
-        domega = domega + eps * (
-            F.r_laplacian(g, om, r)
-            - F.signed_power(om, r)
-            + omega_lower(t, env, params) ** (r - 1.0)
-        )
-        dk = dk + eps * (
-            F.r_laplacian(g, kk, r)
-            - F.signed_power(kk, r)
-            + kappa(t, env, params) ** (r - 1.0)
-        )
+        lap_u -= F.vector_signed_power(u, r)
+        lap_u *= eps
+        du += lap_u
+        del lap_u
+        if limits is not None:
+            limits.append(float(dsq.max()))
+    dsq *= production_coefficient(kk, om, params)
+    dsq *= params.nu0
+
+    faces = F.face_averages(g, av)
+    del eddy, av
+    om_pos = np.maximum(om, 0.0)
+    domega, lap = _transport(g, u, om, faces, params.nu1, params, limits)
+    domega -= params.alpha1 * (om_pos * om)
+    if lap is not None:
+        domega += _eps_terms(lap, om, omega_lower(t, env, params), params)
+
+    dk, lap = _transport(g, u, kk, faces, params.nu2, params, limits)
+    del faces
+    dk += dsq
+    dk -= params.alpha2 * (kk * om_pos)
+    if lap is not None:
+        dk += _eps_terms(lap, kk, kappa(t, env, params), params)
 
     return du, domega, dk
+
+
+def _transport(g, u, f, faces, nu, params, limits):
+    """(nu * div(a grad f) - advect(u, f), eps-free r-Laplacian of f or None).
+
+    The centered gradient and the face differences of f are built once and
+    shared by the operators; they are dropped on return.
+    """
+    grad = F.partials(g, f)
+    diffs = F.face_differences(g, f)
+    rate = F.div_flux(g, None, f, faces=faces, diffs=diffs)
+    rate *= nu
+    rate -= F.advect(g, u, f, grad=grad)
+    if not params.regularized:
+        return rate, None
+    return rate, F.r_laplacian(g, f, params.r, grad=grad, diffs=diffs, maxima=limits)
+
+
+def _eps_terms(lap, f, envelope, params):
+    """eps * (r-Laplacian - |f|^(r-2) f + envelope^(r-1)), written into `lap`."""
+    lap -= F.signed_power(f, params.r)
+    lap += envelope ** (params.r - 1.0)
+    lap *= params.eps
+    return lap

@@ -30,7 +30,7 @@ from .errors import (
     IncompatibleGrid,
     InsufficientSamples,
     NonpositiveParameter,
-    NonpositiveSample,
+    NonpositiveSamples,
 )
 from .fields import Grid
 from .model import ComparisonEnvelope, ModelParams, State
@@ -160,7 +160,7 @@ def coefficient_invariance_residuals(
     worst = {"d1": 0.0, "d2": 0.0, "d3": 0.0, "g2": 0.0, "g3": 0.0}
     for omega, k in samples:
         if not (omega > 0.0 and k > 0.0):
-            raise NonpositiveSample(f"sample ({omega}, {k}) must be positive")
+            raise NonpositiveSamples(f"sample ({omega}, {k}) must be positive")
         for i in (1, 2, 3):
             lhs = sp.beta**2 * fam.d(i, sp.rho * omega, sp.sigma * k)
             rhs = sp.alpha * fam.d(i, omega, k)

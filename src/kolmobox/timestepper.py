@@ -4,7 +4,12 @@ Two schemes: an explicit two-stage SSP Runge-Kutta (Heun) step with Leray
 projection after each stage, and a Rothe step (implicit Euler solved by damped
 Picard iteration on the stationary operator).  Both end with a positivity
 guard that clamps omega and k at a small slack below their comparison
-envelopes; clamping is counted, never silent.
+envelopes; clamping is counted, never silent, and so are rejected attempts.
+
+On the explicit path `run` evaluates stage 1 once per step and takes the CFL
+step from the maxima that evaluation reports, so the state's stencils are not
+built a second time for `cfl_dt`; retries after a rejection reuse the same
+stage-1 rates.
 """
 
 from __future__ import annotations
@@ -65,7 +70,8 @@ class Trajectory:
     """Sampled simulation output: states and diagnostics at increasing times.
 
     The first sample time equals the initial state's time (0 for fresh runs;
-    restarted segments start at their restart time).
+    restarted segments start at their restart time).  `rejected_attempts`
+    counts the step attempts that were rejected and retried with half the dt.
     """
 
     times: tuple
@@ -73,6 +79,7 @@ class Trajectory:
     records: tuple
     params: ModelParams
     env: ComparisonEnvelope
+    rejected_attempts: int = 0
 
     def __post_init__(self):
         if len(self.times) != len(self.states) or len(self.times) != len(self.records):
@@ -94,16 +101,25 @@ def as_forcing(forcing: Forcing) -> Callable[[float], Optional[np.ndarray]]:
 def cfl_dt(state: State, params: ModelParams, cfg: StepConfig) -> float:
     """Stable step from the advective and diffusive limits, times cfl_safety."""
     g = state.grid
-    h = g.h
-    vmax = float(np.abs(state.u).max())
-    eddy = M.eddy_coefficient(state.k, state.omega, params)
-    diff = max(params.nu0, params.nu1, params.nu2) * float(eddy.max())
+    eddy_max = float(M.eddy_coefficient(state.k, state.omega, params).max())
+    gmax = 0.0
     if params.regularized:
         gmax = max(
             F.max_face_gradient(g, state.omega),
             F.max_face_gradient(g, state.k),
             math.sqrt(max(float(F.frobenius_sq(g, F.sym_gradient(g, state.u)).max()), 0.0)),
         )
+    return _cfl_step(state, eddy_max, gmax, params, cfg)
+
+
+def _cfl_step(state: State, eddy_max: float, gmax: float, params: ModelParams,
+              cfg: StepConfig) -> float:
+    """`cfl_dt` from the largest eddy coefficient and face-gradient magnitude."""
+    g = state.grid
+    h = g.h
+    vmax = float(np.abs(state.u).max())
+    diff = max(params.nu0, params.nu1, params.nu2) * eddy_max
+    if params.regularized:
         diff += params.eps * gmax ** (params.r - 2.0)
     dt_adv = h / vmax if vmax > 0.0 else math.inf
     dt_dif = h * h / (2.0 * g.dim * diff) if diff > 0.0 else math.inf
@@ -143,18 +159,23 @@ def step_explicit(
     params: ModelParams,
     env: ComparisonEnvelope,
     cfg: StepConfig,
+    *,
+    rates=None,
 ) -> State:
     """One SSP-RK2 (Heun) step: s1 = U + dt f(U); U' = (U + s1 + dt f(s1)) / 2.
 
     Each stage projects u and applies the positivity guard at t + dt.  For
     spatially constant states the omega/k update reproduces the scalar Heun
-    update of the homogeneous ODEs bit for bit.
+    update of the homogeneous ODEs bit for bit.  `rates` is f(U), the
+    stage-1 `rhs` of `state`, if the caller already holds it.
     """
     fprov = as_forcing(forcing)
     g = state.grid
     t_new = state.t + dt
 
-    du, dom, dk = M.rhs(state, state.t, fprov(state.t), params, env)
+    if rates is None:
+        rates = M.rhs(state, state.t, fprov(state.t), params, env)
+    du, dom, dk = rates
     s1 = _finish_stage(
         g,
         state.u + dt * du,
@@ -264,12 +285,26 @@ def step_rothe(
 _MAX_RETRIES = 10
 
 
-def _one_step(state, dt, forcing, params, env, cfg):
-    """Attempt one step, halving dt on rejection; returns (state, dt actually used)."""
-    stepper = step_explicit if cfg.scheme == "explicit_rk2" else step_rothe
-    for _ in range(_MAX_RETRIES + 1):
+def _advance(state, remaining, fprov, params, env, cfg):
+    """One accepted step of at most `remaining`, halving dt on rejection.
+
+    Returns (state, dt actually used, rejected attempts).  On the explicit
+    path stage 1 is evaluated here once: its maxima give the CFL step and its
+    rates go to every attempt.
+    """
+    if cfg.scheme == "explicit_rk2":
+        limits = []
+        rates = M.rhs(state, state.t, fprov(state.t), params, env, limits=limits)
+        eddy_max, *grad_sq = limits
+        dt = _cfl_step(state, eddy_max, math.sqrt(max(grad_sq, default=0.0)), params, cfg)
+    else:
+        rates, dt = None, cfl_dt(state, params, cfg)
+    dt = min(dt, remaining)
+    for rejected in range(_MAX_RETRIES + 1):
         try:
-            return stepper(state, dt, forcing, params, env, cfg), dt
+            if rates is None:
+                return step_rothe(state, dt, fprov, params, env, cfg), dt, rejected
+            return step_explicit(state, dt, fprov, params, env, cfg, rates=rates), dt, rejected
         except (StepRejected, PicardDiverged):
             dt *= 0.5
     raise StepRejected(f"step rejected after {_MAX_RETRIES} dt halvings")
@@ -301,6 +336,7 @@ def run(
     records = [diag.record(initial, fprov(initial.t), params, env)]
 
     state = initial
+    rejected = 0
     i = 1
     while state.t < t_end:
         boundary = min(initial.t + i * sample_every, t_end)
@@ -310,8 +346,8 @@ def run(
         guard_hits = 0
         while state.t < boundary:
             remaining = boundary - state.t
-            dt = min(cfl_dt(state, params, cfg), remaining)
-            state, dt_used = _one_step(state, dt, forcing, params, env, cfg)
+            state, dt_used, n_rejected = _advance(state, remaining, fprov, params, env, cfg)
+            rejected += n_rejected
             if dt_used == remaining and state.t != boundary:
                 state = replace(state, t=boundary)
             guard_hits += state.guard_hits
@@ -321,4 +357,4 @@ def run(
             diag.record(state, fprov(state.t), params, env, guard_activations=guard_hits)
         )
 
-    return Trajectory(tuple(times), tuple(states), tuple(records), params, env)
+    return Trajectory(tuple(times), tuple(states), tuple(records), params, env, rejected)

@@ -441,6 +441,141 @@ class TestStencilOracle:
             assert np.array_equal(F._face_div(a, ax, g, 0.37), (a - prv) / 0.37)
 
 
+def _rolled(a, ax, g, shift):
+    return np.roll(a, shift, axis=ax - g.dim)
+
+
+def _ref_centered(a, ax, g):
+    return (_rolled(a, ax, g, -1) - _rolled(a, ax, g, 1)) / (2.0 * g.h)
+
+
+def _ref_fwd(a, ax, g):
+    return (_rolled(a, ax, g, -1) - a) / g.h
+
+
+def _ref_face_avg(a, ax, g):
+    return 0.5 * (a + _rolled(a, ax, g, -1))
+
+
+def _ref_face_div(flux, ax, g, h):
+    return (flux - _rolled(flux, ax, g, 1)) / h
+
+
+def ref_sym_gradient(g, u):
+    du = [_ref_centered(u, j, g) for j in range(g.dim)]
+    D = np.empty((g.dim, g.dim) + g.shape)
+    for i in range(g.dim):
+        for j in range(i, g.dim):
+            D[i, j] = D[j, i] = 0.5 * (du[j][i] + du[i][j])
+    return D
+
+
+def ref_div_flux(g, a, f):
+    out = np.zeros(g.shape)
+    for ax in range(g.dim):
+        flux = _ref_face_avg(a, ax, g) * (_rolled(f, ax, g, -1) - f)
+        out += _ref_face_div(flux, ax, g, g.h * g.h)
+    return out
+
+
+def ref_advect(g, u, f):
+    out = np.zeros(f.shape)
+    for ax in range(g.dim):
+        out += 0.5 * (u[ax] * _ref_centered(f, ax, g) + _ref_centered(u[ax] * f, ax, g))
+    return out
+
+
+def ref_r_laplacian(g, f, r):
+    out = np.zeros(g.shape)
+    for ax in range(g.dim):
+        gn = _ref_fwd(f, ax, g)
+        mag2 = gn * gn
+        for other in range(g.dim):
+            if other != ax:
+                t = _ref_face_avg(_ref_centered(f, other, g), ax, g)
+                mag2 = mag2 + t * t
+        flux = mag2 ** ((r - 2.0) / 2.0) * gn if r != 2.0 else gn
+        out += _ref_face_div(flux, ax, g, g.h)
+    return out
+
+
+def ref_r_laplacian_vec(g, u, r):
+    d = g.dim
+    du = [_ref_centered(u, j, g) for j in range(d)]
+    out = np.zeros(u.shape)
+    for j in range(d):
+        face = {}
+        for a in range(d):
+            for b in range(a, d):
+                if a == b == j:
+                    face[(a, b)] = _ref_fwd(u[j], j, g)
+                elif a == j or b == j:
+                    i = b if a == j else a
+                    face[(a, b)] = 0.5 * (_ref_fwd(u[i], j, g) + _ref_face_avg(du[i][j], j, g))
+                else:
+                    face[(a, b)] = _ref_face_avg(0.5 * (du[b][a] + du[a][b]), j, g)
+        mag2 = np.zeros(g.shape)
+        for a in range(d):
+            mag2 += face[(a, a)] ** 2
+            for b in range(a + 1, d):
+                mag2 += 2.0 * face[(a, b)] ** 2
+        w = mag2 ** ((r - 2.0) / 2.0) if r != 2.0 else 1.0
+        flux = np.stack([w * face[(min(i, j), max(i, j))] for i in range(d)])
+        out += _ref_face_div(flux, j, g, g.h)
+    return out
+
+
+class TestKernelOracle:
+    """The operators, with and without shared stencils, equal np.roll references bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_transport_operators(self, dim, rng):
+        g = F.Grid(dim, 8, 1.3)
+        u, f = random_vector(g, rng), random_scalar(g, rng)
+        a = random_scalar(g, rng, 0.5, 2.0)
+        grad, diffs = F.partials(g, f), F.face_differences(g, f)
+        faces = F.face_averages(g, F.check_coefficient(a))
+        for got in (F.div_flux(g, a, f), F.div_flux(g, None, f, faces=faces, diffs=diffs)):
+            assert np.array_equal(got, ref_div_flux(g, a, f))
+        for got in (F.advect(g, u, f), F.advect(g, u, f, grad=grad)):
+            assert np.array_equal(got, ref_advect(g, u, f))
+        grad_u = F.partials(g, u)
+        for got in (F.advect_vec(g, u, u), F.advect_vec(g, u, u, grad=grad_u)):
+            assert np.array_equal(got, ref_advect(g, u, u))
+        for got in (F.sym_gradient(g, u), F.sym_gradient(g, u, grad=grad_u)):
+            assert np.array_equal(got, ref_sym_gradient(g, u))
+        assert np.array_equal(F.gradient(g, f), np.stack(F.partials(g, f)))
+        assert np.array_equal(F.gradient(g, u), np.stack(grad_u))
+
+    # r = 3 and 6 put the face exponents on numpy's sqrt and square fast paths
+    @pytest.mark.parametrize("r", [2.0, 3.0, 3.2, 6.0])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_r_laplacians(self, dim, r, rng):
+        g = F.Grid(dim, 8, 1.3)
+        u, f = random_vector(g, rng), random_scalar(g, rng)
+        maxima = []
+        shared = F.r_laplacian(g, f, r, grad=F.partials(g, f), diffs=F.face_differences(g, f),
+                               maxima=maxima)
+        for got in (F.r_laplacian(g, f, r), shared):
+            assert np.array_equal(got, ref_r_laplacian(g, f, r))
+        assert len(maxima) == dim
+        assert np.sqrt(max(maxima)) == F.max_face_gradient(g, f)
+        grad_u = F.partials(g, u)
+        shared = F.r_laplacian_vec(g, u, r, grad=grad_u, D=F.sym_gradient(g, u, grad=grad_u))
+        for got in (F.r_laplacian_vec(g, u, r), shared):
+            assert np.array_equal(got, ref_r_laplacian_vec(g, u, r))
+
+    def test_check_coefficient_clamps_and_raises(self, rng):
+        g = F.Grid(2, 8, 1.0)
+        a = random_scalar(g, rng, 0.5, 2.0)
+        assert F.check_coefficient(a) is a
+        a[0, 0] = -1e-13  # round-off negative: clamped to zero
+        assert F.check_coefficient(a)[0, 0] == 0.0
+        a[0, 0] = -1e-9
+        with pytest.raises(NegativeCoefficient):
+            F.check_coefficient(a)
+
+
 class TestReductions:
     def test_integrate_constant_cube(self):
         g = F.Grid(3, 8, 1.0)

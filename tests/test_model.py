@@ -256,3 +256,80 @@ class TestRhs:
         np.testing.assert_array_equal(du[0], np.full(g.shape, 0.3))
         np.testing.assert_array_equal(du[1], np.full(g.shape, -0.1))
         assert np.all(dom == -1.0)
+
+
+def reference_rhs(state, t, forcing, params, env):
+    """The right-hand side assembled operator by operator, each building its own stencils."""
+    g = state.grid
+    u, om, kk = state.u, state.omega, state.k
+    eddy = M.eddy_coefficient(kk, om, params)
+    D = F.sym_gradient(g, u)
+    om_pos = np.maximum(om, 0.0)
+
+    du = -F.advect_vec(g, u, u) + params.nu0 * F.div_tensor_flux(g, eddy, D)
+    if forcing is not None:
+        du = du + forcing
+
+    domega = (
+        -F.advect(g, u, om)
+        + params.nu1 * F.div_flux(g, eddy, om)
+        - params.alpha1 * (om_pos * om)
+    )
+
+    prod = M.production_coefficient(kk, om, params)
+    dk = (
+        -F.advect(g, u, kk)
+        + params.nu2 * F.div_flux(g, eddy, kk)
+        + params.nu0 * (prod * F.frobenius_sq(g, D))
+        - params.alpha2 * (kk * om_pos)
+    )
+
+    if params.regularized:
+        eps, r = params.eps, params.r
+        du = du + eps * (F.r_laplacian_vec(g, u, r) - F.vector_signed_power(u, r))
+        domega = domega + eps * (
+            F.r_laplacian(g, om, r)
+            - F.signed_power(om, r)
+            + M.omega_lower(t, env, params) ** (r - 1.0)
+        )
+        dk = dk + eps * (
+            F.r_laplacian(g, kk, r)
+            - F.signed_power(kk, r)
+            + M.kappa(t, env, params) ** (r - 1.0)
+        )
+
+    return du, domega, dk
+
+
+class TestRhsOracle:
+    """rhs shares its stencils and still equals the operator-by-operator assembly bit for bit."""
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+    @pytest.mark.parametrize("regularized", [False, True], ids=["plain", "regularized"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bitwise_against_reference(self, dim, regularized, forced, rng):
+        g = F.Grid(dim, 8, 1.7)
+        params = M.ModelParams(nu0=0.9, nu1=1.2, nu2=0.8, alpha1=1.1, alpha2=10.0 / 7.0,
+                               eps=1e-2 if regularized else 0.0, r=3.2, regularized=regularized)
+        om = rng.uniform(0.5, 1.5, g.shape)
+        kk = rng.uniform(0.2, 2.0, g.shape)
+        if regularized:  # negative entries exercise the positive parts
+            om[0] = -0.1
+            kk[1] = -0.05
+        st = M.State(t=0.3, grid=g, u=random_vector(g, rng), omega=om, k=kk, p=const(g, 0.0))
+        forcing = random_vector(g, rng) if forced else None
+        want = reference_rhs(st, 0.3, forcing, params, ENV)
+        limits = []
+        for got in (M.rhs(st, 0.3, forcing, params, ENV),
+                    M.rhs(st, 0.3, forcing, params, ENV, limits=limits)):
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a, b)
+        eddy = M.eddy_coefficient(kk, om, params)
+        assert limits[0] == eddy.max()
+        if regularized:
+            dsq = F.frobenius_sq(g, F.sym_gradient(g, st.u))
+            faces = max(F.max_face_gradient(g, om), F.max_face_gradient(g, kk))
+            assert len(limits) == 2 + 2 * dim
+            assert np.sqrt(max(limits[1:])) == max(faces, np.sqrt(dsq.max()))
+        else:
+            assert len(limits) == 1

@@ -14,7 +14,7 @@ from kolmobox.errors import (
     IncompatibleGrid,
     InsufficientSamples,
     NonpositiveParameter,
-    NonpositiveSample,
+    NonpositiveSamples,
 )
 
 PARAMS = M.ModelParams(alpha1=1.0, alpha2=10.0 / 7.0)
@@ -93,7 +93,7 @@ class TestCoefficientInvariance:
         assert worst <= 1e-12
 
     def test_nonpositive_sample(self):
-        with pytest.raises(NonpositiveSample):
+        with pytest.raises(NonpositiveSamples):
             S.coefficient_invariance_residuals(
                 self.kolmogorov(), S.family_from(1.0, 1.0), [(0.0, 1.0)]
             )

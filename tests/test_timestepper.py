@@ -8,6 +8,7 @@ import pytest
 
 from conftest import const, const_vector, structured_problem, zero_vector
 
+from kolmobox import diagnostics as D
 from kolmobox import fields as F
 from kolmobox import model as M
 from kolmobox import timestepper as T
@@ -237,16 +238,128 @@ class TestForcingAndRetry:
         attempts = []
         real_step = T.step_explicit
 
-        def flaky(state, dt, forcing, params, env_, cfg):
+        def flaky(state, dt, forcing, params, env_, cfg, **stage1):
             attempts.append(dt)
             if len(attempts) < 3:
                 raise StepRejected("synthetic rejection")
-            return real_step(state, dt, forcing, params, env_, cfg)
+            return real_step(state, dt, forcing, params, env_, cfg, **stage1)
 
         monkeypatch.setattr(T, "step_explicit", flaky)
         traj = T.run(st, 0.2, None, PARAMS, env, T.StepConfig(dt_max=0.2), 0.2)
         assert attempts[1] == attempts[0] / 2 and attempts[2] == attempts[0] / 4
         assert traj.times[-1] == 0.2  # still reaches t_end after the retries
+        assert traj.rejected_attempts == 2
+
+
+def perturbed_problem(dim, regularized, forced, n=8):
+    """A random smooth-enough state with envelopes that hold it; optional forcing."""
+    rng = np.random.default_rng(17 + dim)
+    g = F.Grid(dim, n, 2.0 * np.pi)
+    u, _ = F.leray_project(g, 0.3 * rng.standard_normal((dim,) + g.shape))
+    om = rng.uniform(0.8, 1.2, g.shape)
+    kk = rng.uniform(0.8, 1.2, g.shape)
+    env = M.ComparisonEnvelope(omega_star=float(om.min()), omega_sup=float(om.max()),
+                               k_star=float(kk.min()))
+    st = M.State(t=0.0, grid=g, u=u, omega=om, k=kk, p=const(g, 0.0))
+    params = regularized_params(r=3.2, eps=1e-2) if regularized else PARAMS
+    forcing = 0.1 * rng.standard_normal((dim,) + g.shape) if forced else None
+    return st, env, params, forcing
+
+
+class _Stop(Exception):
+    pass
+
+
+STAGE1_CASES = [(1, True, False), (2, True, True), (3, True, False), (2, False, True),
+                (3, False, True)]
+
+
+class TestStageOneSharing:
+    """run evaluates stage 1 once: it sets the CFL step and serves every attempt."""
+
+    @pytest.mark.parametrize("dim,regularized,forced", STAGE1_CASES)
+    def test_stage_one_cfl_equals_cfl_dt(self, dim, regularized, forced, monkeypatch):
+        st, env, params, forcing = perturbed_problem(dim, regularized, forced)
+        cfg = T.StepConfig()
+        seen = []
+
+        def record_dt(state, dt, forcing_, params_, env_, cfg_, **stage1):
+            seen.append(dt)
+            raise _Stop
+
+        monkeypatch.setattr(T, "step_explicit", record_dt)
+        with pytest.raises(_Stop):
+            T.run(st, 10.0, forcing, params, env, cfg, 10.0)
+        assert seen == [T.cfl_dt(st, params, cfg)]
+
+    @pytest.mark.parametrize("dim,regularized,forced", STAGE1_CASES)
+    def test_handed_in_rates_give_the_same_bits(self, dim, regularized, forced):
+        st, env, params, forcing = perturbed_problem(dim, regularized, forced)
+        cfg = T.StepConfig()
+        dt = T.cfl_dt(st, params, cfg)
+        plain = T.step_explicit(st, dt, forcing, params, env, cfg)
+        rates = M.rhs(st, st.t, forcing, params, env)
+        shared = T.step_explicit(st, dt, forcing, params, env, cfg, rates=rates)
+        for name in ("u", "omega", "k", "p"):
+            assert np.array_equal(getattr(plain, name), getattr(shared, name))
+        assert plain.t == shared.t and plain.guard_hits == shared.guard_hits
+
+    def test_retries_reuse_stage_one_rates(self, monkeypatch):
+        st, env, params, forcing = perturbed_problem(2, True, True)
+        cfg = T.StepConfig()
+        real_step, real_rhs = T.step_explicit, M.rhs
+        handed, rhs_calls = [], []
+
+        def flaky(state, dt, forcing_, params_, env_, cfg_, *, rates=None):
+            handed.append(rates)
+            if len(handed) < 3:
+                raise StepRejected("synthetic rejection")
+            return real_step(state, dt, forcing_, params_, env_, cfg_, rates=rates)
+
+        def counting_rhs(*args, **kwargs):
+            rhs_calls.append(args[0].t)
+            return real_rhs(*args, **kwargs)
+
+        monkeypatch.setattr(T, "step_explicit", flaky)
+        monkeypatch.setattr(M, "rhs", counting_rhs)
+        t_end = 0.5 * T.cfl_dt(st, params, cfg)
+        traj = T.run(st, t_end, forcing, params, env, cfg, t_end)
+        # the step at dt/4 is accepted; a second, fresh step then reaches t_end
+        assert len(handed) == 4 and handed[0] is not None
+        assert handed[1] is handed[0] and handed[2] is handed[0] and handed[3] is not handed[0]
+        assert rhs_calls == [0.0, t_end / 4, t_end / 4, t_end]  # two per accepted step
+        assert traj.rejected_attempts == 2
+
+
+class TestStencilCount:
+    """Each stencil of an explicit step is evaluated once; a duplicate pass shows here.
+
+    The counts are fields._diff (differences) and fields._next (face
+    averages) calls in one step, CFL step included: two right-hand sides (the
+    second shares nothing with the first) and two projections.  They are upper
+    bounds, so a further saving passes; today a step takes exactly 64 `_diff`
+    and 20 `_next` calls at 2D regularized, 72 and 6 at 3D unregularized.
+    """
+
+    @pytest.mark.parametrize("dim,regularized,diffs,nexts", [(2, True, 64, 20), (3, False, 72, 6)],
+                             ids=["2d_regularized", "3d_plain"])
+    def test_stencil_calls_per_explicit_step(self, dim, regularized, diffs, nexts, monkeypatch):
+        st, env, params, forcing = perturbed_problem(dim, regularized, not regularized)
+        cfg = T.StepConfig()
+        t_end = 0.5 * T.cfl_dt(st, params, cfg)  # one step, two records
+        calls = []
+        for name in ("_diff", "_next"):
+            def counting(*args, _real=getattr(F, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(F, name, counting)
+        D.record(st, forcing, params, env)
+        per_record = {name: calls.count(name) for name in ("_diff", "_next")}
+        calls.clear()
+        T.run(st, t_end, forcing, params, env, cfg, t_end)
+        assert calls.count("_diff") - 2 * per_record["_diff"] <= diffs
+        assert calls.count("_next") - 2 * per_record["_next"] <= nexts
 
 
 class TestRothe:
