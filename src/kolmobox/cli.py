@@ -50,7 +50,7 @@ class VerificationSummary:
 
 
 def _run_problem(p):
-    return T.run(p.state, p.cfg.t_end, p.forcing, p.params, p.env, p.step, p.sample_every)
+    return T.run(p.state, p.cfg.t_end, p.forcing, p.params, p.env, p.step, p.cfg.sample_interval)
 
 
 def _run_cfg(cfg: RunConfig):
@@ -58,8 +58,12 @@ def _run_cfg(cfg: RunConfig):
     return p, _run_problem(p)
 
 
-def _run_pair(cfg: RunConfig, refined: RunConfig):
-    """Run a config and its refinement; both are built first, so a bad one fails before any run."""
+def _run_pair(cfg: RunConfig, **refine):
+    """Run a config and its refinement: n doubled, dt_max halved, plus the `refine` overrides.
+
+    Both are built first, so a bad one fails before any run.
+    """
+    refined = replace(cfg, n=2 * cfg.n, dt_max=cfg.dt_max / 2.0, **refine)
     problems = [build_problem(cfg), build_problem(refined)]
     return [_run_problem(p) for p in problems]
 
@@ -154,8 +158,7 @@ def _max_violations(traj):
 
 
 def cmd_bounds(cfg: RunConfig, outdir: Path) -> int:
-    refined = replace(cfg, n=2 * cfg.n, dt_max=cfg.dt_max / 2.0)
-    base, fine = _run_pair(cfg, refined)
+    base, fine = _run_pair(cfg)
     _write_series(outdir, base)
     env = base.env
     v0 = _max_violations(base)
@@ -182,13 +185,7 @@ def cmd_bounds(cfg: RunConfig, outdir: Path) -> int:
 
 
 def cmd_balance(cfg: RunConfig, outdir: Path) -> int:
-    refined = replace(
-        cfg,
-        n=2 * cfg.n,
-        dt_max=cfg.dt_max / 2.0,
-        sample_every=(cfg.sample_every if cfg.sample_every > 0 else cfg.t_end / 50.0) / 2.0,
-    )
-    base, fine = _run_pair(cfg, refined)
+    base, fine = _run_pair(cfg, sample_every=cfg.sample_interval / 2.0)
     _write_series(outdir, base)
     w0 = (base.times[0], base.times[-1])
     w1 = (fine.times[0], fine.times[-1])

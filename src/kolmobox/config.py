@@ -2,17 +2,24 @@
 
 '#' starts a comment, lists are comma-separated, unknown keys are errors.
 Perturbation modes are colon-separated tuples field:axis:wavenumber:amplitude
-(e.g. ``perturb_modes = omega:0:2:0.05, k:1:1:0.1``).  Validation happens at
-parse time for scalar constraints and at state-construction time for the
-pointwise initial-data constraints (omega0 within [omega_star, omega_sup],
-k0 >= k_star) and the snapshot grid, which must equal Grid(dim, n, side).
+(e.g. ``perturb_modes = omega:0:2:0.05, k:1:1:0.1``).  Each key's type is its
+`RunConfig` annotation.
+
+Every check raises `ValidationError` naming the key, and each has one owner.
+`Grid`, `ModelParams` and `StepConfig` check their own fields; their fields
+are named like the config keys, and parsing builds all three, so their checks
+run at parse time.  `_validate` checks the rest at parse time: every real must
+be finite (except dt_max), plus the sampling, envelope, initial-data, forcing
+and seed keys.  The pointwise initial-data constraints (omega0 within
+[omega_star, omega_sup], k0 >= k_star) and the snapshot grid, which must equal
+Grid(dim, n, side), are checked when the state is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -84,25 +91,29 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "out"
 
+    @property
+    def sample_interval(self) -> float:
+        """`sample_every`, or t_end / 50 (at least 1e-12) when it is 0."""
+        return self.sample_every if self.sample_every > 0 else max(self.t_end / 50.0, 1e-12)
+
 
 _BOOL = {"true": True, "false": False, "on": True, "off": False, "1": True, "0": False}
 
 
-def _parse_bool(text: str, key: str, line: int) -> bool:
-    try:
-        return _BOOL[text.strip().lower()]
-    except KeyError:
-        raise ParseError(line, f"{key}: expected a boolean, got {text!r}") from None
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in _BOOL:
+        raise ValueError(f"expected a boolean, got {text!r}")
+    return _BOOL[text.lower()]
 
 
-def _parse_float_list(text: str, key: str, line: int) -> Tuple[float, ...]:
+def _parse_float_list(text: str) -> Tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError:
-        raise ParseError(line, f"{key}: expected comma-separated reals, got {text!r}") from None
+        raise ValueError(f"expected comma-separated reals, got {text!r}") from None
 
 
-def _parse_modes(text: str, key: str, line: int) -> Tuple[PerturbMode, ...]:
+def _parse_modes(text: str) -> Tuple[PerturbMode, ...]:
     modes = []
     for item in text.split(","):
         item = item.strip()
@@ -110,60 +121,28 @@ def _parse_modes(text: str, key: str, line: int) -> Tuple[PerturbMode, ...]:
             continue
         parts = item.split(":")
         if len(parts) != 4:
-            raise ParseError(line, f"{key}: expected field:axis:wavenumber:amplitude, got {item!r}")
-        target = parts[0].strip()
+            raise ValueError(f"expected field:axis:wavenumber:amplitude, got {item!r}")
         try:
             modes.append(
-                PerturbMode(target, int(parts[1]), int(parts[2]), float(parts[3]))
+                PerturbMode(parts[0].strip(), int(parts[1]), int(parts[2]), float(parts[3]))
             )
         except ValueError:
-            raise ParseError(line, f"{key}: bad numbers in {item!r}") from None
+            raise ValueError(f"bad numbers in {item!r}") from None
     return tuple(modes)
 
 
-_SCHEMA = {
-    "dim": int,
-    "n": int,
-    "side": float,
-    "t_end": float,
-    "sample_every": float,
-    "scheme": str,
-    "cfl_safety": float,
-    "dt_max": float,
-    "k_floor": float,
-    "picard_max_iters": int,
-    "picard_tol": float,
-    "picard_damping": float,
-    "guard": bool,
-    "guard_slack": float,
-    "nu0": float,
-    "nu1": float,
-    "nu2": float,
-    "alpha1": float,
-    "alpha2": float,
-    "eps": float,
-    "r": float,
-    "regularized": bool,
-    "omega_star": float,
-    "omega_sup": float,
-    "k_star": float,
-    "ic": str,
-    "ic_u": "float_list",
-    "ic_omega0": float,
-    "ic_k0": float,
-    "perturb_modes": "modes",
-    "perturb_random_modes": int,
-    "perturb_random_amplitude": float,
-    "snapshot_path": str,
-    "forcing": str,
-    "forcing_vector": "float_list",
-    "forcing_axis": int,
-    "forcing_wavenumber": int,
-    "forcing_amplitude": float,
-    "forcing_component": int,
-    "seed": int,
-    "out_dir": str,
+# the schema: each key's type, from RunConfig's annotations, and one parser per type
+_KINDS = get_type_hints(RunConfig)
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    bool: _parse_bool,
+    Tuple[float, ...]: _parse_float_list,
+    Tuple[PerturbMode, ...]: _parse_modes,
 }
+# the reals that must be finite: every float or float-list key but dt_max, whose default is inf
+_FINITE = [k for k, kind in _KINDS.items() if kind in (float, Tuple[float, ...]) and k != "dt_max"]
 
 
 def parse_config(text: str) -> RunConfig:
@@ -178,28 +157,16 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = body.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SCHEMA:
+        if key not in _KINDS:
             raise ParseError(lineno, f"unknown key {key!r}")
         if key in raw:
             raise ParseError(lineno, f"duplicate key {key!r}")
-        kind = _SCHEMA[key]
+        kind = _KINDS[key]
         try:
-            if kind is int:
-                raw[key] = int(value)
-            elif kind is float:
-                raw[key] = float(value)
-            elif kind is bool:
-                raw[key] = _parse_bool(value, key, lineno)
-            elif kind is str:
-                raw[key] = value
-            elif kind == "float_list":
-                raw[key] = _parse_float_list(value, key, lineno)
-            elif kind == "modes":
-                raw[key] = _parse_modes(value, key, lineno)
-        except ParseError:
-            raise
-        except ValueError:
-            raise ParseError(lineno, f"{key}: could not parse {value!r}") from None
+            raw[key] = _PARSERS[kind](value)
+        except ValueError as exc:
+            why = f"could not parse {value!r}" if kind in (int, float) else exc
+            raise ParseError(lineno, f"{key}: {why}") from None
 
     cfg = RunConfig(**raw)
     _validate(cfg)
@@ -211,31 +178,24 @@ def load_config(path) -> RunConfig:
         return parse_config(fh.read())
 
 
+def _from_cfg(cls, cfg: RunConfig):
+    """`cls` built from the config keys named like its fields; its constructor checks them."""
+    return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
+
+
 def _require(cond: bool, fieldname: str, constraint: str):
     if not cond:
         raise ValidationError(fieldname, constraint)
 
 
 def _validate(cfg: RunConfig):
-    _require(cfg.dim in (1, 2, 3), "dim", "must be 1, 2 or 3")
-    _require(cfg.n >= 4 and cfg.n % 2 == 0, "n", "must be even and >= 4")
-    _require(cfg.side > 0, "side", "must be positive")
+    """Check what no constructor owns, after Grid, ModelParams and StepConfig check theirs."""
+    for cls in (Grid, ModelParams, StepConfig):
+        _from_cfg(cls, cfg)
+    for name in _FINITE:
+        _require(np.isfinite(getattr(cfg, name)).all(), name, "must be finite")
     _require(cfg.t_end >= 0, "t_end", "must be nonnegative")
     _require(cfg.sample_every >= 0, "sample_every", "must be nonnegative")
-    _require(cfg.scheme in ("explicit_rk2", "rothe_picard"), "scheme", "unknown scheme")
-    _require(0 < cfg.cfl_safety <= 1, "cfl_safety", "must be in ]0,1]")
-    _require(cfg.dt_max > 0, "dt_max", "must be positive")
-    _require(cfg.k_floor >= 0, "k_floor", "must be nonnegative")
-    _require(cfg.picard_max_iters > 0, "picard_max_iters", "must be positive")
-    _require(cfg.picard_tol > 0, "picard_tol", "must be positive")
-    _require(0 < cfg.picard_damping <= 1, "picard_damping", "must be in ]0,1]")
-    _require(0 <= cfg.guard_slack < 1, "guard_slack", "must be in [0,1[")
-    for name in ("nu0", "nu1", "nu2", "alpha1", "alpha2"):
-        _require(getattr(cfg, name) > 0, name, "must be positive")
-    _require(cfg.eps >= 0, "eps", "must be nonnegative")
-    if cfg.regularized:
-        _require(cfg.eps > 0, "eps", "must be positive when regularized")
-        _require(cfg.r > 2, "r", "must exceed 2 when regularized")
     if cfg.scheme == "rothe_picard":
         _require(cfg.regularized, "scheme", "rothe_picard requires regularized = true")
     for name in ("omega_star", "omega_sup", "k_star"):
@@ -267,6 +227,7 @@ def _validate(cfg: RunConfig):
             "perturb_modes",
             f"wavenumber {m.wavenumber} not resolvable on n = {cfg.n}",
         )
+        _require(math.isfinite(m.amplitude), "perturb_modes", "amplitudes must be finite")
     _require(cfg.perturb_random_modes >= 0, "perturb_random_modes", "must be nonnegative")
     _require(cfg.forcing in ("none", "constant", "single_mode"), "forcing", "unknown forcing kind")
     if cfg.forcing == "constant":
@@ -377,42 +338,17 @@ class Problem:
     params: ModelParams
     step: StepConfig
     forcing: Optional[np.ndarray]
-    sample_every: float
 
 
 def build_problem(cfg: RunConfig) -> Problem:
-    grid = Grid(cfg.dim, cfg.n, cfg.side)
-    params = ModelParams(
-        nu0=cfg.nu0,
-        nu1=cfg.nu1,
-        nu2=cfg.nu2,
-        alpha1=cfg.alpha1,
-        alpha2=cfg.alpha2,
-        eps=cfg.eps,
-        r=cfg.r,
-        regularized=cfg.regularized,
-    )
+    grid = _from_cfg(Grid, cfg)
     state = _build_state(cfg, grid)
-    env = _build_env(cfg, state)
-    step = StepConfig(
-        scheme=cfg.scheme,
-        cfl_safety=cfg.cfl_safety,
-        dt_max=cfg.dt_max,
-        k_floor=cfg.k_floor,
-        picard_max_iters=cfg.picard_max_iters,
-        picard_tol=cfg.picard_tol,
-        picard_damping=cfg.picard_damping,
-        guard=cfg.guard,
-        guard_slack=cfg.guard_slack,
-    )
-    sample_every = cfg.sample_every if cfg.sample_every > 0 else max(cfg.t_end / 50.0, 1e-12)
     return Problem(
         cfg=cfg,
         grid=grid,
         state=state,
-        env=env,
-        params=params,
-        step=step,
+        env=_build_env(cfg, state),
+        params=_from_cfg(ModelParams, cfg),
+        step=_from_cfg(StepConfig, cfg),
         forcing=_build_forcing(cfg, grid),
-        sample_every=sample_every,
     )

@@ -252,13 +252,12 @@ def k_balance_residual(traj, window):
     return abs(mu_proxy), mu_proxy
 
 
-def energy_gap(traj, window, params: ModelParams) -> float:
+def energy_gap(traj, window) -> float:
     """Kinetic-energy equality defect: (E_kin(s) + work) - (E_kin(t) + dissipation).
 
     Zero means the discrete run satisfies the u-energy equality on the window;
     for u == 0 trajectories the gap vanishes identically.
     """
-    del params  # coefficients already folded into the records
     idx, times = _window_indices(traj, window, 2)
     e_kin = [traj.records[i].E_kin for i in idx]
     power = [traj.records[i].power_in for i in idx]
@@ -296,7 +295,7 @@ def balance_report(traj, window) -> BalanceReport:
         omega_residual=omega_balance_residual(traj, window),
         k_residual=k_res,
         mu_proxy=mu,
-        energy_gap=energy_gap(traj, window, params),
+        energy_gap=energy_gap(traj, window),
         epsilon_corrections=eps_corr,
     )
 

@@ -55,8 +55,8 @@ class ParseError(KolmoboxError):
         self.message = message
 
 
-class ValidationError(KolmoboxError):
-    """A config field violates a constraint."""
+class ValidationError(KolmoboxError, ValueError):
+    """A config field violates a constraint; `field` is the config key."""
 
     def __init__(self, field: str, constraint: str):
         super().__init__(f"{field}: {constraint}")

@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NegativeCoefficient
+from .errors import NegativeCoefficient, ValidationError
 
 __all__ = [
     "Grid",
@@ -89,11 +89,11 @@ class Grid:
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.n < 4 or self.n % 2 != 0:
-            raise ValueError(f"n must be even and >= 4, got {self.n}")
+            raise ValidationError("dim", f"must be 1, 2 or 3, got {self.dim}")
+        if not (self.n >= 4 and self.n % 2 == 0):
+            raise ValidationError("n", f"must be even and >= 4, got {self.n}")
         if not (self.side > 0.0 and np.isfinite(self.side)):
-            raise ValueError(f"side must be positive and finite, got {self.side}")
+            raise ValidationError("side", f"must be positive and finite, got {self.side}")
 
     @property
     def h(self) -> float:

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import fields as F
-from .errors import DegenerateOmega, IncompatibleGrid
+from .errors import DegenerateOmega, IncompatibleGrid, ValidationError
 from .fields import Grid
 
 __all__ = [
@@ -57,14 +57,14 @@ class ModelParams:
     def __post_init__(self):
         for name in ("nu0", "nu1", "nu2", "alpha1", "alpha2"):
             if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.eps < 0.0:
-            raise ValueError("eps must be nonnegative")
+                raise ValidationError(name, "must be positive")
+        if not self.eps >= 0.0:
+            raise ValidationError("eps", "must be nonnegative")
         if self.regularized:
             if not self.eps > 0.0:
-                raise ValueError("regularized mode needs eps > 0")
+                raise ValidationError("eps", "must be positive when regularized")
             if not self.r > 2.0:
-                raise ValueError("regularized mode needs r > 2")
+                raise ValidationError("r", "must exceed 2 when regularized")
             if self.r <= 3.0:
                 warnings.warn(
                     f"r = {self.r} <= 3; the implicit mode is only known to be "

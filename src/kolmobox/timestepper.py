@@ -23,7 +23,7 @@ import numpy as np
 from . import diagnostics as diag
 from . import fields as F
 from . import model as M
-from .errors import PicardDiverged, StepRejected
+from .errors import PicardDiverged, StepRejected, ValidationError
 from .model import ComparisonEnvelope, ModelParams, State
 
 __all__ = [
@@ -54,15 +54,21 @@ class StepConfig:
 
     def __post_init__(self):
         if self.scheme not in ("explicit_rk2", "rothe_picard"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ValidationError("scheme", f"unknown scheme {self.scheme!r}")
         if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError("cfl_safety must be in ]0,1]")
+            raise ValidationError("cfl_safety", "must be in ]0,1]")
         if not self.dt_max > 0.0:
-            raise ValueError("dt_max must be positive")
-        if self.k_floor < 0.0:
-            raise ValueError("k_floor must be nonnegative")
+            raise ValidationError("dt_max", "must be positive")
+        if not self.k_floor >= 0.0:
+            raise ValidationError("k_floor", "must be nonnegative")
+        if not self.picard_max_iters > 0:
+            raise ValidationError("picard_max_iters", "must be positive")
+        if not self.picard_tol > 0.0:
+            raise ValidationError("picard_tol", "must be positive")
         if not 0.0 < self.picard_damping <= 1.0:
-            raise ValueError("picard_damping must be in ]0,1]")
+            raise ValidationError("picard_damping", "must be in ]0,1]")
+        if not 0.0 <= self.guard_slack < 1.0:
+            raise ValidationError("guard_slack", "must be in [0,1[")
 
 
 @dataclass(frozen=True)

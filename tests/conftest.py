@@ -78,3 +78,47 @@ def exact_homogeneous_trajectory(grid, ic, params, env, times):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+# One config error per row: (the key it must name, the config lines that make
+# it).  Every constraint that Grid, ModelParams and StepConfig own, plus reals
+# that must be finite.
+BAD_CONFIGS = [
+    ("dim", "dim = 4"),
+    ("n", "n = 5"),
+    ("n", "n = 2"),
+    ("side", "side = 0"),
+    ("side", "side = inf"),
+    ("nu0", "nu0 = 0"),
+    ("nu1", "nu1 = -1"),
+    ("nu2", "nu2 = nan"),
+    ("alpha1", "alpha1 = 0"),
+    ("alpha2", "alpha2 = -1"),
+    ("eps", "eps = -1"),
+    ("eps", "eps = nan"),
+    ("eps", "regularized = true\neps = 0"),
+    ("r", "regularized = true\neps = 1e-3\nr = 2"),
+    ("scheme", "scheme = foo"),
+    ("cfl_safety", "cfl_safety = 0"),
+    ("cfl_safety", "cfl_safety = 1.5"),
+    ("dt_max", "dt_max = 0"),
+    ("k_floor", "k_floor = -1"),
+    ("k_floor", "k_floor = nan"),
+    ("picard_max_iters", "picard_max_iters = 0"),
+    ("picard_tol", "picard_tol = 0"),
+    ("picard_damping", "picard_damping = 0"),
+    ("guard_slack", "guard_slack = 1"),
+    ("t_end", "t_end = inf"),
+    ("ic_omega0", "ic_omega0 = inf"),
+    ("ic_u", "ic_u = inf"),
+    ("forcing_vector", "forcing = constant\nforcing_vector = nan"),
+    ("perturb_modes", "ic = perturbed\nperturb_modes = omega:0:1:inf"),
+]
+BAD_CONFIG_IDS = [lines.splitlines()[-1] for _, lines in BAD_CONFIGS]
+
+
+def config_with(lines):
+    """A 1D n = 8 run config with `lines` added; they replace a base key they set."""
+    keys = {line.partition("=")[0].strip() for line in lines.splitlines()}
+    base = [f"{k} = {v}" for k, v in (("dim", 1), ("n", 8), ("t_end", 0.1)) if k not in keys]
+    return "\n".join(base) + "\n" + lines + "\n"

@@ -7,6 +7,8 @@ import types
 
 import pytest
 
+from conftest import BAD_CONFIG_IDS, BAD_CONFIGS, config_with
+
 from kolmobox import cli
 from kolmobox import fields as F
 from kolmobox import model as M
@@ -186,6 +188,13 @@ def test_unresolvable_forcing_wavenumber_exits_2(tmp_path, capsys, wavenumber):
     )
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ValidationError: ")
+
+
+@pytest.mark.parametrize("key, lines", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
+def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, key, lines):
+    code, err = run_cli(tmp_path, capsys, config_with(lines))
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"error: ValidationError: {key}: ")
 
 
 def test_runs_without_mallopt(tmp_path, monkeypatch):

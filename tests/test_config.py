@@ -1,10 +1,16 @@
 """Config parsing, validation, and problem construction."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from conftest import BAD_CONFIG_IDS, BAD_CONFIGS, config_with
+
 from kolmobox import config as C
 from kolmobox.errors import ParseError, ValidationError
+from kolmobox.model import ModelParams
+from kolmobox.timestepper import StepConfig
 
 MINIMAL = """
 # minimal homogeneous run
@@ -81,6 +87,22 @@ class TestParse:
     def test_rothe_requires_regularized(self):
         with pytest.raises(ValidationError):
             C.parse_config(MINIMAL + "scheme = rothe_picard\n")
+
+    @pytest.mark.parametrize("key, lines", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
+    def test_bad_value_names_its_key(self, key, lines):
+        with pytest.raises(ValidationError) as exc:
+            C.parse_config(config_with(lines))
+        assert exc.value.field == key
+        assert isinstance(exc.value, ValueError)
+
+    def test_every_key_has_a_parser(self):
+        assert {C._KINDS[f.name] for f in fields(C.RunConfig)} <= set(C._PARSERS)
+
+    @pytest.mark.parametrize("cls", [ModelParams, StepConfig])
+    def test_constructor_defaults_match_run_config(self, cls):
+        # the defaults are written twice, in cls and in RunConfig
+        for f in fields(cls):
+            assert f.default == getattr(C.RunConfig(), f.name), f.name
 
 
 class TestBuildProblem:

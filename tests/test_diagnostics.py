@@ -192,12 +192,12 @@ class TestEnergyGap:
     def test_zero_velocity_gap_is_exactly_zero(self):
         g, st, env, params = structured_problem(n=8, uamp=0.0)
         traj = T.run(st, 0.3, None, params, env, T.StepConfig(guard=False), 0.05)
-        assert D.energy_gap(traj, (0.0, 0.3), params) == 0.0
+        assert D.energy_gap(traj, (0.0, 0.3)) == 0.0
 
     def test_reduced_dissipation_shows_as_positive_gap(self):
         g, st, env, params = structured_problem(n=16)
         traj = T.run(st, 0.1, None, params, env, T.StepConfig(guard=False), 0.05)
-        gap0 = D.energy_gap(traj, (0.0, 0.1), params)
+        gap0 = D.energy_gap(traj, (0.0, 0.1))
         # rebuild the trajectory with dissipation artificially reduced
         import dataclasses
 
@@ -206,7 +206,7 @@ class TestEnergyGap:
         records[1] = dataclasses.replace(records[1], dissipation=records[1].dissipation - removed)
         records[2] = dataclasses.replace(records[2], dissipation=records[2].dissipation - removed)
         traj2 = T.Trajectory(traj.times, traj.states, tuple(records), params, env)
-        gap1 = D.energy_gap(traj2, (0.0, 0.1), params)
+        gap1 = D.energy_gap(traj2, (0.0, 0.1))
         # trapezoid weights on samples (0, 0.05, 0.1): 0.025, 0.05, 0.025
         assert gap1 - gap0 == pytest.approx(removed * 0.075, rel=1e-9)
 
