@@ -278,20 +278,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        outdir = Path(args.out) if args.out else Path(cfg.out_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        if args.command == "run":
-            return cmd_run(cfg, outdir)
-        if args.command == "decay":
-            return cmd_decay(cfg, outdir)
-        if args.command == "bounds":
-            return cmd_bounds(cfg, outdir)
-        if args.command == "balance":
-            return cmd_balance(cfg, outdir)
-        if args.command == "scaling":
-            return cmd_scaling(cfg, outdir, args.rho, args.gamma)
-        raise AssertionError(args.command)
+        # exit 2 is one stderr line: the solver's error reports a field that overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            cfg = load_config(args.config)
+            outdir = Path(args.out) if args.out else Path(cfg.out_dir)
+            outdir.mkdir(parents=True, exist_ok=True)
+            if args.command == "run":
+                return cmd_run(cfg, outdir)
+            if args.command == "decay":
+                return cmd_decay(cfg, outdir)
+            if args.command == "bounds":
+                return cmd_bounds(cfg, outdir)
+            if args.command == "balance":
+                return cmd_balance(cfg, outdir)
+            if args.command == "scaling":
+                return cmd_scaling(cfg, outdir, args.rho, args.gamma)
+            raise AssertionError(args.command)
     except KolmoboxError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

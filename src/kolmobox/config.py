@@ -52,12 +52,9 @@ class RunConfig:
     scheme: str = "explicit_rk2"
     cfl_safety: float = 0.4
     dt_max: float = math.inf
-    k_floor: float = 1e-14
     picard_max_iters: int = 200
     picard_tol: float = 1e-10
-    picard_damping: float = 0.7
     guard: bool = True
-    guard_slack: float = 0.05
     # closure coefficients and regularization
     nu0: float = 1.0
     nu1: float = 1.0

@@ -332,12 +332,9 @@ def r_laplacian(g: Grid, f: np.ndarray, r: float, *, grad=None, diffs=None,
         gn, mag2 = _face_gradient_sq(g, grad, diffs, ax)
         if maxima is not None:
             maxima.append(float(mag2.max()))
-        if r == 2.0:
-            flux = gn
-        else:
-            flux = mag2
-            flux **= (r - 2.0) / 2.0
-            flux *= gn
+        flux = mag2
+        flux **= (r - 2.0) / 2.0
+        flux *= gn
         out += _face_div(flux, ax, g, g.h)
     return out
 
@@ -378,10 +375,8 @@ def r_laplacian_vec(g: Grid, u: np.ndarray, r: float, *, grad=None, D=None) -> n
         mag2 = np.zeros(g.shape)
         for (a, b), v in face.items():
             mag2 += v**2 if a == b else 2.0 * v**2
-        w = 1.0
-        if r != 2.0:
-            w = mag2
-            w **= (r - 2.0) / 2.0
+        w = mag2
+        w **= (r - 2.0) / 2.0
         flux = np.empty(u.shape)
         for i in range(d):
             np.multiply(w, face[(min(i, j), max(i, j))], out=flux[i])

@@ -11,14 +11,15 @@ classical two-parameter family (rho, gamma) -> (rho, rho/gamma, gamma, rho,
 gamma^2) under which the k/omega closure is invariant.
 
 This module provides the family constructors, the algebraic residual checker,
-state/trajectory transformation with trigonometric resampling, and a discrete
+state/trajectory transformation (the scaled state lives on the same nodes of
+the box of side l/beta, so no resampling is needed), and a discrete
 PDE-residual evaluator used to verify invariance numerically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -26,12 +27,7 @@ from . import diagnostics as diag
 from . import fields as F
 from . import model as M
 from . import timestepper as T
-from .errors import (
-    IncompatibleGrid,
-    InsufficientSamples,
-    NonpositiveParameter,
-    NonpositiveSamples,
-)
+from .errors import InsufficientSamples, NonpositiveParameter, NonpositiveSamples
 from .fields import Grid
 from .model import ComparisonEnvelope, ModelParams, State
 
@@ -43,7 +39,6 @@ __all__ = [
     "beta_general",
     "coefficient_invariance_residuals",
     "CoefficientInvarianceResult",
-    "trig_resample",
     "transform_state",
     "transform_trajectory",
     "PdeResiduals",
@@ -180,81 +175,34 @@ def coefficient_invariance_residuals(
 # state transformation
 
 
-def trig_resample(values: np.ndarray, n_new: int, axis: int) -> np.ndarray:
-    """Periodic Fourier resampling along one axis (exact for band-limited data).
+def transform_state(state: State, sp: ScalingParams) -> State:
+    """Rescale one snapshot onto Grid(d, n, side/beta): fields scaled by (gamma, rho, sigma).
 
-    Both point counts must be even; the Nyquist coefficient is split when
-    upsampling and folded when downsampling so real data stays real.
-    """
-    n = values.shape[axis]
-    if n_new == n:
-        return values
-    if n % 2 or n_new % 2:
-        raise ValueError("trig_resample requires even point counts")
-    a = np.moveaxis(values, axis, -1)
-    coeffs = np.fft.fft(a, axis=-1) / n
-    shape = list(a.shape)
-    shape[-1] = n_new
-    out = np.zeros(shape, dtype=complex)
-    half = min(n, n_new) // 2
-    out[..., :half] = coeffs[..., :half]
-    if half > 1:
-        out[..., -(half - 1):] = coeffs[..., -(half - 1):]
-    if n_new > n:
-        out[..., half] = 0.5 * coeffs[..., half]
-        out[..., n_new - half] += 0.5 * coeffs[..., half]
-    else:
-        out[..., half] = coeffs[..., half] + coeffs[..., n - half]
-    resampled = np.fft.ifft(out * n_new, axis=-1).real
-    return np.ascontiguousarray(np.moveaxis(resampled, -1, axis))
-
-
-def _resample(values: np.ndarray, grid_to: Grid) -> np.ndarray:
-    out = values
-    for ax in range(grid_to.dim):
-        out = trig_resample(out, grid_to.n, ax)
-    return out
-
-
-def transform_state(state: State, sp: ScalingParams, target_grid: Grid) -> State:
-    """Rescale one snapshot: new side l/beta, fields scaled by (gamma, rho, sigma).
-
-    When the target point count equals the source's, the transformed nodes map
-    exactly onto the source nodes and no interpolation happens; otherwise the
-    fields are resampled trigonometrically.  The time label becomes t/alpha,
-    and the diagnostic pressure scales like gamma^2.
+    The scaled nodes are the source nodes times 1/beta, so each field is a
+    plain product and no interpolation happens.  The time label becomes
+    t/alpha, and the diagnostic pressure scales like gamma^2.
     """
     g = state.grid
-    if target_grid.dim != g.dim:
-        raise IncompatibleGrid("dimension mismatch")
-    want = g.side / sp.beta
-    if abs(target_grid.side - want) > 1e-12 * max(1.0, abs(want)):
-        raise IncompatibleGrid(
-            f"target side {target_grid.side} != source side / beta = {want}"
-        )
     return State(
         t=state.t / sp.alpha,
-        grid=target_grid,
-        u=np.stack([sp.gamma * _resample(c, target_grid) for c in state.u]),
-        omega=sp.rho * _resample(state.omega, target_grid),
-        k=sp.sigma * _resample(state.k, target_grid),
-        p=sp.gamma**2 * _resample(state.p, target_grid),
+        grid=Grid(g.dim, g.n, g.side / sp.beta),
+        u=sp.gamma * state.u,
+        omega=sp.rho * state.omega,
+        k=sp.sigma * state.k,
+        p=sp.gamma**2 * state.p,
         guard_hits=state.guard_hits,
     )
 
 
-def transform_trajectory(traj, sp: ScalingParams, target_grid: Optional[Grid] = None):
+def transform_trajectory(traj, sp: ScalingParams):
     """Transform every sample; records are recomputed on the scaled states."""
-    g = traj.states[0].grid
-    if target_grid is None:
-        target_grid = Grid(g.dim, g.n, g.side / sp.beta)
     env = traj.env
     env_t = ComparisonEnvelope(
         omega_star=sp.rho * env.omega_star,
         omega_sup=sp.rho * env.omega_sup,
         k_star=sp.sigma * env.k_star,
     )
-    states = tuple(transform_state(s, sp, target_grid) for s in traj.states)
+    states = tuple(transform_state(s, sp) for s in traj.states)
     records = tuple(diag.record(s, None, traj.params, env_t) for s in states)
     times = tuple(s.t for s in states)
     return T.Trajectory(times, states, records, traj.params, env_t)

@@ -39,18 +39,21 @@ __all__ = [
 
 Forcing = Union[None, np.ndarray, Callable[[float], Optional[np.ndarray]]]
 
+# the guard clamps omega and k this fraction below their envelope lower bounds,
+# which are positive, so no absolute floor is needed
+_GUARD_SLACK = 0.05
+# Picard update U <- U - _PICARD_DAMPING * dt * residual(U)
+_PICARD_DAMPING = 0.7
+
 
 @dataclass(frozen=True)
 class StepConfig:
     scheme: str = "explicit_rk2"  # or "rothe_picard"
     cfl_safety: float = 0.4
     dt_max: float = math.inf
-    k_floor: float = 1e-14
     picard_max_iters: int = 200
     picard_tol: float = 1e-10
-    picard_damping: float = 0.7
     guard: bool = True
-    guard_slack: float = 0.05
 
     def __post_init__(self):
         if self.scheme not in ("explicit_rk2", "rothe_picard"):
@@ -59,16 +62,10 @@ class StepConfig:
             raise ValidationError("cfl_safety", "must be in ]0,1]")
         if not self.dt_max > 0.0:
             raise ValidationError("dt_max", "must be positive")
-        if not self.k_floor >= 0.0:
-            raise ValidationError("k_floor", "must be nonnegative")
         if not self.picard_max_iters > 0:
             raise ValidationError("picard_max_iters", "must be positive")
         if not self.picard_tol > 0.0:
             raise ValidationError("picard_tol", "must be positive")
-        if not 0.0 < self.picard_damping <= 1.0:
-            raise ValidationError("picard_damping", "must be in ]0,1]")
-        if not 0.0 <= self.guard_slack < 1.0:
-            raise ValidationError("guard_slack", "must be in [0,1[")
 
 
 @dataclass(frozen=True)
@@ -146,8 +143,8 @@ def _finish_stage(g, u, om, kk, t_new, params, env, cfg) -> State:
     w, p = F.leray_project(g, u)
     hits = 0
     if cfg.guard:
-        om, n1 = _guard(om, M.omega_lower(t_new, env, params) * (1.0 - cfg.guard_slack))
-        kk, n2 = _guard(kk, max(cfg.k_floor, M.kappa(t_new, env, params) * (1.0 - cfg.guard_slack)))
+        om, n1 = _guard(om, M.omega_lower(t_new, env, params) * (1.0 - _GUARD_SLACK))
+        kk, n2 = _guard(kk, M.kappa(t_new, env, params) * (1.0 - _GUARD_SLACK))
         hits = n1 + n2
     return State(t=t_new, grid=g, u=w, omega=om, k=kk, p=p, guard_hits=hits)
 
@@ -264,7 +261,7 @@ def step_rothe(
         return replace(state, guard_hits=0)
     g = state.grid
     t_new = state.t + dt
-    theta = cfg.picard_damping * dt
+    theta = _PICARD_DAMPING * dt
 
     scale = (_l2(g, state.u) + _l2(g, [state.omega]) + _l2(g, [state.k])) / dt + 1e-300
 

@@ -2,8 +2,12 @@
 
 import ctypes
 import json
+import os
 import struct
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -51,23 +55,29 @@ def test_run_outputs_and_determinism(tmp_path):
     assert (tmp_path / "again.kbox").read_bytes() == snaps[0].read_bytes()
 
 
-def test_decay_command_passes(tmp_path):
-    cfg = write_cfg(
-        tmp_path,
-        """
+DECAY = """
 dim = 1
 n = 8
 t_end = 12.0
 sample_every = 0.25
 dt_max = 0.005
 alpha2 = 1.4285714285714286
-""",
-    )
+"""
+
+
+def test_decay_command_passes(tmp_path):
+    cfg = write_cfg(tmp_path, DECAY)
     out = tmp_path / "out"
     assert cli.main(["decay", "--config", str(cfg), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     names = {c["name"] for c in summary["checks"]}
     assert names == {"k_exponent", "omega_exponent", "L_min_exponent"}
+
+
+def test_decay_command_passes_at_small_k(tmp_path):
+    # the same homogeneous decay in units where k is 1e-16: no absolute floor may hold k up
+    cfg = write_cfg(tmp_path, DECAY + "ic_k0 = 1e-16\n")
+    assert cli.main(["decay", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_balance_command(tmp_path):
@@ -190,6 +200,14 @@ def test_unresolvable_forcing_wavenumber_exits_2(tmp_path, capsys, wavenumber):
     assert len(err) == 1 and err[0].startswith("error: ValidationError: ")
 
 
+@pytest.mark.parametrize("line", ["k_floor = 1e-14", "guard_slack = 0.05", "picard_damping = 0.7"])
+def test_removed_step_keys_are_unknown(tmp_path, capsys, line):
+    # the k guard is relative to its envelope, and the slack and damping are constants
+    code, err = run_cli(tmp_path, capsys, config_with(line))
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ParseError: line 4: unknown key ")
+
+
 @pytest.mark.parametrize("key, lines", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
 def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, key, lines):
     code, err = run_cli(tmp_path, capsys, config_with(lines))
@@ -209,6 +227,22 @@ def test_solver_error_exits_2_and_names_the_error(tmp_path, capsys):
     code, err = run_cli(tmp_path, capsys, "dim = 1\nn = 4\nt_end = 1\nic_omega0 = 1e4\nguard = false\n")
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: DegenerateOmega: min(omega) = ")
+
+
+def test_overflow_exits_2_on_one_stderr_line(tmp_path):
+    # a real process: pytest's warning capture would hide numpy's warnings from cli.main
+    cfg = write_cfg(tmp_path, config_with("ic = perturbed\nperturb_modes = u1:0:1:1e200"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kolmobox.cli", "run", "--config", str(cfg),
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: StepRejected: "), err
 
 
 def snapshot_file(tmp_path, dim, n):

@@ -3,19 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import const, exact_homogeneous_trajectory, structured_problem
+from conftest import const, exact_homogeneous_trajectory, perturbed_problem, structured_problem
 
 from kolmobox import diagnostics as D
 from kolmobox import fields as F
 from kolmobox import model as M
 from kolmobox import scaling as S
 from kolmobox import timestepper as T
-from kolmobox.errors import (
-    IncompatibleGrid,
-    InsufficientSamples,
-    NonpositiveParameter,
-    NonpositiveSamples,
-)
+from kolmobox.errors import InsufficientSamples, NonpositiveParameter, NonpositiveSamples
 
 PARAMS = M.ModelParams(alpha1=1.0, alpha2=10.0 / 7.0)
 
@@ -99,29 +94,6 @@ class TestCoefficientInvariance:
             )
 
 
-class TestTrigResample:
-    def test_same_n_passthrough(self, rng):
-        vals = rng.standard_normal((8, 8))
-        out = S.trig_resample(vals, 8, 0)
-        assert out is vals
-
-    def test_upsample_single_mode_exact(self):
-        n, n2 = 16, 32
-        x = np.arange(n) / n
-        vals = np.sin(2 * np.pi * 3 * x + 0.4)
-        out = S.trig_resample(vals, n2, 0)
-        x2 = np.arange(n2) / n2
-        np.testing.assert_allclose(out, np.sin(2 * np.pi * 3 * x2 + 0.4), atol=1e-12)
-
-    def test_downsample_band_limited_exact(self):
-        n, n2 = 32, 16
-        x = np.arange(n) / n
-        vals = 1.0 + np.cos(2 * np.pi * 5 * x)
-        out = S.trig_resample(vals, n2, 0)
-        x2 = np.arange(n2) / n2
-        np.testing.assert_allclose(out, 1.0 + np.cos(2 * np.pi * 5 * x2), atol=1e-12)
-
-
 class TestTransformState:
     def homog_state(self, grid, params=PARAMS):
         ic = M.HomogeneousIC(u_const=(0.2,) * grid.dim, omega0=1.5, k0=0.7)
@@ -130,7 +102,7 @@ class TestTransformState:
     def test_identity_bit_equal(self):
         g = F.Grid(2, 16, 1.0)
         st = self.homog_state(g)
-        out = S.transform_state(st, S.family_from(1.0, 1.0), g)
+        out = S.transform_state(st, S.family_from(1.0, 1.0))
         assert np.array_equal(out.omega, st.omega)
         assert np.array_equal(out.k, st.k)
         for a, b in zip(out.u, st.u):
@@ -141,38 +113,11 @@ class TestTransformState:
         g = F.Grid(2, 16, 1.0)
         st = self.homog_state(g)
         sp = S.family_from(2.0, 3.0)
-        target = F.Grid(2, 16, g.side / sp.beta)
-        out = S.transform_state(st, sp, target)
+        out = S.transform_state(st, sp)
         assert np.all(out.omega == sp.rho * 1.5)
         assert np.all(out.k == sp.sigma * 0.7)
         assert np.all(out.u[0] == sp.gamma * 0.2)
         assert out.t == st.t / sp.alpha
-
-    def test_single_mode_resample_oracle(self):
-        # beta = 2 halves the box; the transformed field evaluated on the new
-        # nodes must match the analytic mode pointwise
-        g = F.Grid(1, 32, 1.0)
-        x, = g.coords()
-        st = M.State(
-            t=0.0,
-            grid=g,
-            u=np.stack([np.sin(2 * np.pi * x)]),
-            omega=const(g, 1.0),
-            k=const(g, 1.0),
-            p=const(g, 0.0),
-        )
-        sp = S.family_from(2.0, 1.0)  # beta = 2
-        target = F.Grid(1, 64, g.side / 2.0)
-        out = S.transform_state(st, sp, target)
-        xt, = target.coords()
-        expected = sp.gamma * np.sin(2 * np.pi * (2.0 * xt))
-        np.testing.assert_allclose(out.u[0], expected, atol=1e-12)
-
-    def test_wrong_side_rejected(self):
-        g = F.Grid(1, 16, 1.0)
-        st = self.homog_state(g)
-        with pytest.raises(IncompatibleGrid):
-            S.transform_state(st, S.family_from(2.0, 1.0), F.Grid(1, 16, 1.0))
 
     def test_composition_law(self, rng):
         # transform(sp1) after transform(sp2) equals transform(sp1 * sp2)
@@ -195,16 +140,58 @@ class TestTransformState:
             beta=sp1.beta * sp2.beta,
             sigma=sp1.sigma * sp2.sigma,
         )
-        g2 = F.Grid(1, 32, g.side / sp2.beta)
-        g12a = F.Grid(1, 32, g2.side / sp1.beta)
-        g12b = F.Grid(1, 32, g.side / sp12.beta)
-        two_step = S.transform_state(S.transform_state(st, sp2, g2), sp1, g12a)
-        one_step = S.transform_state(st, sp12, g12b)
-        assert abs(g12a.side - g12b.side) <= 1e-12
+        two_step = S.transform_state(S.transform_state(st, sp2), sp1)
+        one_step = S.transform_state(st, sp12)
+        assert abs(two_step.grid.side - one_step.grid.side) <= 1e-12
         np.testing.assert_allclose(two_step.omega, one_step.omega, atol=1e-10)
         np.testing.assert_allclose(two_step.k, one_step.k, atol=1e-10)
         np.testing.assert_allclose(two_step.u[0], one_step.u[0], atol=1e-10)
         assert two_step.t == pytest.approx(one_step.t, rel=1e-12)
+
+
+EQUIVARIANCE_PROBLEMS = [(dim, forced) for dim in (1, 2, 3) for forced in (False, True)]
+
+
+def transformed_runs(dim, forced, rho, gamma):
+    """(transformed run, run of the transformed problem) of one random unregularized problem.
+
+    Default step control with the guard on; sample_every and t_end are divided by
+    alpha, and the forcing is multiplied by gamma * alpha.
+    """
+    st, env, params, forcing = perturbed_problem(dim, False, forced)
+    cfg = T.StepConfig()
+    base = T.run(st, 0.2, forcing, params, env, cfg, 0.05)
+    sp = S.family_from(rho, gamma)
+    expected = S.transform_trajectory(base, sp)
+    forcing_t = None if forcing is None else sp.gamma * sp.alpha * forcing
+    got = T.run(S.transform_state(st, sp), 0.2 / sp.alpha, forcing_t, params, expected.env,
+                cfg, 0.05 / sp.alpha)
+    return expected, got
+
+
+class TestSolverEquivariance:
+    """The solver maps a (rho, gamma)-scaled problem to the scaled solution."""
+
+    # powers of two commute with rounding; (4, 2^-26) has sigma = 2^-52, so k ~ 1e-16
+    @pytest.mark.parametrize("rho, gamma", [(4.0, 2.0), (2.0, 0.5), (8.0, 4.0), (4.0, 2.0**-26)])
+    @pytest.mark.parametrize("dim, forced", EQUIVARIANCE_PROBLEMS)
+    def test_bitwise_at_powers_of_two(self, dim, forced, rho, gamma):
+        expected, got = transformed_runs(dim, forced, rho, gamma)
+        assert got.times == expected.times
+        for a, b in zip(got.states, expected.states):
+            for name in ("u", "omega", "k"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (a.t, name)
+
+    @pytest.mark.parametrize("rho, gamma", [(3.0, 1.7), (100.0, 10.0)])
+    @pytest.mark.parametrize("dim, forced", EQUIVARIANCE_PROBLEMS)
+    def test_to_rounding_otherwise(self, dim, forced, rho, gamma):
+        expected, got = transformed_runs(dim, forced, rho, gamma)
+        assert len(got.times) == len(expected.times)
+        pairs = [(np.asarray(got.times), np.asarray(expected.times))]
+        for a, b in zip(got.states, expected.states):
+            pairs += [(getattr(a, name), getattr(b, name)) for name in ("u", "omega", "k")]
+        worst = max(float(np.abs(x - y).max() / np.abs(y).max()) for x, y in pairs)
+        assert worst <= 1e-13
 
 
 def homogeneous_traj(m=41, t_end=2.0, dim=2, n=8):

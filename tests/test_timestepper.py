@@ -1,12 +1,18 @@
 """Explicit and Rothe stepping, CFL logic, trajectories."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from conftest import const, const_vector, structured_problem, zero_vector
+from conftest import (
+    const,
+    const_vector,
+    perturbed_problem,
+    regularized_params,
+    structured_problem,
+    zero_vector,
+)
 
 from kolmobox import diagnostics as D
 from kolmobox import fields as F
@@ -22,12 +28,6 @@ def homogeneous(omega0=1.0, k0=1.0, dim=1, n=8):
     ic = M.HomogeneousIC(u_const=(0.0,) * dim, omega0=omega0, k0=k0)
     env = M.ComparisonEnvelope(omega_star=omega0, omega_sup=omega0, k_star=k0)
     return g, ic, env, M.homogeneous_state(g, ic, PARAMS)
-
-
-def regularized_params(r=3.5, eps=1e-3):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return M.ModelParams(alpha1=1.0, alpha2=10.0 / 7.0, eps=eps, r=r, regularized=True)
 
 
 class TestCflDt:
@@ -249,21 +249,6 @@ class TestForcingAndRetry:
         assert attempts[1] == attempts[0] / 2 and attempts[2] == attempts[0] / 4
         assert traj.times[-1] == 0.2  # still reaches t_end after the retries
         assert traj.rejected_attempts == 2
-
-
-def perturbed_problem(dim, regularized, forced, n=8):
-    """A random smooth-enough state with envelopes that hold it; optional forcing."""
-    rng = np.random.default_rng(17 + dim)
-    g = F.Grid(dim, n, 2.0 * np.pi)
-    u, _ = F.leray_project(g, 0.3 * rng.standard_normal((dim,) + g.shape))
-    om = rng.uniform(0.8, 1.2, g.shape)
-    kk = rng.uniform(0.8, 1.2, g.shape)
-    env = M.ComparisonEnvelope(omega_star=float(om.min()), omega_sup=float(om.max()),
-                               k_star=float(kk.min()))
-    st = M.State(t=0.0, grid=g, u=u, omega=om, k=kk, p=const(g, 0.0))
-    params = regularized_params(r=3.2, eps=1e-2) if regularized else PARAMS
-    forcing = 0.1 * rng.standard_normal((dim,) + g.shape) if forced else None
-    return st, env, params, forcing
 
 
 class _Stop(Exception):
