@@ -214,7 +214,7 @@ def cmd_balance(cfg: RunConfig, outdir: Path) -> int:
 def cmd_scaling(cfg: RunConfig, outdir: Path, rho: float, gamma: float) -> int:
     p, traj = _run_cfg(cfg)
     sp = S.family_from(rho, gamma)
-    report = S.invariance_experiment(traj, sp, p.params)
+    report = S.invariance_experiment(traj, sp)
     with open(outdir / "scaling_report.ndjson", "w", encoding="utf-8") as fh:
         for line in S.report_ndjson_lines(report):
             fh.write(line + "\n")

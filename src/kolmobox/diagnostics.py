@@ -253,7 +253,7 @@ def k_balance_residual(traj, window):
 
 
 def energy_gap(traj, window) -> float:
-    """Kinetic-energy equality defect: (E_kin(s) + work) - (E_kin(t) + dissipation).
+    """Kinetic-energy equality defect: (E_kin(s) + work + eps drain) - (E_kin(t) + dissipation).
 
     Zero means the discrete run satisfies the u-energy equality on the window;
     for u == 0 trajectories the gap vanishes identically.
@@ -262,33 +262,36 @@ def energy_gap(traj, window) -> float:
     e_kin = [traj.records[i].E_kin for i in idx]
     power = [traj.records[i].power_in for i in idx]
     diss = [traj.records[i].dissipation for i in idx]
-    return (e_kin[0] + _trapezoid(power, times)) - (e_kin[-1] + _trapezoid(diss, times))
+    drain = _eps_correction_u_energy(traj, idx)
+    work = e_kin[0] + _trapezoid(power, times) + _trapezoid(drain, times)
+    return work - (e_kin[-1] + _trapezoid(diss, times))
 
 
-def _eps_correction_u_energy(state: State, params: ModelParams) -> float:
-    """eps * integral(u . (r-laplacian(u) - |u|^(r-2) u)), the regularized drain."""
+def _eps_correction_u_energy(traj, idx) -> list:
+    """eps * integral(u . (r-laplacian(u) - |u|^(r-2) u)), the regularized drain, per sample."""
+    params = traj.params
     if not params.regularized:
-        return 0.0
-    g = state.grid
-    rl = F.r_laplacian_vec(g, state.u, params.r)
-    damp = F.vector_signed_power(state.u, params.r)
-    tot = np.zeros(g.shape)
-    for uc, rc, dc in zip(state.u, rl, damp):
-        tot += uc * (rc - dc)
-    return params.eps * F.integrate(g, tot)
+        return [0.0] * len(idx)
+    out = []
+    for i in idx:
+        g, u = traj.states[i].grid, traj.states[i].u
+        rl = F.r_laplacian_vec(g, u, params.r)
+        damp = F.vector_signed_power(u, params.r)
+        tot = np.zeros(g.shape)
+        for uc, rc, dc in zip(u, rl, damp):
+            tot += uc * (rc - dc)
+        out.append(params.eps * F.integrate(g, tot))
+    return out
 
 
 def balance_report(traj, window) -> BalanceReport:
     """Assemble all window balances in one report."""
-    params = traj.params
     idx, times = _window_indices(traj, window, 2)
     k_res, mu = k_balance_residual(traj, window)
     eps_corr = {
         "omega": _trapezoid(_eps_corrections(traj, idx, "omega", M.omega_lower), times),
         "k": _trapezoid(_eps_corrections(traj, idx, "k", M.kappa), times),
-        "u_energy": _trapezoid(
-            [_eps_correction_u_energy(traj.states[i], params) for i in idx], times
-        ),
+        "u_energy": _trapezoid(_eps_correction_u_energy(traj, idx), times),
     }
     return BalanceReport(
         window=(float(times[0]), float(times[-1])),

@@ -195,17 +195,18 @@ def transform_state(state: State, sp: ScalingParams) -> State:
 
 
 def transform_trajectory(traj, sp: ScalingParams):
-    """Transform every sample; records are recomputed on the scaled states."""
+    """Transform every sample and the forcing (by gamma*alpha); records keep their guard counts."""
     env = traj.env
     env_t = ComparisonEnvelope(
         omega_star=sp.rho * env.omega_star,
         omega_sup=sp.rho * env.omega_sup,
         k_star=sp.sigma * env.k_star,
     )
+    forcing = None if traj.forcing is None else sp.gamma * sp.alpha * traj.forcing
     states = tuple(transform_state(s, sp) for s in traj.states)
-    records = tuple(diag.record(s, None, traj.params, env_t) for s in states)
-    times = tuple(s.t for s in states)
-    return T.Trajectory(times, states, records, traj.params, env_t)
+    records = tuple(diag.record(s, forcing, traj.params, env_t, r.guard_activations)
+                    for s, r in zip(states, traj.records))
+    return T.Trajectory(states, records, traj.params, env_t, forcing)
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +230,17 @@ def _ddt_weights(a: float, b: float):
     return w_m, w_0, w_p
 
 
-def pde_residual(traj, params: ModelParams, forcing=None) -> PdeResiduals:
+def pde_residual(traj) -> PdeResiduals:
     """Residual norms of the discrete equations along a sampled trajectory.
 
-    Time derivatives use three-point differences on the sample grid; interior
+    The equations take the trajectory's params, envelopes and forcing.  Time
+    derivatives use three-point differences on the sample grid; interior
     samples only.  The u-residual is Leray-projected before measuring since
     the pressure gradient is not part of the reduced dynamics.
     """
-    if len(traj.times) < 3:
+    if len(traj.states) < 3:
         raise InsufficientSamples("pde_residual needs at least 3 samples")
-    fprov = T.as_forcing(forcing)
     g = traj.states[0].grid
-    env = traj.env
     worst = {"u": 0.0, "omega": 0.0, "k": 0.0}
     times = np.asarray(traj.times, dtype=float)
     for i in range(1, len(times) - 1):
@@ -248,7 +248,7 @@ def pde_residual(traj, params: ModelParams, forcing=None) -> PdeResiduals:
         b = times[i + 1] - times[i]
         wm, w0, wp = _ddt_weights(a, b)
         s_m, s_0, s_p = traj.states[i - 1], traj.states[i], traj.states[i + 1]
-        du, dom, dk = M.rhs(s_0, float(times[i]), fprov(float(times[i])), params, env)
+        du, dom, dk = M.rhs(s_0, float(times[i]), traj.forcing, traj.params, traj.env)
 
         ru = wm * s_m.u + w0 * s_0.u + wp * s_p.u - du
         ru_sol, _ = F.leray_project(g, ru)
@@ -280,7 +280,7 @@ _VERDICT_MARGIN = 3.0
 _VERDICT_FLOOR = 1e-14
 
 
-def invariance_experiment(traj, sp: ScalingParams, params: ModelParams) -> InvarianceReport:
+def invariance_experiment(traj, sp: ScalingParams) -> InvarianceReport:
     """Transform a trajectory and compare its residuals to the scaled originals.
 
     Under an invariance-respecting scaling the discrete residual transforms
@@ -289,9 +289,8 @@ def invariance_experiment(traj, sp: ScalingParams, params: ModelParams) -> Invar
     stay within a small margin of the scaled original.
     """
     d = traj.states[0].grid.dim
-    orig = pde_residual(traj, params)
-    traj_t = transform_trajectory(traj, sp)
-    trans = pde_residual(traj_t, params)
+    orig = pde_residual(traj)
+    trans = pde_residual(transform_trajectory(traj, sp))
     meas = sp.beta ** (-0.5 * d)
     expected = PdeResiduals(
         u=sp.gamma * sp.alpha * meas * orig.u,

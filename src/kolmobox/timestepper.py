@@ -16,28 +16,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import diagnostics as diag
 from . import fields as F
 from . import model as M
-from .errors import PicardDiverged, StepRejected, ValidationError
+from .errors import IncompatibleGrid, PicardDiverged, StepRejected, ValidationError
 from .model import ComparisonEnvelope, ModelParams, State
 
 __all__ = [
     "StepConfig",
     "Trajectory",
-    "as_forcing",
     "cfl_dt",
     "step_explicit",
     "operator_apply",
     "step_rothe",
     "run",
 ]
-
-Forcing = Union[None, np.ndarray, Callable[[float], Optional[np.ndarray]]]
 
 # the guard clamps omega and k this fraction below their envelope lower bounds,
 # which are positive, so no absolute floor is needed
@@ -73,32 +70,27 @@ class Trajectory:
     """Sampled simulation output: states and diagnostics at increasing times.
 
     The first sample time equals the initial state's time (0 for fresh runs;
-    restarted segments start at their restart time).  `rejected_attempts`
-    counts the step attempts that were rejected and retried with half the dt.
+    restarted segments start at their restart time).  `forcing` is the run's
+    constant forcing, or None.  `rejected_attempts` counts the step attempts
+    that were rejected and retried with half the dt.
     """
 
-    times: tuple
     states: tuple
     records: tuple
     params: ModelParams
     env: ComparisonEnvelope
+    forcing: Optional[np.ndarray] = None
     rejected_attempts: int = 0
 
     def __post_init__(self):
-        if len(self.times) != len(self.states) or len(self.times) != len(self.records):
-            raise ValueError("times/states/records must have equal length")
-        t = np.asarray(self.times)
-        if len(t) > 1 and not np.all(np.diff(t) > 0):
+        if len(self.states) != len(self.records):
+            raise ValueError("states/records must have equal length")
+        if not np.all(np.diff(self.times) > 0):
             raise ValueError("sample times must be strictly increasing")
 
-
-def as_forcing(forcing: Forcing) -> Callable[[float], Optional[np.ndarray]]:
-    """Normalize None / constant vector array / callable into a callable of t."""
-    if forcing is None:
-        return lambda t: None
-    if isinstance(forcing, np.ndarray):
-        return lambda t: forcing
-    return forcing
+    @property
+    def times(self) -> tuple:
+        return tuple(s.t for s in self.states)
 
 
 def cfl_dt(state: State, params: ModelParams, cfg: StepConfig) -> float:
@@ -158,7 +150,7 @@ def _check_finite(state: State, dt: float):
 def step_explicit(
     state: State,
     dt: float,
-    forcing: Forcing,
+    forcing: Optional[np.ndarray],
     params: ModelParams,
     env: ComparisonEnvelope,
     cfg: StepConfig,
@@ -172,12 +164,11 @@ def step_explicit(
     update of the homogeneous ODEs bit for bit.  `rates` is f(U), the
     stage-1 `rhs` of `state`, if the caller already holds it.
     """
-    fprov = as_forcing(forcing)
     g = state.grid
     t_new = state.t + dt
 
     if rates is None:
-        rates = M.rhs(state, state.t, fprov(state.t), params, env)
+        rates = M.rhs(state, state.t, forcing, params, env)
     du, dom, dk = rates
     s1 = _finish_stage(
         g,
@@ -190,7 +181,7 @@ def step_explicit(
         cfg,
     )
 
-    du1, dom1, dk1 = M.rhs(s1, t_new, fprov(t_new), params, env)
+    du1, dom1, dk1 = M.rhs(s1, t_new, forcing, params, env)
     out = _finish_stage(
         g,
         0.5 * (state.u + (s1.u + dt * du1)),
@@ -210,7 +201,7 @@ def operator_apply(
     state_candidate: State,
     state_old: State,
     dt: float,
-    forcing: Forcing,
+    forcing: Optional[np.ndarray],
     params: ModelParams,
     env: ComparisonEnvelope,
 ):
@@ -225,8 +216,7 @@ def operator_apply(
     if not params.regularized:
         raise ValueError("operator_apply requires regularized parameters")
     t_new = state_old.t + dt if math.isfinite(dt) else state_old.t
-    f_new = as_forcing(forcing)(t_new)
-    du, dom, dk = M.rhs(state_candidate, t_new, f_new, params, env)
+    du, dom, dk = M.rhs(state_candidate, t_new, forcing, params, env)
     return (
         (state_candidate.u - state_old.u) / dt - du,
         (state_candidate.omega - state_old.omega) / dt - dom,
@@ -246,7 +236,7 @@ def _l2(grid, arrays: Sequence[np.ndarray]) -> float:
 def step_rothe(
     state: State,
     dt: float,
-    forcing: Forcing,
+    forcing: Optional[np.ndarray],
     params: ModelParams,
     env: ComparisonEnvelope,
     cfg: StepConfig,
@@ -288,7 +278,7 @@ def step_rothe(
 _MAX_RETRIES = 10
 
 
-def _advance(state, remaining, fprov, params, env, cfg):
+def _advance(state, remaining, forcing, params, env, cfg):
     """One accepted step of at most `remaining`, halving dt on rejection.
 
     Returns (state, dt actually used, rejected attempts).  On the explicit
@@ -297,7 +287,7 @@ def _advance(state, remaining, fprov, params, env, cfg):
     """
     if cfg.scheme == "explicit_rk2":
         limits = []
-        rates = M.rhs(state, state.t, fprov(state.t), params, env, limits=limits)
+        rates = M.rhs(state, state.t, forcing, params, env, limits=limits)
         eddy_max, *grad_sq = limits
         dt = _cfl_step(state, eddy_max, math.sqrt(max(grad_sq, default=0.0)), params, cfg)
     else:
@@ -306,8 +296,8 @@ def _advance(state, remaining, fprov, params, env, cfg):
     for rejected in range(_MAX_RETRIES + 1):
         try:
             if rates is None:
-                return step_rothe(state, dt, fprov, params, env, cfg), dt, rejected
-            return step_explicit(state, dt, fprov, params, env, cfg, rates=rates), dt, rejected
+                return step_rothe(state, dt, forcing, params, env, cfg), dt, rejected
+            return step_explicit(state, dt, forcing, params, env, cfg, rates=rates), dt, rejected
         except (StepRejected, PicardDiverged):
             dt *= 0.5
     raise StepRejected(f"step rejected after {_MAX_RETRIES} dt halvings")
@@ -316,7 +306,7 @@ def _advance(state, remaining, fprov, params, env, cfg):
 def run(
     initial: State,
     t_end: float,
-    forcing: Forcing,
+    forcing: Optional[np.ndarray],
     params: ModelParams,
     env: ComparisonEnvelope,
     cfg: StepConfig,
@@ -326,17 +316,18 @@ def run(
 
     dt is the smaller of the CFL estimate and the distance to the next sample
     boundary, so runs are deterministic and restartable on aligned sample
-    grids.  t_end itself is always the final sample.
+    grids.  t_end itself is always the final sample.  `forcing` is None or a
+    constant array of the velocity's shape.
     """
     if t_end < initial.t:
         raise ValueError("t_end must be >= initial.t")
     if sample_every <= 0.0:
         raise ValueError("sample_every must be positive")
-    fprov = as_forcing(forcing)
+    if forcing is not None and np.shape(forcing) != initial.u.shape:
+        raise IncompatibleGrid(f"forcing shape {np.shape(forcing)} != u shape {initial.u.shape}")
 
-    times = [initial.t]
     states = [initial]
-    records = [diag.record(initial, fprov(initial.t), params, env)]
+    records = [diag.record(initial, forcing, params, env)]
 
     state = initial
     rejected = 0
@@ -349,15 +340,12 @@ def run(
         guard_hits = 0
         while state.t < boundary:
             remaining = boundary - state.t
-            state, dt_used, n_rejected = _advance(state, remaining, fprov, params, env, cfg)
+            state, dt_used, n_rejected = _advance(state, remaining, forcing, params, env, cfg)
             rejected += n_rejected
             if dt_used == remaining and state.t != boundary:
                 state = replace(state, t=boundary)
             guard_hits += state.guard_hits
-        times.append(state.t)
         states.append(state)
-        records.append(
-            diag.record(state, fprov(state.t), params, env, guard_activations=guard_hits)
-        )
+        records.append(diag.record(state, forcing, params, env, guard_activations=guard_hits))
 
-    return Trajectory(tuple(times), tuple(states), tuple(records), params, env, rejected)
+    return Trajectory(tuple(states), tuple(records), params, env, forcing, rejected)

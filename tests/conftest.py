@@ -98,7 +98,7 @@ def exact_homogeneous_trajectory(grid, ic, params, env, times):
         st = M.homogeneous_state(grid, ic, params, t=float(t))
         states.append(st)
         records.append(D.record(st, None, params, env))
-    return T.Trajectory(tuple(float(t) for t in times), tuple(states), tuple(records), params, env)
+    return T.Trajectory(tuple(states), tuple(records), params, env)
 
 
 @pytest.fixture

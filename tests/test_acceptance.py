@@ -211,7 +211,7 @@ def test_criterion_5_scaling_invariance():
     all_pass = True
     for _ in range(20):
         rho, gamma = rng.uniform(0.5, 4.0, 2)
-        rep = S.invariance_experiment(traj, S.family_from(rho, gamma), params)
+        rep = S.invariance_experiment(traj, S.family_from(rho, gamma))
         all_pass = all_pass and rep.overall
 
     # controlled sigma violation on a spatially structured trajectory
@@ -219,8 +219,8 @@ def test_criterion_5_scaling_invariance():
     traj2 = T.run(st, 0.5, None, params, env2,
                   T.StepConfig(dt_max=1e-3, guard=False), 0.0125)
     sp = S.family_from(2.0, 1.5)
-    rep_ok = S.invariance_experiment(traj2, sp, params)
-    rep_bad = S.invariance_experiment(traj2, sp.with_sigma(sp.sigma * 1.1), params)
+    rep_ok = S.invariance_experiment(traj2, sp)
+    rep_bad = S.invariance_experiment(traj2, sp.with_sigma(sp.sigma * 1.1))
     inflation = rep_bad.transformed.k / rep_ok.transformed.k
     ok_violation = rep_ok.overall and inflation >= 10.0
 

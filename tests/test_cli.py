@@ -175,6 +175,37 @@ dt_max = 0.005
         assert obj["transformed_residual"] == obj["original_residual"]
 
 
+def test_scaling_command_forced(tmp_path):
+    # the residual checked on a forced run must include the forcing term;
+    # without it the u residual is the missing term itself, ~2.2
+    cfg = write_cfg(
+        tmp_path,
+        """
+dim = 2
+n = 16
+side = 6.283185307179586
+t_end = 0.2
+sample_every = 0.02
+ic = perturbed
+perturb_modes = u1:1:1:0.3, u2:0:2:0.3, omega:0:1:0.1, k:1:1:0.1
+forcing = single_mode
+forcing_axis = 1
+forcing_wavenumber = 1
+forcing_amplitude = 0.5
+forcing_component = 0
+""",
+    )
+    out = tmp_path / "out"
+    assert cli.main(["scaling", "--config", str(cfg), "--rho", "2.0", "--gamma", "1.5",
+                     "--out", str(out)]) == 0
+    report = {}
+    for line in (out / "scaling_report.ndjson").read_text().splitlines():
+        obj = json.loads(line)
+        report[obj["equation"]] = obj
+    assert report["u"]["original_residual"] < 1e-3
+    assert all(obj["pass"] for obj in report.values())
+
+
 def test_config_error_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, "dim = 1\nbogus_key = 2\nt_end = 1\n")
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

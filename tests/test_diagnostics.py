@@ -103,7 +103,7 @@ def fabricated_trajectory(masses, times, grid, params=PARAMS, env=ENV1):
         )
         states.append(st)
         records.append(D.record(st, None, params, env))
-    return T.Trajectory(tuple(times), tuple(states), tuple(records), params, env)
+    return T.Trajectory(tuple(states), tuple(records), params, env)
 
 
 class TestOmegaBalance:
@@ -120,7 +120,7 @@ class TestOmegaBalance:
                          p=const(g, 0.0))
             states.append(st)
             records.append(D.record(st, None, tiny, ENV1))
-        traj = T.Trajectory(tuple(times), tuple(states), tuple(records), tiny, ENV1)
+        traj = T.Trajectory(tuple(states), tuple(records), tiny, ENV1)
         assert D.omega_balance_residual(traj, (0.0, 1.0)) <= 1e-15
 
     def test_exact_solution_quadrature_error_quarters(self):
@@ -157,7 +157,7 @@ class TestOmegaBalance:
                 om = om + dt * dom
                 kk = kk + dt * dk
                 t += dt
-            traj = T.Trajectory(tuple(times), tuple(states), tuple(records), PARAMS, env)
+            traj = T.Trajectory(tuple(states), tuple(records), PARAMS, env)
             res[dt] = D.omega_balance_residual(traj, (0.0, 0.5))
         assert 1.5 <= res[0.001] / res[0.0005] <= 2.5
 
@@ -205,7 +205,7 @@ class TestEnergyGap:
         records = list(traj.records)
         records[1] = dataclasses.replace(records[1], dissipation=records[1].dissipation - removed)
         records[2] = dataclasses.replace(records[2], dissipation=records[2].dissipation - removed)
-        traj2 = T.Trajectory(traj.times, traj.states, tuple(records), params, env)
+        traj2 = T.Trajectory(traj.states, tuple(records), params, env)
         gap1 = D.energy_gap(traj2, (0.0, 0.1))
         # trapezoid weights on samples (0, 0.05, 0.1): 0.025, 0.05, 0.025
         assert gap1 - gap0 == pytest.approx(removed * 0.075, rel=1e-9)
@@ -234,6 +234,20 @@ class TestBalanceReport:
         # far below the size of the correction itself
         assert rep.omega_residual <= 1e-3
         assert rep.omega_residual <= 0.1 * abs(rep.epsilon_corrections["omega"])
+
+    def test_regularized_energy_gap_includes_eps_drain(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            params = M.ModelParams(alpha1=1.0, alpha2=10.0 / 7.0, eps=1e-2, r=3.2,
+                                   regularized=True)
+        g, st, env, _ = structured_problem(n=8)
+        traj = T.run(st, 0.1, None, params, env, T.StepConfig(dt_max=1e-3, guard=False), 0.0125)
+        rep = D.balance_report(traj, (0.0, 0.1))
+        # without the eps drain the gap would be about the size of the drain itself
+        assert rep.epsilon_corrections["u_energy"] != 0.0
+        assert abs(rep.energy_gap) <= 0.1 * abs(rep.epsilon_corrections["u_energy"])
 
 
 class TestLengthScale:
@@ -371,7 +385,7 @@ class TestDecayFit:
                          p=const(g, 0.0))
             states.append(st)
             records.append(D.record(st, None, PARAMS, ENV1))
-        traj = T.Trajectory(tuple(times), tuple(states), tuple(records), PARAMS, ENV1)
+        traj = T.Trajectory(tuple(states), tuple(records), PARAMS, ENV1)
         with pytest.raises(NonpositiveSamples):
             D.decay_fit(traj, "mean_k", (1.0, 2.0))
 

@@ -205,7 +205,7 @@ class TestPdeResidual:
     def test_exact_trajectory_quadrature_error_quarters(self):
         res = {}
         for m in (21, 41):
-            res[m] = S.pde_residual(homogeneous_traj(m=m), PARAMS).omega
+            res[m] = S.pde_residual(homogeneous_traj(m=m)).omega
         assert 3.2 <= res[21] / res[41] <= 4.8
 
     def test_solver_trajectory_residual_decreases_under_refinement(self):
@@ -214,7 +214,7 @@ class TestPdeResidual:
             g, st, env, params = structured_problem(n=n)
             traj = T.run(st, 0.25, None, params, env,
                          T.StepConfig(dt_max=dtm, guard=False), se)
-            r = S.pde_residual(traj, params)
+            r = S.pde_residual(traj)
             results.append(max(r.u, r.omega, r.k))
         assert results[0] > results[1] > results[2]
 
@@ -222,19 +222,54 @@ class TestPdeResidual:
         g, st, env, params = structured_problem(n=32)
         traj = T.run(st, 0.5, None, params, env,
                      T.StepConfig(dt_max=5e-4, guard=False), 0.0025)
-        base = S.pde_residual(traj, params)
+        base = S.pde_residual(traj)
         states = tuple(
             M.State(t=s.t, grid=g, u=s.u, omega=s.omega, k=1.01 * s.k, p=s.p)
             for s in traj.states
         )
         records = tuple(D.record(s, None, params, env) for s in states)
-        bumped = T.Trajectory(traj.times, states, records, params, env)
-        pert = S.pde_residual(bumped, params)
+        bumped = T.Trajectory(states, records, params, env)
+        pert = S.pde_residual(bumped)
         assert pert.k >= 10.0 * base.k
 
     def test_needs_three_samples(self):
         with pytest.raises(InsufficientSamples):
-            S.pde_residual(homogeneous_traj(m=2), PARAMS)
+            S.pde_residual(homogeneous_traj(m=2))
+
+
+class TestForcedTrajectory:
+    """The run's forcing travels with its trajectory into residuals and transforms."""
+
+    @pytest.fixture(scope="class")
+    def forced(self):
+        st, env, params, forcing = perturbed_problem(2, False, True)
+        return T.run(st, 0.2, forcing, params, env, T.StepConfig(), 0.05)
+
+    def test_pde_residual_includes_forcing(self, forced):
+        # without the forcing term the u residual is ~0.67, the missing term itself
+        assert S.pde_residual(forced).u <= 1e-2
+
+    def test_identity_transform_keeps_records(self, forced):
+        assert forced.records[-1].power_in != 0.0
+        assert S.transform_trajectory(forced, S.family_from(1.0, 1.0)).records == forced.records
+
+    def test_transform_scales_forcing(self, forced):
+        sp = S.family_from(2.0, 1.5)
+        traj_t = S.transform_trajectory(forced, sp)
+        assert np.array_equal(traj_t.forcing, sp.gamma * sp.alpha * forced.forcing)
+        # power_in = integral(f . u) scales by gamma^2 alpha beta^-d
+        for r, rt in zip(forced.records, traj_t.records):
+            want = sp.gamma**2 * sp.alpha * sp.beta**-2 * r.power_in
+            assert rt.power_in == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    def test_transform_keeps_guard_counts(self, forced):
+        import dataclasses
+
+        records = tuple(dataclasses.replace(r, guard_activations=3 * i + 1)
+                        for i, r in enumerate(forced.records))
+        traj = dataclasses.replace(forced, records=records)
+        traj_t = S.transform_trajectory(traj, S.family_from(2.0, 1.5))
+        assert [r.guard_activations for r in traj_t.records] == [1, 4, 7, 10, 13]
 
 
 class TestInvarianceExperiment:
@@ -242,12 +277,12 @@ class TestInvarianceExperiment:
         traj = homogeneous_traj()
         for _ in range(20):
             rho, gamma = rng.uniform(0.5, 4.0, 2)
-            rep = S.invariance_experiment(traj, S.family_from(rho, gamma), PARAMS)
+            rep = S.invariance_experiment(traj, S.family_from(rho, gamma))
             assert rep.overall, (rho, gamma, rep)
 
     def test_identity_trivially_passes(self):
         traj = homogeneous_traj()
-        rep = S.invariance_experiment(traj, S.family_from(1.0, 1.0), PARAMS)
+        rep = S.invariance_experiment(traj, S.family_from(1.0, 1.0))
         assert rep.overall
         assert rep.transformed == rep.original
 
@@ -256,8 +291,8 @@ class TestInvarianceExperiment:
         traj = T.run(st, 0.5, None, params, env,
                      T.StepConfig(dt_max=1e-3, guard=False), 0.0125)
         sp = S.family_from(2.0, 1.5)
-        rep_ok = S.invariance_experiment(traj, sp, params)
-        rep_bad = S.invariance_experiment(traj, sp.with_sigma(sp.sigma * 1.1), params)
+        rep_ok = S.invariance_experiment(traj, sp)
+        rep_bad = S.invariance_experiment(traj, sp.with_sigma(sp.sigma * 1.1))
         assert rep_ok.overall
         assert rep_bad.transformed.k >= 10.0 * rep_ok.transformed.k
 
@@ -273,7 +308,7 @@ class TestInvarianceExperiment:
             assert abs(dedt + sink[i]) <= 2e-3 * abs(sink[i])
 
     def test_report_serialization(self):
-        rep = S.invariance_experiment(homogeneous_traj(), S.family_from(2.0, 1.5), PARAMS)
+        rep = S.invariance_experiment(homogeneous_traj(), S.family_from(2.0, 1.5))
         lines = S.report_ndjson_lines(rep)
         import json
 

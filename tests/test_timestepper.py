@@ -18,7 +18,7 @@ from kolmobox import diagnostics as D
 from kolmobox import fields as F
 from kolmobox import model as M
 from kolmobox import timestepper as T
-from kolmobox.errors import PicardDiverged, StepRejected
+from kolmobox.errors import IncompatibleGrid, PicardDiverged, StepRejected
 
 PARAMS = M.ModelParams(alpha1=1.0, alpha2=10.0 / 7.0)
 
@@ -218,20 +218,21 @@ class TestRun:
 
 
 class TestForcingAndRetry:
-    def test_time_dependent_forcing_callback(self):
-        # du = f(t) for a resting homogeneous state; Heun integrates the ramp
-        # f(t) = (t, 0) exactly, so u1(dt) = dt^2 / 2
-        g = F.Grid(2, 8, 1.0)
-        ic = M.HomogeneousIC(u_const=(0.0, 0.0), omega0=1.0, k0=1.0)
-        env = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1.0)
-        st = M.homogeneous_state(g, ic, PARAMS)
+    @pytest.mark.parametrize("kind", ["scalar_field", "callable"])
+    def test_run_rejects_forcing_not_shaped_like_u(self, kind):
+        # a scalar-field forcing would broadcast onto every velocity component,
+        # and forcing is a constant array, not a function of t
+        st, env, params, forcing = perturbed_problem(2, False, True)
+        bad = forcing[0] if kind == "scalar_field" else (lambda t: forcing)
+        with pytest.raises(IncompatibleGrid):
+            T.run(st, 0.2, bad, params, env, T.StepConfig(), 0.05)
 
-        def forcing(t):
-            return const_vector(g, [t, 0.0])
-
-        dt = 0.25
-        out = T.step_explicit(st, dt, forcing, PARAMS, env, T.StepConfig())
-        assert out.u[0].flat[0] == pytest.approx(dt * dt / 2.0, rel=1e-12)
+    def test_run_stores_its_forcing(self):
+        st, env, params, forcing = perturbed_problem(2, False, True)
+        traj = T.run(st, 0.1, forcing, params, env, T.StepConfig(), 0.05)
+        assert traj.forcing is forcing
+        assert traj.times == tuple(s.t for s in traj.states) == (0.0, 0.05, 0.1)
+        assert T.run(st, 0.1, None, params, env, T.StepConfig(), 0.05).forcing is None
 
     def test_run_retries_with_halved_dt(self, monkeypatch):
         g, ic, env, st = homogeneous()
