@@ -74,9 +74,22 @@ def _write_series(outdir: Path, traj) -> None:
             fh.write(diag.ndjson_line(rec) + "\n")
 
 
+def _snapshot_names(times) -> list:
+    """`snap_<t>.kbox` with t to 6 decimals, or to as many more as keep every name distinct.
+
+    The sample times increase strictly, so enough decimals always tell them apart.
+    """
+    digits = 6
+    while True:
+        names = [f"snap_{t:.{digits}f}.kbox" for t in times]
+        if len(set(names)) == len(names):
+            return names
+        digits += 1
+
+
 def _write_snapshots(outdir: Path, traj) -> None:
-    for t, state in zip(traj.times, traj.states):
-        snap.write_snapshot(outdir / f"snap_{t:.6f}.kbox", state)
+    for name, state in zip(_snapshot_names(traj.times), traj.states):
+        snap.write_snapshot(outdir / name, state)
 
 
 def _write_summary(outdir: Path, summary: VerificationSummary) -> None:

@@ -228,9 +228,12 @@ def omega_balance_residual(traj, window) -> float:
     mean of omega.
     """
     idx, times = _window_indices(traj, window, 2)
+    return _omega_residual(traj, idx, times, _eps_corrections(traj, idx, "omega", M.omega_lower))
+
+
+def _omega_residual(traj, idx, times, eps_corr) -> float:
     mass = [F.integrate(traj.states[i].grid, traj.states[i].omega) for i in idx]
     sink = [traj.records[i].sink_omega for i in idx]
-    eps_corr = _eps_corrections(traj, idx, "omega", M.omega_lower)
     net = [s - e for s, e in zip(sink, eps_corr)]
     return abs(mass[-1] - mass[0] + _trapezoid(net, times))
 
@@ -243,10 +246,13 @@ def k_balance_residual(traj, window):
     this is the mass of the nonnegative defect measure on the window.
     """
     idx, times = _window_indices(traj, window, 2)
+    return _k_residual(traj, idx, times, _eps_corrections(traj, idx, "k", M.kappa))
+
+
+def _k_residual(traj, idx, times, eps_corr):
     mass = [F.integrate(traj.states[i].grid, traj.states[i].k) for i in idx]
     production = [_production_integral(traj.states[i], traj.params) for i in idx]
     sink = [traj.records[i].sink_k for i in idx]
-    eps_corr = _eps_corrections(traj, idx, "k", M.kappa)
     net = [p - s + e for p, s, e in zip(production, sink, eps_corr)]
     mu_proxy = mass[-1] - mass[0] - _trapezoid(net, times)
     return abs(mu_proxy), mu_proxy
@@ -259,10 +265,13 @@ def energy_gap(traj, window) -> float:
     for u == 0 trajectories the gap vanishes identically.
     """
     idx, times = _window_indices(traj, window, 2)
+    return _energy_gap(traj, idx, times, _eps_correction_u_energy(traj, idx))
+
+
+def _energy_gap(traj, idx, times, drain) -> float:
     e_kin = [traj.records[i].E_kin for i in idx]
     power = [traj.records[i].power_in for i in idx]
     diss = [traj.records[i].dissipation for i in idx]
-    drain = _eps_correction_u_energy(traj, idx)
     work = e_kin[0] + _trapezoid(power, times) + _trapezoid(drain, times)
     return work - (e_kin[-1] + _trapezoid(diss, times))
 
@@ -285,21 +294,21 @@ def _eps_correction_u_energy(traj, idx) -> list:
 
 
 def balance_report(traj, window) -> BalanceReport:
-    """Assemble all window balances in one report."""
+    """Assemble all window balances in one report; each eps correction is evaluated once."""
     idx, times = _window_indices(traj, window, 2)
-    k_res, mu = k_balance_residual(traj, window)
-    eps_corr = {
-        "omega": _trapezoid(_eps_corrections(traj, idx, "omega", M.omega_lower), times),
-        "k": _trapezoid(_eps_corrections(traj, idx, "k", M.kappa), times),
-        "u_energy": _trapezoid(_eps_correction_u_energy(traj, idx), times),
+    corr = {
+        "omega": _eps_corrections(traj, idx, "omega", M.omega_lower),
+        "k": _eps_corrections(traj, idx, "k", M.kappa),
+        "u_energy": _eps_correction_u_energy(traj, idx),
     }
+    k_res, mu = _k_residual(traj, idx, times, corr["k"])
     return BalanceReport(
         window=(float(times[0]), float(times[-1])),
-        omega_residual=omega_balance_residual(traj, window),
+        omega_residual=_omega_residual(traj, idx, times, corr["omega"]),
         k_residual=k_res,
         mu_proxy=mu,
-        energy_gap=energy_gap(traj, window),
-        epsilon_corrections=eps_corr,
+        energy_gap=_energy_gap(traj, idx, times, corr["u_energy"]),
+        epsilon_corrections={name: _trapezoid(c, times) for name, c in corr.items()},
     )
 
 

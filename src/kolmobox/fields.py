@@ -10,7 +10,9 @@ Stencils count the spatial axes from the end, so one call serves a scalar and
 every component of a vector alike.  They are slice differences with periodic
 wrap written into one fresh array (`_diff`, `_next`), with the same
 subtraction and then the same division as a rolled copy would give, bit for
-bit.
+bit.  The slicing of each stencil is planned once per array shape, axis and
+offset pair and cached (`_stencil_plan`), so a call on a small grid costs
+little more than its subtractions.
 
 A caller that applies several operators to the same field can build the
 shared stencils once -- `partials`, `face_differences`, `face_averages` of a
@@ -126,32 +128,50 @@ def _along(axis: int, start: int, stop: int) -> tuple:
     return (Ellipsis, slice(start, stop)) + (slice(None),) * (-1 - axis)
 
 
+@lru_cache(maxsize=256)
+def _stencil_plan(shape: tuple, axis: int, hi: int, lo: int) -> tuple:
+    """Slicing of a[j+hi] - a[j+lo] along `axis` for arrays of `shape`; -1 <= lo <= 0 <= hi <= 1.
+
+    Returns ((out, hi, lo), wraps).  The first triple slices the flattened
+    arrays, offset by whole rows of `axis`; one subtraction over it gets every
+    point right except the rows whose stencil wraps.  `wraps` holds one
+    (out, hi, lo) triple of index tuples per such row.  Only ints, slices and
+    index tuples are kept, never an array.
+    """
+    n, row = shape[axis], math.prod(shape[len(shape) + axis + 1:])
+    size, m = math.prod(shape), (hi - lo) * row
+    interior = (slice(-lo * row, size - hi * row), slice(m, size), slice(0, size - m))
+
+    def at(j):  # row j of `axis`, periodic
+        return _along(axis, j % n, j % n + 1)
+
+    wraps = tuple((at(j), at(j + hi), at(j + lo)) for j in (*range(-lo), *range(n - hi, n)))
+    return interior, wraps
+
+
 def _diff(a: np.ndarray, axis: int, hi: int, lo: int, out=None) -> np.ndarray:
     """a[j+hi] - a[j+lo] along `axis`, periodic; -1 <= lo <= 0 <= hi <= 1.
 
-    Written into `out`, or into a new array.  One subtraction runs over the
-    flattened arrays, offset by whole rows of `axis`; it gets every point
-    right except the rows whose stencil wraps, which are then overwritten.
+    Written into `out` (C-contiguous), or into a new array: one subtraction
+    over the flattened arrays, then one per wrapping row, as `_stencil_plan`
+    lays them out.
     """
-    n, row = a.shape[axis], math.prod(a.shape[a.ndim + axis + 1:])
     if out is None:
         out = np.empty(a.shape, dtype=np.result_type(a, 1.0))
-    flat, oflat = a.reshape(-1), out.reshape(-1)
-    m = (hi - lo) * row
-    np.subtract(flat[m:], flat[: flat.size - m], out=oflat[-lo * row: oflat.size - hi * row])
-    for j in (*range(-lo), *range(n - hi, n)):
-        jh, jl = (j + hi) % n, (j + lo) % n
-        np.subtract(a[_along(axis, jh, jh + 1)], a[_along(axis, jl, jl + 1)],
-                    out=out[_along(axis, j, j + 1)])
+    (o, h, l), wraps = _stencil_plan(a.shape, axis, hi, lo)
+    flat = a.reshape(-1)
+    np.subtract(flat[h], flat[l], out=out.reshape(-1)[o])
+    for o, h, l in wraps:
+        np.subtract(a[h], a[l], out=out[o])
     return out
 
 
 def _next(a: np.ndarray, axis: int) -> np.ndarray:
     """New array a[j+1] along `axis` with periodic wrap."""
-    n, row = a.shape[axis], math.prod(a.shape[a.ndim + axis + 1:])
     out = np.empty(a.shape, dtype=np.result_type(a, 1.0))
-    out.reshape(-1)[: a.size - row] = a.reshape(-1)[row:]
-    out[_along(axis, n - 1, n)] = a[_along(axis, 0, 1)]
+    (o, h, _), ((wo, wh, _),) = _stencil_plan(a.shape, axis, 1, 0)
+    out.reshape(-1)[o] = a.reshape(-1)[h]
+    out[wo] = a[wh]
     return out
 
 

@@ -130,20 +130,23 @@ def _guard(arr: np.ndarray, level: float):
     return np.where(mask, level, arr), hits
 
 
-def _finish_stage(g, u, om, kk, t_new, params, env, cfg) -> State:
-    """Project u, then apply the positivity guard against the envelopes at t_new."""
+def _finish_stage(g, u, om, kk, t_new, params, env, cfg, hits=0) -> State:
+    """Project u, then apply the positivity guard against the envelopes at t_new.
+
+    The state's `guard_hits` are this stage's clamps plus `hits`, those the
+    step counted before it.
+    """
     w, p = F.leray_project(g, u)
-    hits = 0
     if cfg.guard:
         om, n1 = _guard(om, M.omega_lower(t_new, env, params) * (1.0 - _GUARD_SLACK))
         kk, n2 = _guard(kk, M.kappa(t_new, env, params) * (1.0 - _GUARD_SLACK))
-        hits = n1 + n2
+        hits += n1 + n2
     return State(t=t_new, grid=g, u=w, omega=om, k=kk, p=p, guard_hits=hits)
 
 
 def _check_finite(state: State, dt: float):
-    for a in (*state.u, state.omega, state.k):
-        if not np.all(np.isfinite(a)):
+    for a in (state.u, state.omega, state.k):
+        if not np.isfinite(a).all():
             raise StepRejected(f"non-finite field after step dt={dt}")
 
 
@@ -191,8 +194,8 @@ def step_explicit(
         params,
         env,
         cfg,
+        s1.guard_hits,
     )
-    out = replace(out, guard_hits=out.guard_hits + s1.guard_hits)
     _check_finite(out, dt)
     return out
 

@@ -55,6 +55,23 @@ def test_run_outputs_and_determinism(tmp_path):
     assert (tmp_path / "again.kbox").read_bytes() == snaps[0].read_bytes()
 
 
+@pytest.mark.parametrize("t_end,sample_every,stamps", [
+    ("1.0000001", "0.5", ["0.0000000", "0.5000000", "1.0000000", "1.0000001"]),
+    ("2e-6", "2.5e-7", ["0.0000000", "0.0000002", "0.0000005", "0.0000008", "0.0000010",
+                        "0.0000012", "0.0000015", "0.0000017", "0.0000020"]),
+], ids=["close_final_sample", "sub_microsecond_samples"])
+def test_every_sample_gets_its_own_snapshot(tmp_path, t_end, sample_every, stamps):
+    # at 6 decimals two of these sample times print alike; every name takes a 7th
+    text = f"dim = 1\nn = 4\nt_end = {t_end}\nsample_every = {sample_every}\n"
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
+    times = [json.loads(line)["t"] for line in (out / "series.ndjson").read_text().splitlines()]
+    snaps = sorted(out.glob("snap_*.kbox"))
+    assert [p.name for p in snaps] == [f"snap_{s}.kbox" for s in stamps]
+    assert len(times) == len(snaps)
+    assert len({p.read_bytes() for p in snaps}) == len(snaps)  # no state written twice
+
+
 DECAY = """
 dim = 1
 n = 8

@@ -8,6 +8,7 @@ from conftest import (
     const_vector,
     entropy_bracket_constant,
     exact_homogeneous_trajectory,
+    regularized_params,
     structured_problem,
     zero_vector,
 )
@@ -219,15 +220,15 @@ class TestBalanceReport:
         assert rep.epsilon_corrections == {"omega": 0.0, "k": 0.0, "u_energy": 0.0}
         assert rep.k_residual == abs(rep.mu_proxy)
 
-    def test_regularized_omega_balance_includes_eps_terms(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            params = M.ModelParams(alpha1=1.0, alpha2=10.0 / 7.0, eps=1e-2, r=3.2,
-                                   regularized=True)
+    @staticmethod
+    def regularized_trajectory():
+        """Nine samples of a regularized run on t in [0, 0.1]."""
         g, st, env, _ = structured_problem(n=8)
-        traj = T.run(st, 0.1, None, params, env, T.StepConfig(dt_max=1e-3, guard=False), 0.0125)
+        params = regularized_params(r=3.2, eps=1e-2)
+        return T.run(st, 0.1, None, params, env, T.StepConfig(dt_max=1e-3, guard=False), 0.0125)
+
+    def test_regularized_omega_balance_includes_eps_terms(self):
+        traj = self.regularized_trajectory()
         rep = D.balance_report(traj, (0.0, 0.1))
         assert rep.epsilon_corrections["omega"] != 0.0
         # with the corrections included the residual sits at quadrature level,
@@ -236,18 +237,31 @@ class TestBalanceReport:
         assert rep.omega_residual <= 0.1 * abs(rep.epsilon_corrections["omega"])
 
     def test_regularized_energy_gap_includes_eps_drain(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            params = M.ModelParams(alpha1=1.0, alpha2=10.0 / 7.0, eps=1e-2, r=3.2,
-                                   regularized=True)
-        g, st, env, _ = structured_problem(n=8)
-        traj = T.run(st, 0.1, None, params, env, T.StepConfig(dt_max=1e-3, guard=False), 0.0125)
+        traj = self.regularized_trajectory()
         rep = D.balance_report(traj, (0.0, 0.1))
         # without the eps drain the gap would be about the size of the drain itself
         assert rep.epsilon_corrections["u_energy"] != 0.0
         assert abs(rep.energy_gap) <= 0.1 * abs(rep.epsilon_corrections["u_energy"])
+
+    def test_each_eps_correction_is_evaluated_once(self, monkeypatch):
+        traj = self.regularized_trajectory()
+        window = (0.0, 0.1)
+        calls = []
+        for name in ("r_laplacian_vec", "signed_power"):
+            def counting(*args, _real=getattr(F, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(F, name, counting)
+        rep = D.balance_report(traj, window)
+        assert len(traj.states) == 9
+        assert calls.count("r_laplacian_vec") == 9  # the u drain, once per sample
+        assert calls.count("signed_power") == 18  # the omega and k damping, once per sample
+        monkeypatch.undo()
+        # the shared corrections give the standalone balances bit for bit
+        assert rep.omega_residual == D.omega_balance_residual(traj, window)
+        assert (rep.k_residual, rep.mu_proxy) == D.k_balance_residual(traj, window)
+        assert rep.energy_gap == D.energy_gap(traj, window)
 
 
 class TestLengthScale:

@@ -440,6 +440,73 @@ class TestStencilOracle:
             assert np.array_equal(F._face_avg(a, ax, g), 0.5 * (a + nxt))
             assert np.array_equal(F._face_div(a, ax, g, 0.37), (a - prv) / 0.37)
 
+    @staticmethod
+    def assert_stencils_match_roll(a, dim):
+        for axis in range(-dim, 0):
+            nxt, prv = np.roll(a, -1, axis=axis), np.roll(a, 1, axis=axis)
+            assert np.array_equal(F._next(a, axis), nxt)
+            for hi, lo, ref in ((1, -1, nxt - prv), (1, 0, nxt - a), (0, -1, a - prv)):
+                assert np.array_equal(F._diff(a, axis, hi, lo), ref)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_plans_reused_across_calls_never_across_shapes(self, dim, rng):
+        # n = 4 is the smallest grid: the wrap rows are half of every axis
+        small, large = F.Grid(dim, 4, 1.0), F.Grid(dim, 6, 1.0)
+        fields = {}
+        for g in (small, large):
+            tensor = rng.standard_normal((dim, dim) + g.shape)
+            fields[g] = (rng.standard_normal(g.shape), rng.standard_normal((dim,) + g.shape),
+                         tensor[:, 0], tensor)
+        for g in (small, large, small):  # back to the first grid after the second
+            for a in fields[g]:
+                self.assert_stencils_match_roll(a, dim)
+            misses = F._stencil_plan.cache_info().misses
+            for a in fields[g]:  # a second pass plans nothing new
+                self.assert_stencils_match_roll(a, dim)
+            assert F._stencil_plan.cache_info().misses == misses
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_non_contiguous_input(self, dim, rng):
+        g = F.Grid(dim, 4, 1.0)
+        transposed = rng.standard_normal(g.shape).T
+        strided = rng.standard_normal((dim, 2 * g.n) + g.shape[1:])[:, ::2]
+        for a in (transposed, strided):
+            assert not a.flags.c_contiguous
+            self.assert_stencils_match_roll(a, dim)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_out_is_a_row_of_a_stacked_array(self, dim, n, rng):
+        g = F.Grid(dim, n, 1.0)
+        f = rng.standard_normal((dim,) + g.shape)
+        out = np.full((dim,) + f.shape, np.nan)
+        for ax in range(dim):
+            assert np.shares_memory(F._diff(f, ax - dim, 1, -1, out[ax]), out)
+            assert np.array_equal(out[ax], np.roll(f, -1, ax - dim) - np.roll(f, 1, ax - dim))
+            assert np.isnan(out[ax + 1:]).all()  # the rows not yet written stay untouched
+        stacked = np.stack([F._centered(f, ax, g) for ax in range(dim)])
+        assert np.array_equal(F.gradient(g, f), stacked)
+
+    def test_cached_plans_hold_no_array_and_the_cache_is_bounded(self):
+        def leaves(x):
+            if isinstance(x, tuple):
+                for y in x:
+                    yield from leaves(y)
+            elif isinstance(x, slice):
+                yield from (x.start, x.stop, x.step)
+            else:
+                yield x
+
+        for dim in (1, 2, 3):
+            g = F.Grid(dim, 4, 1.0)
+            for shape in (g.shape, (dim,) + g.shape):
+                for axis in range(-dim, 0):
+                    for hi, lo in ((1, -1), (1, 0), (0, -1)):
+                        for x in leaves(F._stencil_plan(shape, axis, hi, lo)):
+                            assert x is None or x is Ellipsis or type(x) is int
+        info = F._stencil_plan.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
 
 def _rolled(a, ax, g, shift):
     return np.roll(a, shift, axis=ax - g.dim)

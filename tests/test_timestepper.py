@@ -324,11 +324,13 @@ class TestStencilCount:
     averages) calls in one step, CFL step included: two right-hand sides (the
     second shares nothing with the first) and two projections.  They are upper
     bounds, so a further saving passes; today a step takes exactly 64 `_diff`
-    and 20 `_next` calls at 2D regularized, 72 and 6 at 3D unregularized.
+    and 20 `_next` calls at 2D regularized, 72 and 6 at 3D unregularized, and
+    24 and 2 at 1D unregularized, the path of the homogeneous `decay` runs.
     """
 
-    @pytest.mark.parametrize("dim,regularized,diffs,nexts", [(2, True, 64, 20), (3, False, 72, 6)],
-                             ids=["2d_regularized", "3d_plain"])
+    @pytest.mark.parametrize("dim,regularized,diffs,nexts",
+                             [(2, True, 64, 20), (3, False, 72, 6), (1, False, 24, 2)],
+                             ids=["2d_regularized", "3d_plain", "1d_plain"])
     def test_stencil_calls_per_explicit_step(self, dim, regularized, diffs, nexts, monkeypatch):
         st, env, params, forcing = perturbed_problem(dim, regularized, not regularized)
         cfg = T.StepConfig()
