@@ -36,6 +36,11 @@ counterparts of the continuous identities exact:
 
 Reductions use numpy's fixed-order pairwise summation over C-contiguous
 arrays, one component at a time, so diagnostics are bit-reproducible.
+
+`diffusion_solve` inverts I - c*Lap_h, with Lap_h the compact 3-point
+Laplacian (`div_flux` with unit coefficient), by the same real-to-complex
+transform and a symbol also built once per grid; for c >= 0 the inverse keeps
+constants and the mean, and adds no new extrema.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ __all__ = [
     "r_laplacian",
     "r_laplacian_vec",
     "leray_project",
+    "diffusion_solve",
     "integrate",
     "lp_norm",
     "w1p_seminorm",
@@ -152,12 +158,15 @@ def _stencil_plan(shape: tuple, axis: int, hi: int, lo: int) -> tuple:
 def _diff(a: np.ndarray, axis: int, hi: int, lo: int, out=None) -> np.ndarray:
     """a[j+hi] - a[j+lo] along `axis`, periodic; -1 <= lo <= 0 <= hi <= 1.
 
-    Written into `out` (C-contiguous), or into a new array: one subtraction
-    over the flattened arrays, then one per wrapping row, as `_stencil_plan`
-    lays them out.
+    Written into `out`, or into a new array: one subtraction over the
+    flattened arrays, then one per wrapping row, as `_stencil_plan` lays them
+    out.  `out` must be C-contiguous, since only then is its flattened view
+    the array itself; any other `out` raises ValueError.
     """
     if out is None:
         out = np.empty(a.shape, dtype=np.result_type(a, 1.0))
+    elif not out.flags.c_contiguous:
+        raise ValueError("_diff: out must be C-contiguous")
     (o, h, l), wraps = _stencil_plan(a.shape, axis, hi, lo)
     flat = a.reshape(-1)
     np.subtract(flat[h], flat[l], out=out.reshape(-1)[o])
@@ -428,7 +437,7 @@ def max_face_gradient(g: Grid, f: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Leray projection
+# Fourier solves: Leray projection and diffusion
 
 
 @lru_cache(maxsize=8)
@@ -473,6 +482,39 @@ def leray_project(g: Grid, v: np.ndarray) -> tuple:
     phat *= -1j
     p = np.fft.irfftn(phat, s=g.shape, axes=tuple(range(g.dim)))
     return v - gradient(g, p), p
+
+
+@lru_cache(maxsize=8)
+def _diffusion_symbol(g: Grid) -> np.ndarray:
+    """Half-spectrum symbol of -Lap_h, (4/h^2) * sum over axes of sin^2(pi m / n), read-only.
+
+    Lap_h is the compact 3-point Laplacian, f[j+1] - 2 f[j] + f[j-1] over h^2
+    along each axis; the array is shaped like `rfftn` output of a scalar.
+    """
+    n, d = g.n, g.dim
+    base = 4.0 / (g.h * g.h) * np.sin(np.pi * np.fft.fftfreq(n)) ** 2
+    lam = np.zeros((n,) * (d - 1) + (n // 2 + 1,))
+    for ax in range(d):
+        shape = [1] * d
+        shape[ax] = lam.shape[ax]
+        lam += base[: shape[ax]].reshape(shape)
+    lam.flags.writeable = False
+    return lam
+
+
+def diffusion_solve(g: Grid, f: np.ndarray, c) -> np.ndarray:
+    """(I - c*Lap_h)^-1 f over the last `g.dim` axes, Lap_h the compact Laplacian.
+
+    f is a scalar, a vector or any stack of fields.  c >= 0 is one number, or
+    a 1-D array with one coefficient per row of f's first axis, so that rows
+    with different coefficients share one transform.
+    """
+    axes = tuple(range(f.ndim - g.dim, f.ndim))
+    c = np.asarray(c, dtype=np.float64)
+    denom = 1.0 + c.reshape(c.shape + (1,) * g.dim) * _diffusion_symbol(g)
+    fhat = np.fft.rfftn(f, axes=axes)
+    fhat /= denom
+    return np.fft.irfftn(fhat, s=g.shape, axes=axes)
 
 
 # ---------------------------------------------------------------------------

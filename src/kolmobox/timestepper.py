@@ -1,10 +1,12 @@
 """Time integration of the semi-discrete system.
 
 Two schemes: an explicit two-stage SSP Runge-Kutta (Heun) step with Leray
-projection after each stage, and a Rothe step (implicit Euler solved by damped
-Picard iteration on the stationary operator).  Both end with a positivity
-guard that clamps omega and k at a small slack below their comparison
-envelopes; clamping is counted, never silent, and so are rejected attempts.
+projection after each stage, and a Rothe step (implicit Euler on the
+stationary operator, solved by Picard iteration preconditioned with one
+constant-coefficient Fourier diffusion solve per iterate).  Both end with a
+positivity guard that clamps omega and k at a small slack below their
+comparison envelopes; clamping is counted, never silent, and so are rejected
+attempts.
 
 On the explicit path `run` evaluates stage 1 once per step and takes the CFL
 step from the maxima that evaluation reports, so the state's stencils are not
@@ -39,8 +41,6 @@ __all__ = [
 # the guard clamps omega and k this fraction below their envelope lower bounds,
 # which are positive, so no absolute floor is needed
 _GUARD_SLACK = 0.05
-# Picard update U <- U - _PICARD_DAMPING * dt * residual(U)
-_PICARD_DAMPING = 0.7
 
 
 @dataclass(frozen=True)
@@ -207,6 +207,8 @@ def operator_apply(
     forcing: Optional[np.ndarray],
     params: ModelParams,
     env: ComparisonEnvelope,
+    *,
+    limits: Optional[list] = None,
 ):
     """Implicit-Euler residual (U - U_old)/dt + A(U) - F at time t_old + dt.
 
@@ -214,12 +216,13 @@ def operator_apply(
     discrete field operators (advection in skew form, diffusion in flux form,
     r-terms, damping, production); F carries the external forcing and the
     envelope sources.  dt = inf drops the time term and returns A(U) - F.
-    Zero residual characterizes the discrete implicit-Euler solution.
+    Zero residual characterizes the discrete implicit-Euler solution.  A list
+    `limits` receives the candidate's maxima as `model.rhs` reports them.
     """
     if not params.regularized:
         raise ValueError("operator_apply requires regularized parameters")
     t_new = state_old.t + dt if math.isfinite(dt) else state_old.t
-    du, dom, dk = M.rhs(state_candidate, t_new, forcing, params, env)
+    du, dom, dk = M.rhs(state_candidate, t_new, forcing, params, env, limits=limits)
     return (
         (state_candidate.u - state_old.u) / dt - du,
         (state_candidate.omega - state_old.omega) / dt - dom,
@@ -244,24 +247,34 @@ def step_rothe(
     env: ComparisonEnvelope,
     cfg: StepConfig,
 ) -> State:
-    """Implicit Euler via damped Picard: U <- U - damping * dt * residual(U).
+    """Implicit Euler by preconditioned Picard: U <- U - dt * (I - dt*L)^-1 residual(U).
 
-    The u-residual is Leray-projected each iterate (the discarded gradient
-    part is the pressure).  Convergence is declared when the residual norm
-    drops below picard_tol relative to |U_old|/dt.
+    L is the constant-coefficient diffusion nu*cbar*Lap_h, with Lap_h the
+    compact Laplacian, cbar the largest eddy coefficient of the old state (as
+    the first iterate's `rhs` reports it) and nu = nu0/2 for u, nu1 for omega
+    and nu2 for k; (I - dt*L)^-1 is one `fields.diffusion_solve` over all
+    fields.  It takes the stiff diffusion out of the iteration and leaves the
+    fixed point as it is.  The u-residual is Leray-projected each iterate (the
+    discarded gradient part is the pressure).  Convergence is declared when
+    the residual norm drops below picard_tol relative to |U_old|/dt.
     """
     if dt == 0.0:
         return replace(state, guard_hits=0)
     g = state.grid
+    d = g.dim
     t_new = state.t + dt
-    theta = _PICARD_DAMPING * dt
 
     scale = (_l2(g, state.u) + _l2(g, [state.omega]) + _l2(g, [state.k])) / dt + 1e-300
 
     u, om, kk, p_last = state.u, state.omega, state.k, state.p
+    coeffs = None
     for _ in range(cfg.picard_max_iters):
         cand = State(t=t_new, grid=g, u=u, omega=om, k=kk, p=p_last)
-        ru, rom, rk = operator_apply(cand, state, dt, forcing, params, env)
+        limits = [] if coeffs is None else None  # the first candidate is the old state
+        ru, rom, rk = operator_apply(cand, state, dt, forcing, params, env, limits=limits)
+        if coeffs is None:
+            cbar = dt * limits[0]
+            coeffs = cbar * np.array([0.5 * params.nu0] * d + [params.nu1, params.nu2])
         ru_sol, p_res = F.leray_project(g, ru)
         res = _l2(g, ru_sol) + _l2(g, [rom, rk])
         if not math.isfinite(res):
@@ -272,9 +285,11 @@ def step_rothe(
             out = replace(out, p=p_last)
             _check_finite(out, dt)
             return out
-        u = u - theta * ru_sol
-        om = om - theta * rom
-        kk = kk - theta * rk
+        corr = F.diffusion_solve(g, np.concatenate((ru_sol, rom[None], rk[None])), coeffs)
+        corr *= dt
+        u = u - corr[:d]
+        om = om - corr[d]
+        kk = kk - corr[d + 1]
     raise PicardDiverged(f"no convergence in {cfg.picard_max_iters} iterations at dt={dt}")
 
 

@@ -277,6 +277,37 @@ def test_solver_error_exits_2_and_names_the_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: DegenerateOmega: min(omega) = ")
 
 
+ROTHE = """
+dim = 2
+n = 16
+side = 6.283185307179586
+regularized = true
+eps = 1e-3
+r = 3.2
+guard = false
+ic = perturbed
+perturb_modes = u1:1:1:2.0, u2:0:2:2.0, omega:0:1:0.1, k:1:1:0.5
+scheme = rothe_picard
+t_end = 0.01
+sample_every = 0.0025
+"""
+
+
+def test_rothe_run_writes_every_sample(tmp_path):
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(write_cfg(tmp_path, ROTHE)), "--out", str(out)]) == 0
+    times = [json.loads(line)["t"] for line in (out / "series.ndjson").read_text().splitlines()]
+    assert times == pytest.approx([0.0, 0.0025, 0.005, 0.0075, 0.01], rel=1e-12, abs=0.0)
+    assert len(sorted(out.glob("snap_*.kbox"))) == len(times)
+
+
+def test_rothe_without_convergence_exits_2_on_one_stderr_line(tmp_path, capsys):
+    # one iterate can never meet picard_tol, so every halving fails too
+    code, err = run_cli(tmp_path, capsys, ROTHE + "picard_max_iters = 1\n")
+    assert code == 2
+    assert err == ["error: StepRejected: step rejected after 10 dt halvings"]
+
+
 def test_overflow_exits_2_on_one_stderr_line(tmp_path):
     # a real process: pytest's warning capture would hide numpy's warnings from cli.main
     cfg = write_cfg(tmp_path, config_with("ic = perturbed\nperturb_modes = u1:0:1:1e200"))

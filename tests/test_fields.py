@@ -419,6 +419,61 @@ class TestProjectionOracle:
                 arr[...] = 0.0
 
 
+class TestDiffusionSolve:
+    """(I - c Lap_h)^-1 for the compact Laplacian Lap_h = div_flux(1, .)."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("c", [0.0, 1e-3, 0.7])
+    def test_inverts_compact_operator(self, dim, c, rng):
+        g = F.Grid(dim, 8 if dim == 3 else 16, 1.3)
+        f = random_scalar(g, rng)
+        v = F.diffusion_solve(g, f, c)
+        back = v - c * F.div_flux(g, const(g, 1.0), v)
+        assert np.abs(back - f).max() <= 1e-12 * np.abs(f).max()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_constants_and_mean_kept(self, dim, rng):
+        g = F.Grid(dim, 8, 2.0)
+        assert np.abs(F.diffusion_solve(g, const(g, 3.5), 0.9) - 3.5).max() <= 1e-12 * 3.5
+        f = random_scalar(g, rng)
+        v = F.diffusion_solve(g, f, 0.9)
+        assert abs(v.mean() - f.mean()) <= 1e-12 * np.abs(f).max()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("c", [1e-4, 0.05, 10.0])
+    def test_no_new_extrema(self, dim, c, rng):
+        g = F.Grid(dim, 8, 1.0)
+        f = random_scalar(g, rng, 0.0, 1.0)
+        f.flat[0] = 40.0  # a spike whose undershoot a non-positive inverse would show
+        v = F.diffusion_solve(g, f, c)
+        tol = 1e-12 * f.max()
+        assert v.min() >= f.min() - tol
+        assert v.max() <= f.max() + tol
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_match_one_at_a_time(self, dim, rng):
+        g = F.Grid(dim, 8, 1.3)
+        u = random_vector(g, rng)
+        v = F.diffusion_solve(g, u, 0.3)
+        for uc, vc in zip(u, v):
+            assert np.abs(vc - F.diffusion_solve(g, uc, 0.3)).max() <= 1e-12 * np.abs(uc).max()
+        coeffs = np.linspace(0.1, 2.0, dim)
+        w = F.diffusion_solve(g, u, coeffs)
+        for uc, wc, c in zip(u, w, coeffs):
+            assert np.abs(wc - F.diffusion_solve(g, uc, c)).max() <= 1e-12 * np.abs(uc).max()
+
+    def test_symbol_cached_read_only(self):
+        F._diffusion_symbol.cache_clear()
+        lam = F._diffusion_symbol(F.Grid(2, 8, 1.0))
+        assert F._diffusion_symbol(F.Grid(2, 8, 1.0)) is lam
+        info = F._diffusion_symbol.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert lam.shape == (8, 5)
+        assert not lam.flags.writeable
+        with pytest.raises(ValueError):
+            lam[...] = 0.0
+
+
 class TestStencilOracle:
     """The slice stencils equal, bit for bit, the np.roll forms they replaced."""
 
@@ -439,6 +494,13 @@ class TestStencilOracle:
             assert np.array_equal(F._fwd(a, ax, g), (nxt - a) / g.h)
             assert np.array_equal(F._face_avg(a, ax, g), 0.5 * (a + nxt))
             assert np.array_equal(F._face_div(a, ax, g, 0.37), (a - prv) / 0.37)
+
+    def test_non_contiguous_out_raises(self):
+        # its flattened view would be a copy, so the interior would never reach `out`
+        out = np.zeros((4, 4)).T
+        with pytest.raises(ValueError, match="C-contiguous"):
+            F._diff(np.arange(16.).reshape(4, 4), -1, 1, -1, out)
+        assert not out.any()
 
     @staticmethod
     def assert_stencils_match_roll(a, dim):

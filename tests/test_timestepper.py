@@ -416,6 +416,31 @@ class TestRothe:
         ratio = diffs[2e-4] / diffs[1e-4]
         assert 4.0 * 0.7 <= ratio <= 4.0 * 1.3
 
+    def test_preconditioned_iterates_per_step(self, monkeypatch):
+        # with the stiff diffusion preconditioned away this takes 7 iterates;
+        # an update damped by 0.7 takes 16
+        params = regularized_params()
+        g, st, env, _ = structured_problem(n=16)
+        cfg = T.StepConfig(scheme="rothe_picard")
+        calls = []
+        apply = T.operator_apply
+        monkeypatch.setattr(T, "operator_apply",
+                            lambda *a, **kw: calls.append(1) or apply(*a, **kw))
+        T.step_rothe(st, T.cfl_dt(st, params, cfg), None, params, env, cfg)
+        assert len(calls) <= 8
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_returned_state_meets_stopping_test(self, n):
+        params = regularized_params()
+        g, st, env, _ = structured_problem(n=n)
+        cfg = T.StepConfig(scheme="rothe_picard", guard=False)
+        dt = T.cfl_dt(st, params, cfg)
+        out = T.step_rothe(st, dt, None, params, env, cfg)
+        ru, rom, rk = T.operator_apply(out, st, dt, None, params, env)
+        ru_sol, _ = F.leray_project(g, ru)
+        scale = (T._l2(g, st.u) + T._l2(g, [st.omega]) + T._l2(g, [st.k])) / dt
+        assert T._l2(g, ru_sol) + T._l2(g, [rom, rk]) <= cfg.picard_tol * scale
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow en route to divergence
     def test_diverges_loudly_for_huge_dt(self):
         params = regularized_params()
