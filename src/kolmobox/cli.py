@@ -242,12 +242,11 @@ def cmd_scaling(cfg: RunConfig, outdir: Path, rho: float, gamma: float) -> int:
         worst = max(worst, res.overall)
 
     checks = [
-        Check("invariance_u", report.transformed.u, 3.0 * report.expected.u, report.passed["u"]),
-        Check("invariance_omega", report.transformed.omega, 3.0 * report.expected.omega,
-              report.passed["omega"]),
-        Check("invariance_k", report.transformed.k, 3.0 * report.expected.k, report.passed["k"]),
-        Check("coefficient_invariance", worst, 1e-12, worst <= 1e-12),
+        Check(f"invariance_{name}", getattr(report.transformed, name), getattr(report.bound, name),
+              report.passed[name])
+        for name in ("u", "omega", "k")
     ]
+    checks.append(Check("coefficient_invariance", worst, 1e-12, worst <= 1e-12))
     return _finish(outdir, VerificationSummary("scaling", checks))
 
 

@@ -1,10 +1,10 @@
 """Observables and verification quantities computed from states and trajectories.
 
 Per-sample records hold energies, dissipation, sink terms, envelope-violation
-depths and the minimum length scale; window operations evaluate the integral
+depths and the minimum length scale; `balance_report` evaluates the window
 balances of the omega and k equations (with the regularization source/damping
-integrals separated out), the kinetic-energy equality gap, the entropy
-functional, and log-log decay-exponent fits.
+integrals separated out) and the kinetic-energy equality gap; the entropy
+functional and log-log decay-exponent fits complete the set.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ __all__ = [
     "LengthScaleCheck",
     "record",
     "ndjson_line",
-    "omega_balance_residual",
-    "k_balance_residual",
-    "energy_gap",
     "balance_report",
     "length_scale_check",
     "entropy_phi",
@@ -220,36 +217,26 @@ def _production_integral(state: State, params: ModelParams) -> float:
     return params.nu0 * F.integrate(g, prod * dsq)
 
 
-def omega_balance_residual(traj, window) -> float:
+def _omega_residual(traj, idx, times, eps_corr) -> float:
     """|d integral(omega) + time-integrated sink - eps corrections| over the window.
 
     Exact for the semi-discrete dynamics up to time quadrature: advection and
     fluxes integrate to zero, so only the damping (and eps terms) move the
     mean of omega.
     """
-    idx, times = _window_indices(traj, window, 2)
-    return _omega_residual(traj, idx, times, _eps_corrections(traj, idx, "omega", M.omega_lower))
-
-
-def _omega_residual(traj, idx, times, eps_corr) -> float:
     mass = [F.integrate(traj.states[i].grid, traj.states[i].omega) for i in idx]
     sink = [traj.records[i].sink_omega for i in idx]
     net = [s - e for s, e in zip(sink, eps_corr)]
     return abs(mass[-1] - mass[0] + _trapezoid(net, times))
 
 
-def k_balance_residual(traj, window):
+def _k_residual(traj, idx, times, eps_corr):
     """(residual, mu_proxy) of the k balance over the window.
 
     mu_proxy = integral(k)(t) - integral(k)(s) - time-quadrature of
     (production - sink + eps corrections); for the continuous limit object
     this is the mass of the nonnegative defect measure on the window.
     """
-    idx, times = _window_indices(traj, window, 2)
-    return _k_residual(traj, idx, times, _eps_corrections(traj, idx, "k", M.kappa))
-
-
-def _k_residual(traj, idx, times, eps_corr):
     mass = [F.integrate(traj.states[i].grid, traj.states[i].k) for i in idx]
     production = [_production_integral(traj.states[i], traj.params) for i in idx]
     sink = [traj.records[i].sink_k for i in idx]
@@ -258,17 +245,12 @@ def _k_residual(traj, idx, times, eps_corr):
     return abs(mu_proxy), mu_proxy
 
 
-def energy_gap(traj, window) -> float:
+def _energy_gap(traj, idx, times, drain) -> float:
     """Kinetic-energy equality defect: (E_kin(s) + work + eps drain) - (E_kin(t) + dissipation).
 
     Zero means the discrete run satisfies the u-energy equality on the window;
     for u == 0 trajectories the gap vanishes identically.
     """
-    idx, times = _window_indices(traj, window, 2)
-    return _energy_gap(traj, idx, times, _eps_correction_u_energy(traj, idx))
-
-
-def _energy_gap(traj, idx, times, drain) -> float:
     e_kin = [traj.records[i].E_kin for i in idx]
     power = [traj.records[i].power_in for i in idx]
     diss = [traj.records[i].dissipation for i in idx]
@@ -294,7 +276,10 @@ def _eps_correction_u_energy(traj, idx) -> list:
 
 
 def balance_report(traj, window) -> BalanceReport:
-    """Assemble all window balances in one report; each eps correction is evaluated once."""
+    """Assemble all window balances in one report; each eps correction is evaluated once.
+
+    The fields are defined at `_omega_residual`, `_k_residual` and `_energy_gap`.
+    """
     idx, times = _window_indices(traj, window, 2)
     corr = {
         "omega": _eps_corrections(traj, idx, "omega", M.omega_lower),

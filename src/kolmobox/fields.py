@@ -426,7 +426,11 @@ def vector_signed_power(v, r: float) -> np.ndarray:
 
 
 def max_face_gradient(g: Grid, f: np.ndarray) -> float:
-    """Largest face gradient magnitude, as used by the r-Laplacian fluxes."""
+    """Largest face gradient magnitude, as used by the r-Laplacian fluxes.
+
+    No solver path calls this; it is the test oracle for the maxima that
+    `model.rhs` reports, and a benchmark span.
+    """
     grad = partials(g, f) if g.dim > 1 else None
     diffs = face_differences(g, f)
     m = 0.0

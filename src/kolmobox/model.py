@@ -10,7 +10,7 @@ spatially constant solution.
 
 `rhs` evaluates each stencil of the system once and shares it between the
 operators that read it; it can also report the maxima the CFL step needs, so
-a time stepper does not build the same stencils again.
+neither time-stepping scheme builds the same stencils again.
 """
 
 from __future__ import annotations
@@ -232,8 +232,8 @@ def rhs(
     averages, the velocity gradient and D(u), and for omega and k the centered
     gradient and the face differences are built here and handed to the
     operators, and each is dropped after its last use.  A list `limits`
-    receives the inputs of the CFL step for this state: the largest eddy
-    coefficient, then (regularized) the largest |D(u)|^2 and squared face
+    receives the inputs of `timestepper.cfl_dt` for this state: the largest
+    eddy coefficient, then (regularized) the largest |D(u)|^2 and squared face
     gradients of omega and k.
     """
     g = state.grid

@@ -18,7 +18,7 @@ PDE-residual evaluator used to verify invariance numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -272,6 +272,7 @@ class InvarianceReport:
     transformed: PdeResiduals
     original: PdeResiduals
     expected: PdeResiduals  # originals times the exact per-equation factors
+    bound: PdeResiduals  # _VERDICT_MARGIN * expected + _VERDICT_FLOOR
     passed: dict
     overall: bool
 
@@ -297,16 +298,14 @@ def invariance_experiment(traj, sp: ScalingParams) -> InvarianceReport:
         omega=sp.rho * sp.alpha * meas * orig.omega,
         k=sp.sigma * sp.alpha * meas * orig.k,
     )
-    passed = {}
-    for name in ("u", "omega", "k"):
-        tv = getattr(trans, name)
-        ev = getattr(expected, name)
-        passed[name] = tv <= _VERDICT_MARGIN * ev + _VERDICT_FLOOR
+    bound = PdeResiduals(*(_VERDICT_MARGIN * e + _VERDICT_FLOOR for e in astuple(expected)))
+    passed = {name: getattr(trans, name) <= getattr(bound, name) for name in ("u", "omega", "k")}
     return InvarianceReport(
         sp=sp,
         transformed=trans,
         original=orig,
         expected=expected,
+        bound=bound,
         passed=passed,
         overall=all(passed.values()),
     )

@@ -8,10 +8,10 @@ positivity guard that clamps omega and k at a small slack below their
 comparison envelopes; clamping is counted, never silent, and so are rejected
 attempts.
 
-On the explicit path `run` evaluates stage 1 once per step and takes the CFL
-step from the maxima that evaluation reports, so the state's stencils are not
-built a second time for `cfl_dt`; retries after a rejection reuse the same
-stage-1 rates.
+Both schemes share one step protocol: `run` evaluates stage 1, the `rhs` of
+the accepted state, once per step, takes the CFL step from the maxima that
+evaluation reports, and hands its rates to the step (the first Heun stage, or
+the first Picard residual); retries after a rejection reuse the same rates.
 """
 
 from __future__ import annotations
@@ -93,29 +93,18 @@ class Trajectory:
         return tuple(s.t for s in self.states)
 
 
-def cfl_dt(state: State, params: ModelParams, cfg: StepConfig) -> float:
-    """Stable step from the advective and diffusive limits, times cfl_safety."""
-    g = state.grid
-    eddy_max = float(M.eddy_coefficient(state.k, state.omega, params).max())
-    gmax = 0.0
-    if params.regularized:
-        gmax = max(
-            F.max_face_gradient(g, state.omega),
-            F.max_face_gradient(g, state.k),
-            math.sqrt(max(float(F.frobenius_sq(g, F.sym_gradient(g, state.u)).max()), 0.0)),
-        )
-    return _cfl_step(state, eddy_max, gmax, params, cfg)
+def cfl_dt(state: State, limits: list, params: ModelParams, cfg: StepConfig) -> float:
+    """Stable step from the advective and diffusive limits, times cfl_safety.
 
-
-def _cfl_step(state: State, eddy_max: float, gmax: float, params: ModelParams,
-              cfg: StepConfig) -> float:
-    """`cfl_dt` from the largest eddy coefficient and face-gradient magnitude."""
+    `limits` holds the maxima that `model.rhs(state, ..., limits=)` reports.
+    """
     g = state.grid
     h = g.h
+    eddy_max, *grad_sq = limits
     vmax = float(np.abs(state.u).max())
     diff = max(params.nu0, params.nu1, params.nu2) * eddy_max
     if params.regularized:
-        diff += params.eps * gmax ** (params.r - 2.0)
+        diff += params.eps * math.sqrt(max(grad_sq)) ** (params.r - 2.0)
     dt_adv = h / vmax if vmax > 0.0 else math.inf
     dt_dif = h * h / (2.0 * g.dim * diff) if diff > 0.0 else math.inf
     return min(cfg.cfl_safety * min(dt_adv, dt_dif), cfg.dt_max)
@@ -207,8 +196,6 @@ def operator_apply(
     forcing: Optional[np.ndarray],
     params: ModelParams,
     env: ComparisonEnvelope,
-    *,
-    limits: Optional[list] = None,
 ):
     """Implicit-Euler residual (U - U_old)/dt + A(U) - F at time t_old + dt.
 
@@ -216,13 +203,12 @@ def operator_apply(
     discrete field operators (advection in skew form, diffusion in flux form,
     r-terms, damping, production); F carries the external forcing and the
     envelope sources.  dt = inf drops the time term and returns A(U) - F.
-    Zero residual characterizes the discrete implicit-Euler solution.  A list
-    `limits` receives the candidate's maxima as `model.rhs` reports them.
+    Zero residual characterizes the discrete implicit-Euler solution.
     """
     if not params.regularized:
         raise ValueError("operator_apply requires regularized parameters")
     t_new = state_old.t + dt if math.isfinite(dt) else state_old.t
-    du, dom, dk = M.rhs(state_candidate, t_new, forcing, params, env, limits=limits)
+    du, dom, dk = M.rhs(state_candidate, t_new, forcing, params, env)
     return (
         (state_candidate.u - state_old.u) / dt - du,
         (state_candidate.omega - state_old.omega) / dt - dom,
@@ -246,17 +232,21 @@ def step_rothe(
     params: ModelParams,
     env: ComparisonEnvelope,
     cfg: StepConfig,
+    *,
+    rates=None,
 ) -> State:
     """Implicit Euler by preconditioned Picard: U <- U - dt * (I - dt*L)^-1 residual(U).
 
     L is the constant-coefficient diffusion nu*cbar*Lap_h, with Lap_h the
-    compact Laplacian, cbar the largest eddy coefficient of the old state (as
-    the first iterate's `rhs` reports it) and nu = nu0/2 for u, nu1 for omega
-    and nu2 for k; (I - dt*L)^-1 is one `fields.diffusion_solve` over all
-    fields.  It takes the stiff diffusion out of the iteration and leaves the
-    fixed point as it is.  The u-residual is Leray-projected each iterate (the
-    discarded gradient part is the pressure).  Convergence is declared when
-    the residual norm drops below picard_tol relative to |U_old|/dt.
+    compact Laplacian, cbar the largest eddy coefficient of the old state and
+    nu = nu0/2 for u, nu1 for omega and nu2 for k; (I - dt*L)^-1 is one
+    `fields.diffusion_solve` over all fields.  It takes the stiff diffusion
+    out of the iteration and leaves the fixed point as it is.  The first
+    residual is -`rates` (stage 1's `rhs`, computed if not given), so the
+    first update is the linearly implicit Euler predictor; later residuals
+    come from `operator_apply` at t + dt.  The u-residual is Leray-projected
+    (the discarded gradient part is the pressure).  Convergence is declared
+    when a residual at t + dt drops below picard_tol relative to |U_old|/dt.
     """
     if dt == 0.0:
         return replace(state, guard_hits=0)
@@ -265,22 +255,23 @@ def step_rothe(
     t_new = state.t + dt
 
     scale = (_l2(g, state.u) + _l2(g, [state.omega]) + _l2(g, [state.k])) / dt + 1e-300
+    cbar = dt * float(M.eddy_coefficient(state.k, state.omega, params).max())
+    coeffs = cbar * np.array([0.5 * params.nu0] * d + [params.nu1, params.nu2])
 
-    u, om, kk, p_last = state.u, state.omega, state.k, state.p
-    coeffs = None
-    for _ in range(cfg.picard_max_iters):
-        cand = State(t=t_new, grid=g, u=u, omega=om, k=kk, p=p_last)
-        limits = [] if coeffs is None else None  # the first candidate is the old state
-        ru, rom, rk = operator_apply(cand, state, dt, forcing, params, env, limits=limits)
-        if coeffs is None:
-            cbar = dt * limits[0]
-            coeffs = cbar * np.array([0.5 * params.nu0] * d + [params.nu1, params.nu2])
+    if rates is None:
+        rates = M.rhs(state, state.t, forcing, params, env)
+    ru, rom, rk = (-r for r in rates)
+    u, om, kk = state.u, state.omega, state.k
+    for it in range(cfg.picard_max_iters):
+        if it:
+            cand = State(t=t_new, grid=g, u=u, omega=om, k=kk, p=p_last)
+            ru, rom, rk = operator_apply(cand, state, dt, forcing, params, env)
         ru_sol, p_res = F.leray_project(g, ru)
         res = _l2(g, ru_sol) + _l2(g, [rom, rk])
         if not math.isfinite(res):
             raise PicardDiverged(f"non-finite residual at dt={dt}")
         p_last = -p_res
-        if res <= cfg.picard_tol * scale:
+        if it and res <= cfg.picard_tol * scale:
             out = _finish_stage(g, u, om, kk, t_new, params, env, cfg)
             out = replace(out, p=p_last)
             _check_finite(out, dt)
@@ -299,23 +290,17 @@ _MAX_RETRIES = 10
 def _advance(state, remaining, forcing, params, env, cfg):
     """One accepted step of at most `remaining`, halving dt on rejection.
 
-    Returns (state, dt actually used, rejected attempts).  On the explicit
-    path stage 1 is evaluated here once: its maxima give the CFL step and its
-    rates go to every attempt.
+    Returns (state, dt actually used, rejected attempts).  Stage 1 is
+    evaluated here once, whatever the scheme: its maxima give the CFL step
+    and its rates go to every attempt.
     """
-    if cfg.scheme == "explicit_rk2":
-        limits = []
-        rates = M.rhs(state, state.t, forcing, params, env, limits=limits)
-        eddy_max, *grad_sq = limits
-        dt = _cfl_step(state, eddy_max, math.sqrt(max(grad_sq, default=0.0)), params, cfg)
-    else:
-        rates, dt = None, cfl_dt(state, params, cfg)
-    dt = min(dt, remaining)
+    limits = []
+    rates = M.rhs(state, state.t, forcing, params, env, limits=limits)
+    dt = min(cfl_dt(state, limits, params, cfg), remaining)
+    step = step_explicit if cfg.scheme == "explicit_rk2" else step_rothe
     for rejected in range(_MAX_RETRIES + 1):
         try:
-            if rates is None:
-                return step_rothe(state, dt, forcing, params, env, cfg), dt, rejected
-            return step_explicit(state, dt, forcing, params, env, cfg, rates=rates), dt, rejected
+            return step(state, dt, forcing, params, env, cfg, rates=rates), dt, rejected
         except (StepRejected, PicardDiverged):
             dt *= 0.5
     raise StepRejected(f"step rejected after {_MAX_RETRIES} dt halvings")

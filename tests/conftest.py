@@ -82,6 +82,13 @@ def perturbed_problem(dim, regularized, forced, n=8):
     return st, env, params, forcing
 
 
+def stage_one_cfl_dt(state, forcing, params, env, cfg):
+    """`timestepper.cfl_dt` from the maxima that `model.rhs` reports for `state`."""
+    limits = []
+    M.rhs(state, state.t, forcing, params, env, limits=limits)
+    return T.cfl_dt(state, limits, params, cfg)
+
+
 def entropy_bracket_constant(delta):
     """Sharp C(delta) in tau/2 - C(delta) <= entropy_phi(tau, delta) <= tau.
 

@@ -183,7 +183,7 @@ def test_criterion_4_balance_identities():
 
     g, st, env, params = structured_problem(n=8, uamp=0.0)
     traj0 = T.run(st, 0.5, None, params, env, T.StepConfig(guard=False), 0.05)
-    gap0 = D.energy_gap(traj0, (0.0, 0.5))
+    gap0 = D.balance_report(traj0, (0.0, 0.5)).energy_gap
     ok_gap = gap0 == 0.0
 
     ok = report(

@@ -182,6 +182,13 @@ dt_max = 0.005
     lines = (out / "scaling_report.ndjson").read_text().splitlines()
     assert len(lines) == 3
     assert all(json.loads(x)["pass"] for x in lines)
+    # the summary carries the bound the verdict used: 3x the scaled original
+    # residual plus an absolute floor of 1e-14
+    checks = {c["name"]: c for c in json.loads((out / "summary.json").read_text())["checks"]}
+    for obj in map(json.loads, lines):
+        check = checks[f"invariance_{obj['equation']}"]
+        assert check["bound"] == 3.0 * obj["scaled_original_residual"] + 1e-14
+        assert check["measured"] == obj["transformed_residual"] and check["pass"] == obj["pass"]
 
     # identity scaling: transformed and original residuals coincide exactly
     out2 = tmp_path / "out_id"

@@ -10,6 +10,7 @@ from conftest import (
     const_vector,
     perturbed_problem,
     regularized_params,
+    stage_one_cfl_dt,
     structured_problem,
     zero_vector,
 )
@@ -35,13 +36,15 @@ class TestCflDt:
         g, ic, env, st = homogeneous(omega0=1.0, k0=2.0)  # eddy = k/omega = 2
         cfg = T.StepConfig(cfl_safety=0.4)
         nu = max(PARAMS.nu0, PARAMS.nu1, PARAMS.nu2)
-        assert T.cfl_dt(st, PARAMS, cfg) == pytest.approx(0.4 * g.h**2 / (2 * 1 * nu * 2.0))
+        dt = stage_one_cfl_dt(st, None, PARAMS, env, cfg)
+        assert dt == pytest.approx(0.4 * g.h**2 / (2 * 1 * nu * 2.0))
 
     def test_halving_h_quarters_diffusive_dt(self):
-        _, _, _, st8 = homogeneous(n=8)
+        _, _, env, st8 = homogeneous(n=8)
         _, _, _, st16 = homogeneous(n=16)
         cfg = T.StepConfig()
-        assert T.cfl_dt(st8, PARAMS, cfg) / T.cfl_dt(st16, PARAMS, cfg) == pytest.approx(4.0)
+        dt8 = stage_one_cfl_dt(st8, None, PARAMS, env, cfg)
+        assert dt8 / stage_one_cfl_dt(st16, None, PARAMS, env, cfg) == pytest.approx(4.0)
 
     def test_advective_limit_dominates(self):
         g = F.Grid(1, 8, 1.0)
@@ -53,13 +56,14 @@ class TestCflDt:
             k=const(g, 1e-8),  # negligible diffusivity
             p=const(g, 0.0),
         )
-        cfg = T.StepConfig(cfl_safety=0.4)
-        assert T.cfl_dt(st, PARAMS, cfg) == pytest.approx(0.4 * g.h / 10.0, rel=1e-6)
+        env = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1e-8)
+        dt = stage_one_cfl_dt(st, None, PARAMS, env, T.StepConfig(cfl_safety=0.4))
+        assert dt == pytest.approx(0.4 * g.h / 10.0, rel=1e-6)
 
     def test_dt_max_cap(self):
-        _, _, _, st = homogeneous()
+        _, _, env, st = homogeneous()
         cfg = T.StepConfig(dt_max=1e-9)
-        assert T.cfl_dt(st, PARAMS, cfg) == 1e-9
+        assert stage_one_cfl_dt(st, None, PARAMS, env, cfg) == 1e-9
 
 
 class TestStepExplicit:
@@ -95,7 +99,7 @@ class TestStepExplicit:
 
     def test_divergence_free_after_step(self, rng):
         g, st, env, params = structured_problem(n=16)
-        dt = T.cfl_dt(st, params, T.StepConfig())
+        dt = stage_one_cfl_dt(st, None, params, env, T.StepConfig())
         out = T.step_explicit(st, dt, None, params, env, T.StepConfig())
         assert np.abs(F.divergence(g, out.u)).max() <= 1e-12 * (1.0 + np.abs(out.u).max())
 
@@ -261,28 +265,41 @@ STAGE1_CASES = [(1, True, False), (2, True, True), (3, True, False), (2, False, 
 
 
 class TestStageOneSharing:
-    """run evaluates stage 1 once: it sets the CFL step and serves every attempt."""
+    """run evaluates stage 1 once per step, whatever the scheme: it sets the CFL
+    step and serves every attempt."""
 
-    @pytest.mark.parametrize("dim,regularized,forced", STAGE1_CASES)
-    def test_stage_one_cfl_equals_cfl_dt(self, dim, regularized, forced, monkeypatch):
+    @staticmethod
+    def first_dt(scheme, dim, regularized, forced, monkeypatch):
+        """(dt of run's first step attempt, cfl_dt of the initial state's stage 1)."""
         st, env, params, forcing = perturbed_problem(dim, regularized, forced)
-        cfg = T.StepConfig()
+        cfg = T.StepConfig(scheme=scheme)
         seen = []
 
         def record_dt(state, dt, forcing_, params_, env_, cfg_, **stage1):
             seen.append(dt)
             raise _Stop
 
-        monkeypatch.setattr(T, "step_explicit", record_dt)
+        monkeypatch.setattr(T, "step_explicit" if scheme == "explicit_rk2" else "step_rothe",
+                            record_dt)
         with pytest.raises(_Stop):
             T.run(st, 10.0, forcing, params, env, cfg, 10.0)
-        assert seen == [T.cfl_dt(st, params, cfg)]
+        return seen, [stage_one_cfl_dt(st, forcing, params, env, cfg)]
+
+    @pytest.mark.parametrize("dim,regularized,forced", STAGE1_CASES)
+    def test_stage_one_cfl_equals_cfl_dt(self, dim, regularized, forced, monkeypatch):
+        seen, expected = self.first_dt("explicit_rk2", dim, regularized, forced, monkeypatch)
+        assert seen == expected
+
+    @pytest.mark.parametrize("dim,regularized,forced", [c for c in STAGE1_CASES if c[1]])
+    def test_rothe_stage_one_cfl_equals_cfl_dt(self, dim, regularized, forced, monkeypatch):
+        seen, expected = self.first_dt("rothe_picard", dim, regularized, forced, monkeypatch)
+        assert seen == expected
 
     @pytest.mark.parametrize("dim,regularized,forced", STAGE1_CASES)
     def test_handed_in_rates_give_the_same_bits(self, dim, regularized, forced):
         st, env, params, forcing = perturbed_problem(dim, regularized, forced)
         cfg = T.StepConfig()
-        dt = T.cfl_dt(st, params, cfg)
+        dt = stage_one_cfl_dt(st, forcing, params, env, cfg)
         plain = T.step_explicit(st, dt, forcing, params, env, cfg)
         rates = M.rhs(st, st.t, forcing, params, env)
         shared = T.step_explicit(st, dt, forcing, params, env, cfg, rates=rates)
@@ -293,6 +310,7 @@ class TestStageOneSharing:
     def test_retries_reuse_stage_one_rates(self, monkeypatch):
         st, env, params, forcing = perturbed_problem(2, True, True)
         cfg = T.StepConfig()
+        t_end = 0.5 * stage_one_cfl_dt(st, forcing, params, env, cfg)
         real_step, real_rhs = T.step_explicit, M.rhs
         handed, rhs_calls = [], []
 
@@ -308,12 +326,39 @@ class TestStageOneSharing:
 
         monkeypatch.setattr(T, "step_explicit", flaky)
         monkeypatch.setattr(M, "rhs", counting_rhs)
-        t_end = 0.5 * T.cfl_dt(st, params, cfg)
         traj = T.run(st, t_end, forcing, params, env, cfg, t_end)
         # the step at dt/4 is accepted; a second, fresh step then reaches t_end
         assert len(handed) == 4 and handed[0] is not None
         assert handed[1] is handed[0] and handed[2] is handed[0] and handed[3] is not handed[0]
         assert rhs_calls == [0.0, t_end / 4, t_end / 4, t_end]  # two per accepted step
+        assert traj.rejected_attempts == 2
+
+    def test_rothe_retries_reuse_stage_one_rates(self, monkeypatch):
+        st, env, params, forcing = perturbed_problem(2, True, True)
+        cfg = T.StepConfig(scheme="rothe_picard")
+        t_end = 0.5 * stage_one_cfl_dt(st, forcing, params, env, cfg)
+        real_step, real_rhs = T.step_rothe, M.rhs
+        handed, rhs_calls = [], []
+
+        def flaky(state, dt, forcing_, params_, env_, cfg_, *, rates=None):
+            handed.append(rates)
+            if len(handed) < 3:
+                raise PicardDiverged("synthetic divergence")
+            return real_step(state, dt, forcing_, params_, env_, cfg_, rates=rates)
+
+        def counting_rhs(*args, **kwargs):
+            rhs_calls.append(args[1])
+            return real_rhs(*args, **kwargs)
+
+        monkeypatch.setattr(T, "step_rothe", flaky)
+        monkeypatch.setattr(M, "rhs", counting_rhs)
+        traj = T.run(st, t_end, forcing, params, env, cfg, t_end)
+        # the step at dt/4 is accepted; a second, fresh step then reaches t_end
+        assert len(handed) == 4 and handed[0] is not None
+        assert handed[1] is handed[0] and handed[2] is handed[0] and handed[3] is not handed[0]
+        # stage 1 of each step is its only rhs at the step's start; the Picard
+        # residuals are taken at the step's end
+        assert rhs_calls.count(0.0) == 1 and rhs_calls.count(t_end / 4) >= 2
         assert traj.rejected_attempts == 2
 
 
@@ -334,7 +379,7 @@ class TestStencilCount:
     def test_stencil_calls_per_explicit_step(self, dim, regularized, diffs, nexts, monkeypatch):
         st, env, params, forcing = perturbed_problem(dim, regularized, not regularized)
         cfg = T.StepConfig()
-        t_end = 0.5 * T.cfl_dt(st, params, cfg)  # one step, two records
+        t_end = 0.5 * stage_one_cfl_dt(st, forcing, params, env, cfg)  # one step, two records
         calls = []
         for name in ("_diff", "_next"):
             def counting(*args, _real=getattr(F, name), _name=name, **kwargs):
@@ -417,16 +462,17 @@ class TestRothe:
         assert 4.0 * 0.7 <= ratio <= 4.0 * 1.3
 
     def test_preconditioned_iterates_per_step(self, monkeypatch):
-        # with the stiff diffusion preconditioned away this takes 7 iterates;
-        # an update damped by 0.7 takes 16
+        # with the stiff diffusion preconditioned away this takes 7 residual
+        # evaluations, the stage-1 rhs and 6 operator_apply calls; an update
+        # damped by 0.7 takes 16
         params = regularized_params()
         g, st, env, _ = structured_problem(n=16)
         cfg = T.StepConfig(scheme="rothe_picard")
+        dt = stage_one_cfl_dt(st, None, params, env, cfg)
         calls = []
-        apply = T.operator_apply
-        monkeypatch.setattr(T, "operator_apply",
-                            lambda *a, **kw: calls.append(1) or apply(*a, **kw))
-        T.step_rothe(st, T.cfl_dt(st, params, cfg), None, params, env, cfg)
+        rhs = M.rhs
+        monkeypatch.setattr(M, "rhs", lambda *a, **kw: calls.append(1) or rhs(*a, **kw))
+        T.step_rothe(st, dt, None, params, env, cfg)
         assert len(calls) <= 8
 
     @pytest.mark.parametrize("n", [16, 32])
@@ -434,7 +480,7 @@ class TestRothe:
         params = regularized_params()
         g, st, env, _ = structured_problem(n=n)
         cfg = T.StepConfig(scheme="rothe_picard", guard=False)
-        dt = T.cfl_dt(st, params, cfg)
+        dt = stage_one_cfl_dt(st, None, params, env, cfg)
         out = T.step_rothe(st, dt, None, params, env, cfg)
         ru, rom, rk = T.operator_apply(out, st, dt, None, params, env)
         ru_sol, _ = F.leray_project(g, ru)
