@@ -132,7 +132,7 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
     _write_series(outdir, traj)
     _write_snapshots(outdir, traj)
     final = traj.states[-1]
-    finite = all(np.all(np.isfinite(a)) for a in (*final.u, final.omega, final.k, final.p))
+    finite = all(np.all(np.isfinite(a)) for a in (*final.u, final.omega, final.k))
     umax = float(np.abs(final.u).max())
     div_resid = float(np.abs(divergence(final.grid, final.u)).max())
     summary = VerificationSummary(
@@ -146,7 +146,7 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
 
 
 def cmd_decay(cfg: RunConfig, outdir: Path) -> int:
-    p, traj = _run_cfg(cfg)
+    _, traj = _run_cfg(cfg)
     _write_series(outdir, traj)
     window = (5.0, min(50.0, cfg.t_end))
     fit_k = diag.decay_fit(traj, "mean_k", window)

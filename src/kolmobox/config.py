@@ -288,8 +288,8 @@ def _build_state(cfg: RunConfig, grid: Grid) -> State:
                 i = int(m.target[1:]) - 1
                 u_arrays[i] = u_arrays[i] + bump
 
-    u, p = leray_project(grid, np.stack(u_arrays))
-    return State(t=0.0, grid=grid, u=u, omega=om, k=kk, p=p)
+    u, _ = leray_project(grid, np.stack(u_arrays))
+    return State(t=0.0, grid=grid, u=u, omega=om, k=kk)
 
 
 def _build_env(cfg: RunConfig, state: State) -> ComparisonEnvelope:

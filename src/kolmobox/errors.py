@@ -22,7 +22,7 @@ class StepRejected(KolmoboxError):
 
 
 class PicardDiverged(KolmoboxError):
-    """The damped Picard iteration did not reach tolerance within the budget."""
+    """The preconditioned Picard iteration did not reach tolerance within the budget."""
 
 
 class InsufficientSamples(KolmoboxError):

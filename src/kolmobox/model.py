@@ -90,13 +90,12 @@ class ComparisonEnvelope:
 
 @dataclass(frozen=True)
 class State:
-    """One snapshot (u, omega, k, p) at time t on `grid`.
+    """One snapshot (u, omega, k) at time t on `grid`; no pressure is kept.
 
-    u has shape `(dim, *grid.shape)`, the scalars `grid.shape`.  `p` is the
-    last projection pressure (diagnostic only) and `guard_hits` counts grid
-    points clamped by the positivity guard in the step that produced this
-    state.  The arrays are stored as C-contiguous float64 and marked
-    read-only, so a state never changes once built.
+    u has shape `(dim, *grid.shape)`, the scalars `grid.shape`, and
+    `guard_hits` counts grid points clamped by the positivity guard in the
+    step that produced this state.  The arrays are stored as C-contiguous
+    float64 and marked read-only, so a state never changes once built.
     """
 
     t: float
@@ -104,13 +103,11 @@ class State:
     u: np.ndarray
     omega: np.ndarray
     k: np.ndarray
-    p: np.ndarray
     guard_hits: int = 0
 
     def __post_init__(self):
         g = self.grid
-        for name, shape in (("u", (g.dim,) + g.shape), ("omega", g.shape), ("k", g.shape),
-                            ("p", g.shape)):
+        for name, shape in (("u", (g.dim,) + g.shape), ("omega", g.shape), ("k", g.shape)):
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if arr.shape != shape:
                 raise IncompatibleGrid(f"{name} of shape {arr.shape} does not fit grid {shape}")
@@ -170,7 +167,6 @@ def homogeneous_state(grid: Grid, ic: HomogeneousIC, params: ModelParams, t: flo
         u=np.stack([np.full(grid.shape, float(v)) for v in u_const]),
         omega=np.full(grid.shape, float(om)),
         k=np.full(grid.shape, float(kk)),
-        p=np.zeros(grid.shape),
     )
 
 

@@ -180,7 +180,7 @@ def transform_state(state: State, sp: ScalingParams) -> State:
 
     The scaled nodes are the source nodes times 1/beta, so each field is a
     plain product and no interpolation happens.  The time label becomes
-    t/alpha, and the diagnostic pressure scales like gamma^2.
+    t/alpha.
     """
     g = state.grid
     return State(
@@ -189,7 +189,6 @@ def transform_state(state: State, sp: ScalingParams) -> State:
         u=sp.gamma * state.u,
         omega=sp.rho * state.omega,
         k=sp.sigma * state.k,
-        p=sp.gamma**2 * state.p,
         guard_hits=state.guard_hits,
     )
 

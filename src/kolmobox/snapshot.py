@@ -10,10 +10,10 @@ Layout (all integers little-endian):
     then per field: a 4-byte ASCII tag followed by n^dim little-endian f64
     values in row-major order (axes x1..xd).
 
-Tags: "u__1".."u__3" for the velocity components, "omeg" for the frequency,
-"k___" for the turbulent energy, "p___" for the diagnostic pressure.  Fields
-are written in that order.  The time label is not part of the format; reloaded
-snapshots start at t = 0.
+Tags, in write order: "u__1".."u__d" (velocity), "omeg" (frequency), "k___"
+(turbulent energy).  The trailing "p___" pressure block of older files is read
+and ignored; any other tag, or a repeated one, is an error.  The time label is
+not part of the format; reloaded snapshots start at t = 0.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def write_snapshot(path, state: State) -> None:
     g = state.grid
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, g.dim, g.n, g.side))
-        tagged = [*zip(_U_TAGS, state.u), ("omeg", state.omega), ("k___", state.k), ("p___", state.p)]
+        tagged = [*zip(_U_TAGS, state.u), ("omeg", state.omega), ("k___", state.k)]
         for tag, values in tagged:
             fh.write(tag.encode("ascii"))
             fh.write(values.astype("<f8").tobytes())
@@ -64,6 +64,7 @@ def read_snapshot(path) -> Tuple[Grid, dict]:
     except ValueError as exc:
         raise SnapshotError(f"{path}: bad header: {exc}") from None
     nbytes = 8 * grid.npoints
+    known = (*_U_TAGS[:dim], "omeg", "k___", "p___")  # p___: legacy, read and ignored
     fields = {}
     off = _HEADER.size
     while off < len(data):
@@ -75,6 +76,10 @@ def read_snapshot(path) -> Tuple[Grid, dict]:
             tag = raw_tag.decode("ascii")
         except UnicodeDecodeError:
             raise SnapshotError(f"{path}: non-ASCII field tag {raw_tag!r}") from None
+        if tag not in known:
+            raise SnapshotError(f"{path}: unknown field tag {tag!r}")
+        if tag in fields:
+            raise SnapshotError(f"{path}: repeated field tag {tag!r}")
         arr = np.frombuffer(data, dtype="<f8", count=grid.npoints, offset=off).reshape(grid.shape)
         fields[tag] = arr.astype(np.float64)
         off += nbytes
@@ -85,7 +90,7 @@ def state_from_snapshot(path) -> State:
     grid, fields = read_snapshot(path)
     try:
         u = np.stack([fields[tag] for tag in _U_TAGS[: grid.dim]])
-        omega, k, p = fields["omeg"], fields["k___"], fields["p___"]
+        omega, k = fields["omeg"], fields["k___"]
     except KeyError as exc:
         raise SnapshotError(f"{path}: missing field {exc}") from None
-    return State(t=0.0, grid=grid, u=u, omega=omega, k=k, p=p)
+    return State(t=0.0, grid=grid, u=u, omega=omega, k=k)

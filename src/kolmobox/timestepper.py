@@ -125,12 +125,12 @@ def _finish_stage(g, u, om, kk, t_new, params, env, cfg, hits=0) -> State:
     The state's `guard_hits` are this stage's clamps plus `hits`, those the
     step counted before it.
     """
-    w, p = F.leray_project(g, u)
+    w, _ = F.leray_project(g, u)
     if cfg.guard:
         om, n1 = _guard(om, M.omega_lower(t_new, env, params) * (1.0 - _GUARD_SLACK))
         kk, n2 = _guard(kk, M.kappa(t_new, env, params) * (1.0 - _GUARD_SLACK))
         hits += n1 + n2
-    return State(t=t_new, grid=g, u=w, omega=om, k=kk, p=p, guard_hits=hits)
+    return State(t=t_new, grid=g, u=w, omega=om, k=kk, guard_hits=hits)
 
 
 def _check_finite(state: State, dt: float):
@@ -264,16 +264,14 @@ def step_rothe(
     u, om, kk = state.u, state.omega, state.k
     for it in range(cfg.picard_max_iters):
         if it:
-            cand = State(t=t_new, grid=g, u=u, omega=om, k=kk, p=p_last)
+            cand = State(t=t_new, grid=g, u=u, omega=om, k=kk)
             ru, rom, rk = operator_apply(cand, state, dt, forcing, params, env)
-        ru_sol, p_res = F.leray_project(g, ru)
+        ru_sol, _ = F.leray_project(g, ru)
         res = _l2(g, ru_sol) + _l2(g, [rom, rk])
         if not math.isfinite(res):
             raise PicardDiverged(f"non-finite residual at dt={dt}")
-        p_last = -p_res
         if it and res <= cfg.picard_tol * scale:
             out = _finish_stage(g, u, om, kk, t_new, params, env, cfg)
-            out = replace(out, p=p_last)
             _check_finite(out, dt)
             return out
         corr = F.diffusion_solve(g, np.concatenate((ru_sol, rom[None], rk[None])), coeffs)

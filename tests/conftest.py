@@ -54,7 +54,7 @@ def structured_problem(n=32, side=2.0 * np.pi, uamp=0.3, om_amp=0.1, k_amp=0.1,
     env = M.ComparisonEnvelope(
         omega_star=float(om.min()), omega_sup=float(om.max()), k_star=float(kk.min())
     )
-    state = M.State(t=0.0, grid=g, u=u, omega=om, k=kk, p=const(g, 0.0))
+    state = M.State(t=0.0, grid=g, u=u, omega=om, k=kk)
     return g, state, env, params
 
 
@@ -73,7 +73,7 @@ def perturbed_problem(dim, regularized, forced, n=8):
     kk = rng.uniform(0.8, 1.2, g.shape)
     env = M.ComparisonEnvelope(omega_star=float(om.min()), omega_sup=float(om.max()),
                                k_star=float(kk.min()))
-    st = M.State(t=0.0, grid=g, u=u, omega=om, k=kk, p=const(g, 0.0))
+    st = M.State(t=0.0, grid=g, u=u, omega=om, k=kk)
     if regularized:
         params = regularized_params(r=3.2, eps=1e-2)
     else:

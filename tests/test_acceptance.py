@@ -110,7 +110,7 @@ def _bounds_violations(n, side, uamp, sharp, kscale, cfl, t_end):
     env = M.ComparisonEnvelope(
         omega_star=float(om.min()), omega_sup=float(om.max()), k_star=float(kk.min())
     )
-    st = M.State(t=0.0, grid=g, u=u, omega=om, k=kk, p=np.zeros(g.shape))
+    st = M.State(t=0.0, grid=g, u=u, omega=om, k=kk)
     traj = T.run(st, t_end, None, params, env,
                  T.StepConfig(cfl_safety=cfl, guard=False), t_end / 20)
     viol = max(

@@ -1,20 +1,57 @@
 """The names the benchmark's tracer wraps must exist in the package."""
 
+import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+
+TINY_2D_REG = f"""\
+dim = 2
+n = 8
+side = {2.0 * math.pi!r}
+regularized = true
+eps = 1e-2
+r = 3.2
+ic = perturbed
+perturb_modes = u1:1:1:0.5, omega:0:1:0.1
+t_end = 0.01
+sample_every = 0.005
+"""
 
 
 def test_benchmark_tracer_installs():
     # perfbench/child.py wraps kolmobox functions by name (timestepper.cfl_dt,
     # fields.max_face_gradient, fields.advect_vec, ...); a missing one makes
     # every traced benchmark run fail
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
     done = subprocess.run(
         [sys.executable, "-c", "from child import Tracer, install; install(Tracer())"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("scheme", ["explicit_rk2", "rothe_picard"])
+def test_traced_run_annotates_every_step(tmp_path, scheme):
+    # the tracer reads state.grid.npoints, dt and result.guard_hits from each
+    # step call, so a renamed attribute fails every traced benchmark run
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_2D_REG + f"scheme = {scheme}\n")
+    result = tmp_path / "result.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "cli", str(result), "1",
+         "run", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    infos = [span[7] for span in json.loads(result.read_text())["spans"]
+             if span[1] == "timestepper.step"]
+    assert infos
+    for npoints, dt, guard_hits in infos:
+        assert npoints == 64 and 0.0 < dt <= 0.005 and guard_hits >= 0

@@ -32,7 +32,7 @@ class TestRecord:
     def test_resting_cube(self):
         g = F.Grid(3, 8, 1.0)
         one = const(g, 1.0)
-        st = M.State(t=0.0, grid=g, u=zero_vector(g), omega=one, k=one, p=const(g, 0.0))
+        st = M.State(t=0.0, grid=g, u=zero_vector(g), omega=one, k=one)
         rec = D.record(st, None, PARAMS, ENV1)
         assert rec.E_kin == 0.0
         assert rec.E_turb == pytest.approx(1.0)
@@ -56,7 +56,7 @@ class TestRecord:
         x, y = g.coords()
         u = np.stack([np.sin(2 * np.pi * y), np.zeros(g.shape)])
         one = const(g, 1.0)
-        st = M.State(t=0.0, grid=g, u=u, omega=one, k=one, p=const(g, 0.0))
+        st = M.State(t=0.0, grid=g, u=u, omega=one, k=one)
         rec = D.record(st, None, PARAMS, ENV1)
         dsq = F.frobenius_sq(g, F.sym_gradient(g, u))
         assert rec.dissipation == pytest.approx(PARAMS.nu0 * F.integrate(g, dsq))
@@ -66,14 +66,14 @@ class TestRecord:
         u = const_vector(g, [2.0, 0.0])
         f = const_vector(g, [0.5, 1.0])
         one = const(g, 1.0)
-        st = M.State(t=0.0, grid=g, u=u, omega=one, k=one, p=const(g, 0.0))
+        st = M.State(t=0.0, grid=g, u=u, omega=one, k=one)
         rec = D.record(st, f, PARAMS, ENV1)
         assert rec.power_in == pytest.approx(1.0)
 
     def test_ndjson_format(self):
         g = F.Grid(1, 8, 1.0)
         one = const(g, 1.0)
-        st = M.State(t=0.5, grid=g, u=zero_vector(g), omega=one, k=one, p=const(g, 0.0))
+        st = M.State(t=0.5, grid=g, u=zero_vector(g), omega=one, k=one)
         line = D.ndjson_line(D.record(st, None, PARAMS, ENV1, guard_activations=3))
         import json
 
@@ -84,7 +84,7 @@ class TestRecord:
         # 17 significant digits are preserved
         assert f"{1/3:.17g}" in D.ndjson_line(
             D.record(
-                M.State(t=1 / 3, grid=g, u=zero_vector(g), omega=one, k=one, p=const(g, 0.0)),
+                M.State(t=1 / 3, grid=g, u=zero_vector(g), omega=one, k=one),
                 None, PARAMS, ENV1,
             )
         )
@@ -100,7 +100,6 @@ def fabricated_trajectory(masses, times, grid, params=PARAMS, env=ENV1):
             u=zero_vector(grid),
             omega=const(grid, 1.0),
             k=const(grid, m),
-            p=const(grid, 0.0),
         )
         states.append(st)
         records.append(D.record(st, None, params, env))
@@ -117,8 +116,7 @@ class TestOmegaBalance:
         for t in times:
             st = M.State(t=float(t), grid=g, u=zero_vector(g),
                          omega=const(g, 1.0),
-                         k=const(g, 1.0),
-                         p=const(g, 0.0))
+                         k=const(g, 1.0))
             states.append(st)
             records.append(D.record(st, None, tiny, ENV1))
         traj = T.Trajectory(tuple(states), tuple(records), tiny, ENV1)
@@ -148,7 +146,7 @@ class TestOmegaBalance:
             t = 0.0
             nsteps = int(round(0.5 / dt))
             for i in range(nsteps + 1):
-                st = M.State(t=t, grid=g, u=u, omega=om, k=kk, p=const(g, 0.0))
+                st = M.State(t=t, grid=g, u=u, omega=om, k=kk)
                 times.append(t)
                 states.append(st)
                 records.append(D.record(st, None, PARAMS, env))
@@ -264,8 +262,7 @@ class TestLengthScale:
         env = M.ComparisonEnvelope(omega_star=0.5, omega_sup=2.0, k_star=0.8)
         st = M.State(t=0.0, grid=g, u=zero_vector(g),
                      omega=const(g, 2.0),
-                     k=const(g, 0.8),
-                     p=const(g, 0.0))
+                     k=const(g, 0.8))
         chk = D.length_scale_check(st, env, PARAMS)
         assert chk.L_min == pytest.approx(chk.bound)
         assert chk.satisfied
@@ -298,8 +295,7 @@ class TestLengthScale:
         env = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1.0)
         st = M.State(t=0.0, grid=g, u=zero_vector(g),
                      omega=const(g, 1.0),
-                     k=const(g, 0.5),  # below k_star
-                     p=const(g, 0.0))
+                     k=const(g, 0.5))  # below k_star
         chk = D.length_scale_check(st, env, PARAMS)
         assert not chk.satisfied
         assert chk.L_min < chk.bound
@@ -308,8 +304,7 @@ class TestLengthScale:
         g = F.Grid(1, 8, 1.0)
         st = M.State(t=0.0, grid=g, u=zero_vector(g),
                      omega=const(g, 0.0),
-                     k=const(g, 1.0),
-                     p=const(g, 0.0))
+                     k=const(g, 1.0))
         with pytest.raises(DegenerateOmega):
             D.length_scale_check(st, ENV1, PARAMS)
 
@@ -389,8 +384,7 @@ class TestDecayFit:
         for t in times:
             st = M.State(t=float(t), grid=g, u=zero_vector(g),
                          omega=const(g, 1.0),
-                         k=const(g, -1.0),
-                         p=const(g, 0.0))
+                         k=const(g, -1.0))
             states.append(st)
             records.append(D.record(st, None, PARAMS, ENV1))
         traj = T.Trajectory(tuple(states), tuple(records), PARAMS, ENV1)

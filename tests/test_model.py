@@ -93,18 +93,17 @@ class TestHomogeneousSolution:
 class TestState:
     def test_shape_mismatch(self):
         g = F.Grid(1, 8, 1.0)
-        good = dict(t=0.0, grid=g, u=zero_vector(g), omega=const(g, 1.0), k=const(g, 1.0),
-                    p=const(g, 0.0))
+        good = dict(t=0.0, grid=g, u=zero_vector(g), omega=const(g, 1.0), k=const(g, 1.0))
         M.State(**good)
         for name, bad in (("u", np.zeros(g.shape)), ("u", np.zeros((2, 8))),
-                          ("omega", np.zeros(9)), ("k", np.zeros((8, 1))), ("p", np.zeros(4))):
+                          ("omega", np.zeros(9)), ("k", np.zeros((8, 1)))):
             with pytest.raises(IncompatibleGrid):
                 M.State(**{**good, name: bad})
 
     def test_arrays_read_only(self):
         g = F.Grid(2, 8, 1.0)
         st = M.homogeneous_state(g, M.HomogeneousIC(u_const=(0.1, 0.2), omega0=1.0, k0=1.0), PARAMS)
-        for arr in (st.u, st.omega, st.k, st.p):
+        for arr in (st.u, st.omega, st.k):
             assert arr.dtype == np.float64 and arr.flags.c_contiguous
             with pytest.raises(ValueError):
                 arr[0] = 1.0
@@ -204,7 +203,6 @@ class TestRhs:
             u=zero_vector(g),
             omega=const(g, olow),
             k=const(g, kap),
-            p=const(g, 0.0),
         )
         _, dom, dk = M.rhs(st, t, None, p, env)
         np.testing.assert_allclose(dom, -p.alpha1 * olow**2, rtol=1e-13)
@@ -216,7 +214,7 @@ class TestRhs:
         x, y = g.coords()
         u = np.stack([np.sin(2 * np.pi * y), np.zeros(g.shape)])
         one = const(g, 1.0)
-        st = M.State(t=0.0, grid=g, u=u, omega=one, k=one, p=const(g, 0.0))
+        st = M.State(t=0.0, grid=g, u=u, omega=one, k=one)
         p = M.ModelParams(nu0=1.3)
         _, _, dk = M.rhs(st, 0.0, None, p, ENV)
         dsq = F.frobenius_sq(g, F.sym_gradient(g, u))
@@ -232,7 +230,7 @@ class TestRhs:
         u, _ = F.leray_project(g, random_vector(g, rng))
         om = rng.uniform(0.5, 1.5, g.shape)
         kk = rng.uniform(0.5, 1.5, g.shape)
-        st = M.State(t=0.0, grid=g, u=u, omega=om, k=kk, p=const(g, 0.0))
+        st = M.State(t=0.0, grid=g, u=u, omega=om, k=kk)
         _, dom, dk = M.rhs(st, 0.0, None, p, ENV)
 
         sink_om = p.alpha1 * pairing(np.maximum(om, 0), om, g)
@@ -316,7 +314,7 @@ class TestRhsOracle:
         if regularized:  # negative entries exercise the positive parts
             om[0] = -0.1
             kk[1] = -0.05
-        st = M.State(t=0.3, grid=g, u=random_vector(g, rng), omega=om, k=kk, p=const(g, 0.0))
+        st = M.State(t=0.3, grid=g, u=random_vector(g, rng), omega=om, k=kk)
         forcing = random_vector(g, rng) if forced else None
         want = reference_rhs(st, 0.3, forcing, params, ENV)
         limits = []

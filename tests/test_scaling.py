@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import const, exact_homogeneous_trajectory, perturbed_problem, structured_problem
+from conftest import exact_homogeneous_trajectory, perturbed_problem, structured_problem
 
 from kolmobox import diagnostics as D
 from kolmobox import fields as F
@@ -129,7 +129,6 @@ class TestTransformState:
             u=np.stack([np.sin(2 * np.pi * x)]),
             omega=2.0 + np.cos(2 * np.pi * x),
             k=2.0 + np.sin(4 * np.pi * x),
-            p=const(g, 0.0),
         )
         sp1 = S.family_from(2.0, 1.5)
         sp2 = S.family_from(0.8, 2.5)
@@ -224,7 +223,7 @@ class TestPdeResidual:
                      T.StepConfig(dt_max=5e-4, guard=False), 0.0025)
         base = S.pde_residual(traj)
         states = tuple(
-            M.State(t=s.t, grid=g, u=s.u, omega=s.omega, k=1.01 * s.k, p=s.p)
+            M.State(t=s.t, grid=g, u=s.u, omega=s.omega, k=1.01 * s.k)
             for s in traj.states
         )
         records = tuple(D.record(s, None, params, env) for s in states)

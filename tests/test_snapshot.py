@@ -21,7 +21,6 @@ def make_state(dim=2, n=8, side=1.5, rng=None):
         u=u,
         omega=rng.uniform(0.5, 2.0, g.shape),
         k=rng.uniform(0.5, 2.0, g.shape),
-        p=rng.standard_normal(g.shape),
     )
 
 
@@ -43,7 +42,6 @@ def test_values_survive_exactly(tmp_path):
     assert st2.grid == st.grid
     np.testing.assert_array_equal(st2.omega, st.omega)
     np.testing.assert_array_equal(st2.k, st.k)
-    np.testing.assert_array_equal(st2.p, st.p)
     for a, b in zip(st2.u, st.u):
         np.testing.assert_array_equal(a, b)
 
@@ -84,10 +82,10 @@ def test_missing_field(tmp_path):
     path = tmp_path / "s.kbox"
     snap.write_snapshot(path, st)
     data = path.read_bytes()
-    # drop the trailing pressure block
-    (tmp_path / "nop.kbox").write_bytes(data[: -(4 + 8 * 8)])
+    # drop the trailing k block
+    (tmp_path / "nok.kbox").write_bytes(data[: -(4 + 8 * 8)])
     with pytest.raises(ValueError):
-        snap.state_from_snapshot(tmp_path / "nop.kbox")
+        snap.state_from_snapshot(tmp_path / "nok.kbox")
 
 
 def valid_snapshot_bytes(tmp_path):
@@ -98,12 +96,36 @@ def valid_snapshot_bytes(tmp_path):
 
 def test_truncation_at_every_offset_raises_snapshot_error(tmp_path):
     data = valid_snapshot_bytes(tmp_path)
-    assert len(data) == 24 + 4 * (4 + 8 * 4)  # u, omega, k, p
+    assert len(data) == 24 + 3 * (4 + 8 * 4)  # u, omega, k
     cut = tmp_path / "cut.kbox"
     for size in range(len(data)):
         cut.write_bytes(data[:size])
         with pytest.raises(SnapshotError):
             snap.state_from_snapshot(cut)
+
+
+def block(tag, value, n=4):
+    return tag + struct.pack(f"<{n}d", *[value] * n)
+
+
+@pytest.mark.parametrize("tag", [b"omeg", b"u__1", b"zzzz", b"u__2", b"t___"])
+def test_repeated_or_unknown_tag_raises_snapshot_error(tmp_path, tag):
+    # a repeated tag must not replace the first block, nor an unknown one pass unread
+    bad = tmp_path / "bad.kbox"
+    bad.write_bytes(valid_snapshot_bytes(tmp_path) + block(tag, -7.0))
+    with pytest.raises(SnapshotError):
+        snap.read_snapshot(bad)
+
+
+def test_legacy_pressure_block_is_ignored(tmp_path):
+    # files written while the state still held a pressure end in a p___ block
+    legacy = tmp_path / "legacy.kbox"
+    legacy.write_bytes(valid_snapshot_bytes(tmp_path) + block(b"p___", 0.25))
+    old = snap.state_from_snapshot(legacy)
+    st = make_state(dim=1, n=4)
+    assert old.grid == st.grid
+    for a, b in ((old.u, st.u), (old.omega, st.omega), (old.k, st.k)):
+        assert a.tobytes() == b.tobytes()
 
 
 HEADER_FAULTS = {

@@ -54,7 +54,6 @@ class TestCflDt:
             u=const_vector(g, [10.0]),
             omega=const(g, 1.0),
             k=const(g, 1e-8),  # negligible diffusivity
-            p=const(g, 0.0),
         )
         env = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1e-8)
         dt = stage_one_cfl_dt(st, None, PARAMS, env, T.StepConfig(cfl_safety=0.4))
@@ -119,7 +118,6 @@ class TestStepExplicit:
             u=zero_vector(g),
             omega=const(g, 0.5),
             k=const(g, 0.5),
-            p=const(g, 0.0),
         )
         dt = 1e-3
         out = T.step_explicit(st, dt, None, PARAMS, env, T.StepConfig(guard=True))
@@ -135,11 +133,11 @@ class TestInputStateUnchanged:
     def test_step_leaves_input_arrays_bit_identical(self, scheme):
         params = regularized_params()
         g, st, env, _ = structured_problem(n=16)
-        before = [a.copy() for a in (st.u, st.omega, st.k, st.p)]
+        before = [a.copy() for a in (st.u, st.omega, st.k)]
         step = T.step_explicit if scheme == "explicit_rk2" else T.step_rothe
         out = step(st, 1e-4, None, params, env, T.StepConfig(scheme=scheme))
         assert out.t == st.t + 1e-4
-        for old, now in zip(before, (st.u, st.omega, st.k, st.p)):
+        for old, now in zip(before, (st.u, st.omega, st.k)):
             assert np.array_equal(old, now)
 
 
@@ -203,7 +201,7 @@ class TestRun:
         kk = 1.0 + 0.1 * np.sin(2 * np.pi * y / L)
         env = M.ComparisonEnvelope(omega_star=float(om.min()), omega_sup=float(om.max()),
                                    k_star=float(kk.min()))
-        st = M.State(t=0.0, grid=g, u=u, omega=om, k=kk, p=const(g, 0.0))
+        st = M.State(t=0.0, grid=g, u=u, omega=om, k=kk)
         traj = T.run(st, 0.1, None, params, env, T.StepConfig(guard=False), 0.025)
         final = traj.states[-1]
         assert np.abs(F.divergence(g, final.u)).max() <= 1e-12
@@ -303,7 +301,7 @@ class TestStageOneSharing:
         plain = T.step_explicit(st, dt, forcing, params, env, cfg)
         rates = M.rhs(st, st.t, forcing, params, env)
         shared = T.step_explicit(st, dt, forcing, params, env, cfg, rates=rates)
-        for name in ("u", "omega", "k", "p"):
+        for name in ("u", "omega", "k"):
             assert np.array_equal(getattr(plain, name), getattr(shared, name))
         assert plain.t == shared.t and plain.guard_hits == shared.guard_hits
 
@@ -430,7 +428,6 @@ class TestRothe:
             u=zero_vector(g),
             omega=const(g, w1),
             k=const(g, k1),
-            p=const(g, 0.0),
         )
         _, rom, rk = T.operator_apply(cand, st, dt, None, params, env)
         assert np.abs(rom).max() <= 1e-12
@@ -512,7 +509,6 @@ class TestOperatorApply:
             u=zero_vector(g),
             omega=const(g, 0.0),
             k=const(g, 0.0),
-            p=const(g, 0.0),
         )
         ru, rom, rk = T.operator_apply(zero, zero, math.inf, None, params, env)
         src_om = params.eps * M.omega_lower(0.0, env, params) ** (params.r - 1.0)
@@ -534,7 +530,7 @@ class TestOperatorApply:
             u, _ = F.leray_project(g, u)
             om = rng.uniform(0.2, 2.0, g.shape)
             kk = rng.uniform(0.2, 2.0, g.shape)
-            st = M.State(t=0.3, grid=g, u=u, omega=om, k=kk, p=const(g, 0.0))
+            st = M.State(t=0.3, grid=g, u=u, omega=om, k=kk)
             ru, rom, rk = T.operator_apply(st, st, math.inf, None, params, env)
             src_om = params.eps * M.omega_lower(st.t, env, params) ** (r - 1)
             src_k = params.eps * M.kappa(st.t, env, params) ** (r - 1)
