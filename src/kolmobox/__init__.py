@@ -8,6 +8,7 @@ from .errors import (
     InsufficientSamples,
     KolmoboxError,
     NegativeCoefficient,
+    NonFiniteRecord,
     NonpositiveParameter,
     NonpositiveSamples,
     ParseError,
@@ -40,6 +41,7 @@ __all__ = [
     "NonpositiveSamples",
     "BadDelta",
     "NonpositiveParameter",
+    "NonFiniteRecord",
     "SnapshotError",
     "ParseError",
     "ValidationError",

@@ -2,10 +2,15 @@
 
 Commands: run, decay, bounds, balance, scaling.  Each reads a key=value config
 file, executes one or more simulations, writes `series.ndjson` (one
-diagnostics record per sample), binary snapshots `snap_<t>.kbox`, and a
-`summary.json` with named pass/fail checks.  The process exits 0 exactly when
-every check passed, 1 when a check failed, and 2 when there is no verdict: a
-config, snapshot, I/O or solver error, reported on one stderr line.
+diagnostics record per sample), binary snapshots `snap_<t>.kbox` (run only),
+and a `summary.json` with named pass/fail checks.  The process exits 0 exactly
+when every check passed, 1 when a check failed, and 2 when there is no
+verdict: a config, snapshot, I/O or solver error, reported on one stderr line.
+
+`run` and `bounds` consume `timestepper.samples` and write each series line
+and snapshot as its sample is taken, keeping no trajectory of states: `run`
+keeps the last state for its summary, `bounds` each run's records.  So an
+exit-2 run leaves the samples taken before the failure, and no summary.json.
 """
 
 from __future__ import annotations
@@ -49,29 +54,39 @@ class VerificationSummary:
         return all(c.passed for c in self.checks)
 
 
-def _run_problem(p):
-    return T.run(p.state, p.cfg.t_end, p.forcing, p.params, p.env, p.step, p.cfg.sample_interval)
+def _run_args(p):
+    """The arguments of `timestepper.run` and `timestepper.samples` for a built problem."""
+    return p.state, p.cfg.t_end, p.forcing, p.params, p.env, p.step, p.cfg.sample_interval
 
 
 def _run_cfg(cfg: RunConfig):
     p = build_problem(cfg)
-    return p, _run_problem(p)
+    return p, T.run(*_run_args(p))
 
 
-def _run_pair(cfg: RunConfig, **refine):
-    """Run a config and its refinement: n doubled, dt_max halved, plus the `refine` overrides.
+def _build_pair(cfg: RunConfig, **refine):
+    """The problems of a config and of its refinement: n doubled, dt_max halved, plus `refine`.
 
-    Both are built first, so a bad one fails before any run.
+    Both are built before either runs, so a bad one fails before any run.
     """
     refined = replace(cfg, n=2 * cfg.n, dt_max=cfg.dt_max / 2.0, **refine)
-    problems = [build_problem(cfg), build_problem(refined)]
-    return [_run_problem(p) for p in problems]
+    return build_problem(cfg), build_problem(refined)
+
+
+def _open_series(outdir: Path):
+    return open(outdir / "series.ndjson", "w", encoding="utf-8")
+
+
+def _write_record(fh, rec) -> None:
+    """One series line, flushed, so a run that stops early leaves the samples it took."""
+    fh.write(diag.ndjson_line(rec) + "\n")
+    fh.flush()
 
 
 def _write_series(outdir: Path, traj) -> None:
-    with open(outdir / "series.ndjson", "w", encoding="utf-8") as fh:
+    with _open_series(outdir) as fh:
         for rec in traj.records:
-            fh.write(diag.ndjson_line(rec) + "\n")
+            _write_record(fh, rec)
 
 
 def _snapshot_names(times) -> list:
@@ -85,11 +100,6 @@ def _snapshot_names(times) -> list:
         if len(set(names)) == len(names):
             return names
         digits += 1
-
-
-def _write_snapshots(outdir: Path, traj) -> None:
-    for name, state in zip(_snapshot_names(traj.times), traj.states):
-        snap.write_snapshot(outdir / name, state)
 
 
 def _write_summary(outdir: Path, summary: VerificationSummary) -> None:
@@ -128,10 +138,16 @@ def _shrink_check(name: str, coarse: float, fine: float, factor: float, floor: f
 
 
 def cmd_run(cfg: RunConfig, outdir: Path) -> int:
-    _, traj = _run_cfg(cfg)
-    _write_series(outdir, traj)
-    _write_snapshots(outdir, traj)
-    final = traj.states[-1]
+    p = build_problem(cfg)
+    names = _snapshot_names(T.sample_times(p.state.t, cfg.t_end, cfg.sample_interval))
+    taken = T.samples(*_run_args(p))
+    with _open_series(outdir) as fh:
+        for name in names:
+            final, rec, _ = next(taken)
+            _write_record(fh, rec)
+            snap.write_snapshot(outdir / name, final)
+            if name != names[-1]:
+                del final  # the steps to the next sample need not keep this one alive
     finite = all(np.all(np.isfinite(a)) for a in (*final.u, final.omega, final.k))
     umax = float(np.abs(final.u).max())
     div_resid = float(np.abs(divergence(final.grid, final.u)).max())
@@ -162,20 +178,25 @@ def cmd_decay(cfg: RunConfig, outdir: Path) -> int:
     return _finish(outdir, VerificationSummary("decay", checks))
 
 
-def _max_violations(traj):
+def _max_violations(records):
     return (
-        max(r.envelope_violation_omega_low for r in traj.records),
-        max(r.envelope_violation_omega_high for r in traj.records),
-        max(r.envelope_violation_k for r in traj.records),
+        max(r.envelope_violation_omega_low for r in records),
+        max(r.envelope_violation_omega_high for r in records),
+        max(r.envelope_violation_k for r in records),
     )
 
 
 def cmd_bounds(cfg: RunConfig, outdir: Path) -> int:
-    base, fine = _run_pair(cfg)
-    _write_series(outdir, base)
+    base, fine = _build_pair(cfg)
+    base_records = []
+    with _open_series(outdir) as fh:
+        for _, rec, _ in T.samples(*_run_args(base)):
+            _write_record(fh, rec)
+            base_records.append(rec)
+    fine_records = [rec for _, rec, _ in T.samples(*_run_args(fine))]
     env = base.env
-    v0 = _max_violations(base)
-    v1 = _max_violations(fine)
+    v0 = _max_violations(base_records)
+    v1 = _max_violations(fine_records)
     base_worst_om = max(v0[0], v0[1])
     fine_worst_om = max(v1[0], v1[1])
     floor_om = 1e-12 * env.omega_star
@@ -189,7 +210,7 @@ def cmd_bounds(cfg: RunConfig, outdir: Path) -> int:
         # reported, not gated: how often the positivity guard clamped
         Check(
             "guard_activations_reported",
-            float(sum(r.guard_activations for r in base.records)),
+            float(sum(r.guard_activations for r in base_records)),
             0.0,
             True,
         ),
@@ -198,7 +219,8 @@ def cmd_bounds(cfg: RunConfig, outdir: Path) -> int:
 
 
 def cmd_balance(cfg: RunConfig, outdir: Path) -> int:
-    base, fine = _run_pair(cfg, sample_every=cfg.sample_interval / 2.0)
+    problems = _build_pair(cfg, sample_every=cfg.sample_interval / 2.0)
+    base, fine = (T.run(*_run_args(p)) for p in problems)
     _write_series(outdir, base)
     w0 = (base.times[0], base.times[-1])
     w1 = (fine.times[0], fine.times[-1])

@@ -17,7 +17,13 @@ import numpy as np
 
 from . import fields as F
 from . import model as M
-from .errors import BadDelta, DegenerateOmega, InsufficientSamples, NonpositiveSamples
+from .errors import (
+    BadDelta,
+    DegenerateOmega,
+    InsufficientSamples,
+    NonFiniteRecord,
+    NonpositiveSamples,
+)
 from .model import ComparisonEnvelope, ModelParams, State
 
 __all__ = [
@@ -163,11 +169,19 @@ def record(
 
 
 def ndjson_line(rec: DiagnosticsRecord) -> str:
-    """One NDJSON object with fixed key order, floats at 17 significant digits."""
+    """One NDJSON object with fixed key order, floats at 17 significant digits.
+
+    Raises NonFiniteRecord for an inf or nan, which strict JSON cannot carry.
+    """
     parts = []
     for key in _NDJSON_KEYS:
         v = getattr(rec, key)
-        parts.append(f'"{key}": {v:d}' if isinstance(v, int) else f'"{key}": {v:.17g}')
+        if isinstance(v, int):
+            parts.append(f'"{key}": {v:d}')
+        elif math.isfinite(v):
+            parts.append(f'"{key}": {v:.17g}')
+        else:
+            raise NonFiniteRecord(f"{key} = {v} at t = {rec.t!r}")
     return "{" + ", ".join(parts) + "}"
 
 

@@ -42,6 +42,10 @@ class NonpositiveParameter(KolmoboxError):
     """A scaling parameter that must be positive is not."""
 
 
+class NonFiniteRecord(KolmoboxError):
+    """A diagnostics record holds an inf or nan, which a strict JSON series line cannot carry."""
+
+
 class SnapshotError(KolmoboxError, ValueError):
     """A snapshot file is malformed: short or bad header, truncated or missing field."""
 

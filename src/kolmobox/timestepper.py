@@ -8,10 +8,14 @@ positivity guard that clamps omega and k at a small slack below their
 comparison envelopes; clamping is counted, never silent, and so are rejected
 attempts.
 
-Both schemes share one step protocol: `run` evaluates stage 1, the `rhs` of
-the accepted state, once per step, takes the CFL step from the maxima that
-evaluation reports, and hands its rates to the step (the first Heun stage, or
+Both schemes share one step protocol: stage 1, the `rhs` of the accepted
+state, is evaluated once per step; the CFL step comes from the maxima that
+evaluation reports, and its rates go to the step (the first Heun stage, or
 the first Picard residual); retries after a rejection reuse the same rates.
+
+`samples` is the sampling loop: a generator that walks the schedule of
+`sample_times` and yields each sample's state and diagnostics record as it is
+taken, holding no earlier sample.  `run` collects it into a Trajectory.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ __all__ = [
     "step_explicit",
     "operator_apply",
     "step_rothe",
+    "sample_times",
+    "samples",
     "run",
 ]
 
@@ -304,6 +310,64 @@ def _advance(state, remaining, forcing, params, env, cfg):
     raise StepRejected(f"step rejected after {_MAX_RETRIES} dt halvings")
 
 
+def sample_times(t0: float, t_end: float, sample_every: float) -> list:
+    """The sample schedule: t0, then t0 + i * sample_every below t_end, then t_end.
+
+    A time that does not exceed the one before it in floating point is left
+    out, so the times increase strictly.  `samples` takes one sample at each.
+    """
+    if t_end < t0:
+        raise ValueError("t_end must be >= initial.t")
+    if sample_every <= 0.0:
+        raise ValueError("sample_every must be positive")
+    times = [t0]
+    i = 1
+    while times[-1] < t_end:
+        boundary = min(t0 + i * sample_every, t_end)
+        i += 1
+        if boundary > times[-1]:
+            times.append(boundary)
+    return times
+
+
+def samples(
+    initial: State,
+    t_end: float,
+    forcing: Optional[np.ndarray],
+    params: ModelParams,
+    env: ComparisonEnvelope,
+    cfg: StepConfig,
+    sample_every: float,
+):
+    """Advance to t_end, yielding (state, record, rejected) at each time of `sample_times`.
+
+    `record` is the sample's diagnostics record and `rejected` counts the
+    step attempts rejected since the previous sample.  dt is the smaller of
+    the CFL estimate and the distance to the next sample time, so runs are
+    deterministic and restartable on aligned sample grids.  No earlier sample
+    is held, so memory does not grow with the number of samples.
+    `forcing` is None or a constant array of the velocity's shape.
+    """
+    times = sample_times(initial.t, t_end, sample_every)
+    if forcing is not None and np.shape(forcing) != initial.u.shape:
+        raise IncompatibleGrid(f"forcing shape {np.shape(forcing)} != u shape {initial.u.shape}")
+
+    state = initial
+    yield state, diag.record(state, forcing, params, env), 0
+    for boundary in times[1:]:
+        guard_hits = 0
+        rejected = 0
+        while state.t < boundary:
+            remaining = boundary - state.t
+            state, dt_used, n_rejected = _advance(state, remaining, forcing, params, env, cfg)
+            rejected += n_rejected
+            if dt_used == remaining and state.t != boundary:
+                state = replace(state, t=boundary)
+            guard_hits += state.guard_hits
+        rec = diag.record(state, forcing, params, env, guard_activations=guard_hits)
+        yield state, rec, rejected
+
+
 def run(
     initial: State,
     t_end: float,
@@ -313,40 +377,7 @@ def run(
     cfg: StepConfig,
     sample_every: float,
 ) -> Trajectory:
-    """Advance to t_end, sampling diagnostics every `sample_every` time units.
-
-    dt is the smaller of the CFL estimate and the distance to the next sample
-    boundary, so runs are deterministic and restartable on aligned sample
-    grids.  t_end itself is always the final sample.  `forcing` is None or a
-    constant array of the velocity's shape.
-    """
-    if t_end < initial.t:
-        raise ValueError("t_end must be >= initial.t")
-    if sample_every <= 0.0:
-        raise ValueError("sample_every must be positive")
-    if forcing is not None and np.shape(forcing) != initial.u.shape:
-        raise IncompatibleGrid(f"forcing shape {np.shape(forcing)} != u shape {initial.u.shape}")
-
-    states = [initial]
-    records = [diag.record(initial, forcing, params, env)]
-
-    state = initial
-    rejected = 0
-    i = 1
-    while state.t < t_end:
-        boundary = min(initial.t + i * sample_every, t_end)
-        i += 1
-        if boundary <= state.t:
-            continue
-        guard_hits = 0
-        while state.t < boundary:
-            remaining = boundary - state.t
-            state, dt_used, n_rejected = _advance(state, remaining, forcing, params, env, cfg)
-            rejected += n_rejected
-            if dt_used == remaining and state.t != boundary:
-                state = replace(state, t=boundary)
-            guard_hits += state.guard_hits
-        states.append(state)
-        records.append(diag.record(state, forcing, params, env, guard_activations=guard_hits))
-
-    return Trajectory(tuple(states), tuple(records), params, env, forcing, rejected)
+    """Collect `samples` into a Trajectory; t_end itself is always the final sample."""
+    taken = samples(initial, t_end, forcing, params, env, cfg, sample_every)
+    states, records, rejected = zip(*taken)
+    return Trajectory(states, records, params, env, forcing, sum(rejected))

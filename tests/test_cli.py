@@ -1,11 +1,13 @@
 """End-to-end command tests: outputs, determinism, exit codes."""
 
 import ctypes
+import gc
 import json
 import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -14,9 +16,13 @@ import pytest
 from conftest import BAD_CONFIG_IDS, BAD_CONFIGS, config_with
 
 from kolmobox import cli
+from kolmobox import diagnostics as D
 from kolmobox import fields as F
 from kolmobox import model as M
 from kolmobox import snapshot as snap
+from kolmobox import timestepper as T
+from kolmobox.config import build_problem, load_config
+from kolmobox.errors import StepRejected
 
 HOMOG = """
 dim = 1
@@ -70,6 +76,124 @@ def test_every_sample_gets_its_own_snapshot(tmp_path, t_end, sample_every, stamp
     assert [p.name for p in snaps] == [f"snap_{s}.kbox" for s in stamps]
     assert len(times) == len(snaps)
     assert len({p.read_bytes() for p in snaps}) == len(snaps)  # no state written twice
+
+
+def test_failed_run_leaves_the_samples_taken_before_it(tmp_path, capsys, monkeypatch):
+    cfg = write_cfg(tmp_path, HOMOG)
+    full, cut = tmp_path / "full", tmp_path / "cut"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(full)]) == 0
+    capsys.readouterr()
+    advance, calls = T._advance, []
+
+    def fail_on_call_150(*args):
+        calls.append(None)
+        if len(calls) == 150:
+            raise StepRejected("synthetic failure")
+        return advance(*args)
+
+    # HOMOG reaches its samples at t = 0.25 and 0.5 in 77 and 70 steps; step 150 is before 0.75
+    monkeypatch.setattr(T, "_advance", fail_on_call_150)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(cut)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: StepRejected: synthetic failure"]
+    lines = (cut / "series.ndjson").read_bytes().splitlines(keepends=True)
+    assert lines == (full / "series.ndjson").read_bytes().splitlines(keepends=True)[:3]
+    snaps = sorted(cut.glob("snap_*.kbox"))
+    assert [p.name for p in snaps] == [p.name for p in sorted(full.glob("snap_*.kbox"))[:3]]
+    assert all(p.read_bytes() == (full / p.name).read_bytes() for p in snaps)
+    assert not (cut / "summary.json").exists()
+
+
+REG_2D = """
+dim = 2
+n = 16
+side = 6.283185307179586
+regularized = true
+eps = 1e-3
+r = 3.2
+guard = false
+ic = perturbed
+perturb_modes = u1:1:1:2.0, u2:0:2:2.0, omega:0:1:0.1, k:1:1:0.5
+t_end = 0.01
+sample_every = 0.0025
+"""
+
+
+def trajectory_of(cfg_path):
+    p = build_problem(load_config(cfg_path))
+    return T.run(p.state, p.cfg.t_end, p.forcing, p.params, p.env, p.step, p.cfg.sample_interval)
+
+
+def series_of(traj):
+    return "".join(D.ndjson_line(rec) + "\n" for rec in traj.records)
+
+
+def test_streamed_run_writes_what_the_trajectory_holds(tmp_path):
+    cfg = write_cfg(tmp_path, REG_2D)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    traj = trajectory_of(cfg)
+    assert (out / "series.ndjson").read_text() == series_of(traj)
+    snaps = sorted(out.glob("snap_*.kbox"))
+    assert len(snaps) == len(traj.states) == 5
+    for path, state in zip(snaps, traj.states):
+        snap.write_snapshot(tmp_path / "ref.kbox", state)
+        assert path.read_bytes() == (tmp_path / "ref.kbox").read_bytes(), path.name
+
+
+def test_streamed_bounds_series_is_the_base_trajectory(tmp_path):
+    cfg = write_cfg(tmp_path, REG_2D)
+    out = tmp_path / "o"
+    assert cli.main(["bounds", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    assert (out / "series.ndjson").read_text() == series_of(trajectory_of(cfg))
+
+
+BOUNDS_3D = """
+dim = 3
+n = 8
+side = 6.283185307179586
+ic = perturbed
+perturb_modes = u1:1:1:0.5, u2:2:1:0.5, u3:0:1:0.5, omega:0:1:0.1, k:2:1:0.2
+dt_max = 0.002
+t_end = 0.032
+"""
+
+RUN_2D = """
+dim = 2
+n = 32
+side = 6.283185307179586
+ic = perturbed
+perturb_modes = u1:1:1:0.5, u2:0:2:0.5, omega:0:1:0.1, k:1:1:0.2
+dt_max = 0.001
+t_end = 0.032
+"""
+
+
+def traced_peak(tmp_path, command, text, samples):
+    """tracemalloc's peak over one command whose run takes `samples` samples."""
+    text += f"sample_every = {0.032 / (samples - 1)!r}\n"
+    cfg = write_cfg(tmp_path, text, f"{samples}.cfg")
+    gc.collect()
+    gc.disable()  # cycle collections at varying points would move the peak by up to ~20 kB
+    tracemalloc.start()
+    try:
+        code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / f"o{samples}")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert code in (0, 1)
+    return peak
+
+
+@pytest.mark.parametrize("command, text, grid_values", [
+    ("bounds", BOUNDS_3D, 5 * 16**3),  # one State of the refined 16^3 run
+    ("run", RUN_2D, 4 * 32**2),  # one State of the 2D n = 32 run
+], ids=["bounds_3d", "run_2d"])
+def test_memory_does_not_grow_with_the_sample_count(tmp_path, capsys, command, text, grid_values):
+    traced_peak(tmp_path, command, text, 3)  # fills the per-shape caches before tracing
+    few = traced_peak(tmp_path, command, text, 3)
+    many = traced_peak(tmp_path, command, text, 33)
+    assert abs(many - few) < 8 * grid_values, (few, many)
 
 
 DECAY = """
@@ -328,7 +452,7 @@ def test_overflow_exits_2_on_one_stderr_line(tmp_path):
     )
     assert proc.returncode == 2
     err = proc.stderr.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: StepRejected: "), err
+    assert len(err) == 1 and err[0].startswith("error: NonFiniteRecord: "), err
 
 
 def snapshot_file(tmp_path, dim, n):

@@ -1,5 +1,8 @@
 """Records, balances, length-scale bound, entropy functional, decay fits."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from kolmobox.errors import (
     BadDelta,
     DegenerateOmega,
     InsufficientSamples,
+    NonFiniteRecord,
     NonpositiveSamples,
 )
 
@@ -89,6 +93,16 @@ class TestRecord:
             )
         )
 
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_ndjson_line_refuses_non_finite_values(self, value):
+        # strict JSON has no inf or nan: the line is refused, naming the key, value and t
+        g = F.Grid(1, 8, 1.0)
+        one = const(g, 1.0)
+        st = M.State(t=0.5, grid=g, u=zero_vector(g), omega=one, k=one)
+        rec = D.record(st, None, PARAMS, ENV1)
+        with pytest.raises(NonFiniteRecord, match=f"^sink_k = {value} at t = 0.5$"):
+            D.ndjson_line(replace(rec, sink_k=value))
 
 def fabricated_trajectory(masses, times, grid, params=PARAMS, env=ENV1):
     """Constant-in-space states whose k mass follows `masses` (per unit volume)."""

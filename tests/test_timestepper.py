@@ -1,6 +1,7 @@
 """Explicit and Rothe stepping, CFL logic, trajectories."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,6 +173,20 @@ class TestRun:
         np.testing.assert_allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0])
         assert len(traj.records) == 5
         assert traj.records[0].E_turb == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("t0, t_end, sample_every", [
+        (0.0, 2.0, 0.25),  # the CLI tests' HOMOG config, with its dt_max
+        (0.0, 1.0000001, 0.5),
+        (0.0, 2e-6, 2.5e-7),
+        (0.0, 1.0, 0.3),  # t_end is not a multiple of sample_every
+        (0.0, 0.0, 0.1),
+        (0.7, 1.9, 0.25),  # a restarted segment
+    ], ids=["homog", "close_final_sample", "sub_microsecond", "ragged_end", "empty", "restart"])
+    def test_schedule_is_the_run_times(self, t0, t_end, sample_every):
+        g, ic, env, st = homogeneous()
+        st = replace(st, t=t0)
+        traj = T.run(st, t_end, None, PARAMS, env, T.StepConfig(dt_max=0.01), sample_every)
+        assert T.sample_times(t0, t_end, sample_every) == list(traj.times)
 
     def test_kinetic_energy_monotone_without_forcing(self):
         g, st, env, params = structured_problem(n=16)
