@@ -19,7 +19,7 @@ import argparse
 import ctypes
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -179,9 +179,9 @@ def cmd_decay(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _max_violations(records):
+    """(deepest omega envelope violation, on either side; deepest k violation)."""
     return (
-        max(r.envelope_violation_omega_low for r in records),
-        max(r.envelope_violation_omega_high for r in records),
+        max(max(r.envelope_violation_omega_low, r.envelope_violation_omega_high) for r in records),
         max(r.envelope_violation_k for r in records),
     )
 
@@ -195,18 +195,16 @@ def cmd_bounds(cfg: RunConfig, outdir: Path) -> int:
             base_records.append(rec)
     fine_records = [rec for _, rec, _ in T.samples(*_run_args(fine))]
     env = base.env
-    v0 = _max_violations(base_records)
-    v1 = _max_violations(fine_records)
-    base_worst_om = max(v0[0], v0[1])
-    fine_worst_om = max(v1[0], v1[1])
+    base_worst_om, base_worst_k = _max_violations(base_records)
+    fine_worst_om, fine_worst_k = _max_violations(fine_records)
     floor_om = 1e-12 * env.omega_star
     floor_k = 1e-12 * env.k_star
     checks = [
         Check("omega_violation", base_worst_om, 1e-3 * env.omega_star,
               base_worst_om <= 1e-3 * env.omega_star),
-        Check("k_violation", v0[2], 1e-3 * env.k_star, v0[2] <= 1e-3 * env.k_star),
+        Check("k_violation", base_worst_k, 1e-3 * env.k_star, base_worst_k <= 1e-3 * env.k_star),
         _shrink_check("omega_violation_shrink", base_worst_om, fine_worst_om, 1.5, floor_om),
-        _shrink_check("k_violation_shrink", v0[2], v1[2], 1.5, floor_k),
+        _shrink_check("k_violation_shrink", base_worst_k, fine_worst_k, 1.5, floor_k),
         # reported, not gated: how often the positivity guard clamped
         Check(
             "guard_activations_reported",
@@ -233,13 +231,9 @@ def cmd_balance(cfg: RunConfig, outdir: Path) -> int:
         _shrink_check("k_balance_shrink", rep0.k_residual, rep1.k_residual, 1.5, floor),
         _shrink_check("energy_gap_shrink", abs(rep0.energy_gap), abs(rep1.energy_gap), 1.5, floor),
     ]
-    def _as_dict(rep):
-        return {
-            "omega_residual": float(rep.omega_residual),
-            "k_residual": float(rep.k_residual),
-            "mu_proxy": float(rep.mu_proxy),
-            "energy_gap": float(rep.energy_gap),
-        }
+    def _as_dict(rep):  # the real-valued fields, in declaration order
+        values = ((f.name, getattr(rep, f.name)) for f in fields(rep))
+        return {name: float(v) for name, v in values if isinstance(v, float)}
 
     with open(outdir / "balance.json", "w", encoding="utf-8") as fh:
         json.dump({"base": _as_dict(rep0), "refined": _as_dict(rep1)}, fh, indent=2)
@@ -247,19 +241,19 @@ def cmd_balance(cfg: RunConfig, outdir: Path) -> int:
 
 
 def cmd_scaling(cfg: RunConfig, outdir: Path, rho: float, gamma: float) -> int:
+    sp = S.family_from(rho, gamma)  # a bad rho or gamma fails before the run
     p, traj = _run_cfg(cfg)
-    sp = S.family_from(rho, gamma)
     report = S.invariance_experiment(traj, sp)
     with open(outdir / "scaling_report.ndjson", "w", encoding="utf-8") as fh:
         for line in S.report_ndjson_lines(report):
             fh.write(line + "\n")
 
     rng = np.random.default_rng(cfg.seed)
+    kolmogorov = S.CoefficientFamily.kolmogorov(p.params)
     worst = 0.0
     for _ in range(1000):
         a, b, rr, gg, om, kk = rng.uniform(0.25, 4.0, size=6)
-        fam = S.CoefficientFamily(A=a, B=b, D1=p.params.nu0, D2=p.params.nu1,
-                                  D3=p.params.nu2, G2=p.params.alpha1, G3=p.params.alpha2)
+        fam = replace(kolmogorov, A=a, B=b)
         res = S.coefficient_invariance_residuals(fam, S.general_family(a, b, rr, gg), [(om, kk)])
         worst = max(worst, res.overall)
 
@@ -270,6 +264,10 @@ def cmd_scaling(cfg: RunConfig, outdir: Path, rho: float, gamma: float) -> int:
     ]
     checks.append(Check("coefficient_invariance", worst, 1e-12, worst <= 1e-12))
     return _finish(outdir, VerificationSummary("scaling", checks))
+
+
+_COMMANDS = dict(run=cmd_run, decay=cmd_decay, bounds=cmd_bounds, balance=cmd_balance,
+                 scaling=cmd_scaling)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +300,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Periodic-box two-equation turbulence model: runs and verifications",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "decay", "bounds", "balance", "scaling"):
+    for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="path to key=value config file")
         sp.add_argument("--out", default=None, help="output directory (overrides config)")
@@ -317,19 +315,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg = load_config(args.config)
             outdir = Path(args.out) if args.out else Path(cfg.out_dir)
             outdir.mkdir(parents=True, exist_ok=True)
-            if args.command == "run":
-                return cmd_run(cfg, outdir)
-            if args.command == "decay":
-                return cmd_decay(cfg, outdir)
-            if args.command == "bounds":
-                return cmd_bounds(cfg, outdir)
-            if args.command == "balance":
-                return cmd_balance(cfg, outdir)
-            if args.command == "scaling":
-                return cmd_scaling(cfg, outdir, args.rho, args.gamma)
-            raise AssertionError(args.command)
-    except KolmoboxError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            extra = (args.rho, args.gamma) if args.command == "scaling" else ()
+            return _COMMANDS[args.command](cfg, outdir, *extra)
+    except (KolmoboxError, MemoryError) as exc:
+        # numpy's out-of-memory error is a private subclass; name the public class
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"error: {name}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

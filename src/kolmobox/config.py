@@ -1,16 +1,17 @@
 """Line-oriented "key = value" run configuration.
 
-'#' starts a comment, lists are comma-separated, unknown keys are errors.
-Perturbation modes are colon-separated tuples field:axis:wavenumber:amplitude
-(e.g. ``perturb_modes = omega:0:2:0.05, k:1:1:0.1``).  Each key's type is its
-`RunConfig` annotation.
+'#' starts a comment, lists are comma-separated, unknown keys are errors, and
+the file must be UTF-8.  Perturbation modes are colon-separated tuples
+field:axis:wavenumber:amplitude (``perturb_modes = omega:0:2:0.05, k:1:1:0.1``).
+Each key's type is its `RunConfig` annotation.  Each default is written once:
+`StepConfig` owns those of the stepping keys, `ModelParams` those of the
+closure and regularization keys, and `RunConfig` the rest.
 
 Every check raises `ValidationError` naming the key, and each has one owner.
-`Grid`, `ModelParams` and `StepConfig` check their own fields; their fields
-are named like the config keys, and parsing builds all three, so their checks
-run at parse time.  `_validate` checks the rest at parse time: every real must
-be finite (except dt_max), plus the sampling, envelope, initial-data, forcing
-and seed keys.  The pointwise initial-data constraints (omega0 within
+`Grid`, `ModelParams` and `StepConfig` check their own fields (named like the
+config keys) when parsing builds them; `_validate` checks the rest: every real
+must be finite (except dt_max), plus the sampling, envelope, initial-data,
+forcing and seed keys.  The pointwise initial-data constraints (omega0 within
 [omega_star, omega_sup], k0 >= k_star) and the snapshot grid, which must equal
 Grid(dim, n, side), are checked when the state is built.
 """
@@ -49,21 +50,21 @@ class RunConfig:
     t_end: float = 1.0
     sample_every: float = 0.0  # 0 means t_end / 50
     # stepping
-    scheme: str = "explicit_rk2"
-    cfl_safety: float = 0.4
-    dt_max: float = math.inf
-    picard_max_iters: int = 200
-    picard_tol: float = 1e-10
-    guard: bool = True
+    scheme: str = StepConfig.scheme
+    cfl_safety: float = StepConfig.cfl_safety
+    dt_max: float = StepConfig.dt_max
+    picard_max_iters: int = StepConfig.picard_max_iters
+    picard_tol: float = StepConfig.picard_tol
+    guard: bool = StepConfig.guard
     # closure coefficients and regularization
-    nu0: float = 1.0
-    nu1: float = 1.0
-    nu2: float = 1.0
-    alpha1: float = 1.0
-    alpha2: float = 1.0
-    eps: float = 0.0
-    r: float = 3.2
-    regularized: bool = False
+    nu0: float = ModelParams.nu0
+    nu1: float = ModelParams.nu1
+    nu2: float = ModelParams.nu2
+    alpha1: float = ModelParams.alpha1
+    alpha2: float = ModelParams.alpha2
+    eps: float = ModelParams.eps
+    r: float = ModelParams.r
+    regularized: bool = ModelParams.regularized
     # envelope bounds (non-positive means: derive from the initial data)
     omega_star: float = 0.0
     omega_sup: float = 0.0
@@ -94,6 +95,8 @@ class RunConfig:
         return self.sample_every if self.sample_every > 0 else max(self.t_end / 50.0, 1e-12)
 
 
+# what a perturbation mode may target: the first 2 + dim, drawn in this order by random modes
+_TARGETS = ("omega", "k", "u1", "u2", "u3")
 _BOOL = {"true": True, "false": False, "on": True, "off": False, "1": True, "0": False}
 
 
@@ -171,8 +174,13 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1, "not valid UTF-8") from None
+    return parse_config(text)
 
 
 def _from_cfg(cls, cfg: RunConfig):
@@ -183,6 +191,10 @@ def _from_cfg(cls, cfg: RunConfig):
 def _require(cond: bool, fieldname: str, constraint: str):
     if not cond:
         raise ValidationError(fieldname, constraint)
+
+
+def _require_resolvable(m: int, n: int, fieldname: str):
+    _require(1 <= m < n // 2, fieldname, f"wavenumber {m} not resolvable on n = {n}")
 
 
 def _validate(cfg: RunConfig):
@@ -214,16 +226,10 @@ def _validate(cfg: RunConfig):
         )
     for m in cfg.perturb_modes:
         _require(
-            m.target in ("omega", "k") or m.target in tuple(f"u{i+1}" for i in range(cfg.dim)),
-            "perturb_modes",
-            f"unknown target {m.target!r}",
+            m.target in _TARGETS[: 2 + cfg.dim], "perturb_modes", f"unknown target {m.target!r}"
         )
         _require(0 <= m.axis < cfg.dim, "perturb_modes", f"axis {m.axis} out of range")
-        _require(
-            1 <= m.wavenumber < cfg.n // 2,
-            "perturb_modes",
-            f"wavenumber {m.wavenumber} not resolvable on n = {cfg.n}",
-        )
+        _require_resolvable(m.wavenumber, cfg.n, "perturb_modes")
         _require(math.isfinite(m.amplitude), "perturb_modes", "amplitudes must be finite")
     _require(cfg.perturb_random_modes >= 0, "perturb_random_modes", "must be nonnegative")
     _require(cfg.forcing in ("none", "constant", "single_mode"), "forcing", "unknown forcing kind")
@@ -234,11 +240,7 @@ def _validate(cfg: RunConfig):
     if cfg.forcing == "single_mode":
         _require(0 <= cfg.forcing_axis < cfg.dim, "forcing_axis", "out of range")
         _require(0 <= cfg.forcing_component < cfg.dim, "forcing_component", "out of range")
-        _require(
-            1 <= cfg.forcing_wavenumber < cfg.n // 2,
-            "forcing_wavenumber",
-            f"wavenumber {cfg.forcing_wavenumber} not resolvable on n = {cfg.n}",
-        )
+        _require_resolvable(cfg.forcing_wavenumber, cfg.n, "forcing_wavenumber")
     _require(cfg.seed >= 0, "seed", "must be a nonnegative integer")
 
 
@@ -269,10 +271,9 @@ def _build_state(cfg: RunConfig, grid: Grid) -> State:
         modes = [(m, 0.0) for m in cfg.perturb_modes]
         if cfg.perturb_random_modes > 0:
             rng = np.random.default_rng(cfg.seed)
-            targets = ["omega", "k"] + [f"u{i+1}" for i in range(cfg.dim)]
             for _ in range(cfg.perturb_random_modes):
                 m = PerturbMode(
-                    target=str(rng.choice(targets)),
+                    target=str(rng.choice(_TARGETS[: 2 + cfg.dim])),
                     axis=int(rng.integers(0, cfg.dim)),
                     wavenumber=int(rng.integers(1, max(2, cfg.n // 4))),
                     amplitude=cfg.perturb_random_amplitude * float(rng.uniform(-1.0, 1.0)),

@@ -10,7 +10,7 @@ functional and log-log decay-exponent fits complete the set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 import numpy as np
@@ -40,24 +40,6 @@ __all__ = [
     "decay_fit",
 ]
 
-_NDJSON_KEYS = (
-    "t",
-    "E_kin",
-    "E_turb",
-    "dissipation",
-    "sink_k",
-    "sink_omega",
-    "power_in",
-    "min_omega",
-    "max_omega",
-    "min_k",
-    "envelope_violation_omega_low",
-    "envelope_violation_omega_high",
-    "envelope_violation_k",
-    "L_min",
-    "guard_activations",
-)
-
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
@@ -76,6 +58,9 @@ class DiagnosticsRecord:
     envelope_violation_k: float
     L_min: float
     guard_activations: int
+
+
+_NDJSON_KEYS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 @dataclass(frozen=True)
@@ -365,8 +350,6 @@ def entropy_phi(tau, delta: float):
 
 def entropy_functional(g, k: np.ndarray, delta: float):
     """(integral of the entropy density, integral of |grad k|^2 / (1+k)^delta)."""
-    if not 0.0 < delta < 1.0:
-        raise BadDelta(f"delta must be in ]0,1[, got {delta}")
     phi = entropy_phi(k, delta)
     mag2 = np.zeros(g.shape)
     for c in F.gradient(g, k):
@@ -384,10 +367,9 @@ def decay_fit(traj, quantity: str, window) -> FitResult:
     idx, times = _window_indices(traj, window, 3)
     params, env = traj.params, traj.env
     states = [traj.states[i] for i in idx]
-    if quantity == "mean_k":
-        vals = [F.integrate(s.grid, s.k) / s.grid.volume for s in states]
-    elif quantity == "mean_omega":
-        vals = [F.integrate(s.grid, s.omega) / s.grid.volume for s in states]
+    if quantity in ("mean_k", "mean_omega"):
+        field = quantity.removeprefix("mean_")
+        vals = [F.integrate(s.grid, getattr(s, field)) / s.grid.volume for s in states]
     elif quantity == "L_min":
         vals = [traj.records[i].L_min for i in idx]
     else:

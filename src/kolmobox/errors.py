@@ -39,7 +39,7 @@ class BadDelta(KolmoboxError):
 
 
 class NonpositiveParameter(KolmoboxError):
-    """A scaling parameter that must be positive is not."""
+    """A scaling parameter (or its reciprocal) is not positive and finite."""
 
 
 class NonFiniteRecord(KolmoboxError):

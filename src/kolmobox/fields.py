@@ -444,22 +444,23 @@ def max_face_gradient(g: Grid, f: np.ndarray) -> float:
 # Fourier solves: Leray projection and diffusion
 
 
+def _half_spectrum(g: Grid, base: np.ndarray) -> list:
+    """`base`, one value per wavenumber in `fftfreq` order, along each axis of `rfftn` output."""
+    d = g.dim
+    sizes = [g.n] * (d - 1) + [g.n // 2 + 1]  # the last axis keeps m = 0..n/2
+    return [base[:m].reshape((1,) * ax + (m,) + (1,) * (d - 1 - ax)) for ax, m in enumerate(sizes)]
+
+
 @lru_cache(maxsize=8)
 def _projection_symbols(g: Grid) -> tuple:
     """Half-spectrum symbols of the centered difference and 1/sum(s^2), read-only.
 
-    The symbol along axis `ax` is sin(2 pi m / n) / h, shaped to broadcast
-    against `rfftn` output (the last axis keeps m = 0..n/2).  The reciprocal
-    is 0 where every symbol vanishes (mean and all-Nyquist modes).
+    The symbol along axis `ax` is sin(2 pi m / n) / h.  The reciprocal is 0
+    where every symbol vanishes (mean and all-Nyquist modes).
     """
-    n, d = g.n, g.dim
-    base = np.sin(2.0 * np.pi * np.fft.fftfreq(n)) / g.h
-    base[n // 2] = 0.0  # sin(pi) is only ~1e-16 in floats; the symbol must vanish exactly
-    sym = []
-    for ax in range(d):
-        shape = [1] * d
-        shape[ax] = n if ax < d - 1 else n // 2 + 1
-        sym.append(base[: shape[ax]].reshape(shape))
+    base = np.sin(2.0 * np.pi * np.fft.fftfreq(g.n)) / g.h
+    base[g.n // 2] = 0.0  # sin(pi) is only ~1e-16 in floats; the symbol must vanish exactly
+    sym = _half_spectrum(g, base)
     denom = sum(s * s for s in sym)
     inv = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0.0)
     for arr in (*sym, inv):
@@ -495,13 +496,8 @@ def _diffusion_symbol(g: Grid) -> np.ndarray:
     Lap_h is the compact 3-point Laplacian, f[j+1] - 2 f[j] + f[j-1] over h^2
     along each axis; the array is shaped like `rfftn` output of a scalar.
     """
-    n, d = g.n, g.dim
-    base = 4.0 / (g.h * g.h) * np.sin(np.pi * np.fft.fftfreq(n)) ** 2
-    lam = np.zeros((n,) * (d - 1) + (n // 2 + 1,))
-    for ax in range(d):
-        shape = [1] * d
-        shape[ax] = lam.shape[ax]
-        lam += base[: shape[ax]].reshape(shape)
+    base = 4.0 / (g.h * g.h) * np.sin(np.pi * np.fft.fftfreq(g.n)) ** 2
+    lam = sum(_half_spectrum(g, base))
     lam.flags.writeable = False
     return lam
 

@@ -182,7 +182,8 @@ def eddy_coefficient(k: np.ndarray, omega: np.ndarray, params: ModelParams) -> n
     """
     if params.regularized:
         return np.maximum(k, 0.0) / (params.eps + np.maximum(omega, 0.0))
-    _require_positive(omega)
+    if omega.min() <= 0.0:
+        raise DegenerateOmega(f"min(omega) = {omega.min()} <= 0")
     return k / omega
 
 
@@ -192,16 +193,10 @@ def production_coefficient(k: np.ndarray, omega: np.ndarray, params: ModelParams
     The regularized denominator eps + omega+ + eps*k+ keeps the production
     bounded by 1/eps.
     """
-    if params.regularized:
-        kp = np.maximum(k, 0.0)
-        return kp / (params.eps + np.maximum(omega, 0.0) + params.eps * kp)
-    _require_positive(omega)
-    return k / omega
-
-
-def _require_positive(omega: np.ndarray):
-    if omega.min() <= 0.0:
-        raise DegenerateOmega(f"min(omega) = {omega.min()} <= 0")
+    if not params.regularized:
+        return eddy_coefficient(k, omega, params)
+    kp = np.maximum(k, 0.0)
+    return kp / (params.eps + np.maximum(omega, 0.0) + params.eps * kp)
 
 
 # ---------------------------------------------------------------------------

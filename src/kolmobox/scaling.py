@@ -76,15 +76,15 @@ class ScalingParams:
 
 def family_from(rho: float, gamma: float) -> ScalingParams:
     """Two-parameter family (rho, gamma) -> (rho, rho/gamma, gamma, rho, gamma^2)."""
-    if not (rho > 0.0 and gamma > 0.0):
-        raise NonpositiveParameter("rho and gamma must be positive")
+    if not all(0.0 < v < np.inf and 1.0 / v < np.inf for v in (rho, gamma)):
+        raise NonpositiveParameter("rho, gamma and their reciprocals must be finite and > 0")
     return ScalingParams(rho=rho, gamma=gamma, alpha=rho, beta=rho / gamma, sigma=gamma * gamma)
 
 
 def beta_general(A: float, B: float, rho: float, gamma: float) -> float:
     """Spatial scale beta = rho^A * gamma^(1-2B) of the power-law family."""
-    if not (A > 0.0 and B > 0.0 and rho > 0.0 and gamma > 0.0):
-        raise NonpositiveParameter("A, B, rho, gamma must be positive")
+    if not all(0.0 < v < np.inf and 1.0 / v < np.inf for v in (A, B, rho, gamma)):
+        raise NonpositiveParameter("A, B, rho, gamma and their reciprocals must be finite and > 0")
     return rho**A * gamma ** (1.0 - 2.0 * B)
 
 

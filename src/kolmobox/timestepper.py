@@ -291,22 +291,27 @@ def step_rothe(
 _MAX_RETRIES = 10
 
 
-def _advance(state, remaining, forcing, params, env, cfg):
-    """One accepted step of at most `remaining`, halving dt on rejection.
+def _advance(state, boundary, forcing, params, env, cfg):
+    """One accepted step of at most boundary - t, halving dt on rejection.
 
-    Returns (state, dt actually used, rejected attempts).  Stage 1 is
-    evaluated here once, whatever the scheme: its maxima give the CFL step
-    and its rates go to every attempt.
+    Returns (state, rejected attempts); a step of the whole distance lands
+    on `boundary` exactly.  Stage 1 is evaluated here once, whatever the
+    scheme: its maxima give the CFL step and its rates go to every attempt.
     """
+    remaining = boundary - state.t
     limits = []
     rates = M.rhs(state, state.t, forcing, params, env, limits=limits)
     dt = min(cfl_dt(state, limits, params, cfg), remaining)
     step = step_explicit if cfg.scheme == "explicit_rk2" else step_rothe
     for rejected in range(_MAX_RETRIES + 1):
         try:
-            return step(state, dt, forcing, params, env, cfg, rates=rates), dt, rejected
+            new = step(state, dt, forcing, params, env, cfg, rates=rates)
         except (StepRejected, PicardDiverged):
             dt *= 0.5
+            continue
+        if dt == remaining and new.t != boundary:
+            new = replace(new, t=boundary)
+        return new, rejected
     raise StepRejected(f"step rejected after {_MAX_RETRIES} dt halvings")
 
 
@@ -358,11 +363,8 @@ def samples(
         guard_hits = 0
         rejected = 0
         while state.t < boundary:
-            remaining = boundary - state.t
-            state, dt_used, n_rejected = _advance(state, remaining, forcing, params, env, cfg)
+            state, n_rejected = _advance(state, boundary, forcing, params, env, cfg)
             rejected += n_rejected
-            if dt_used == remaining and state.t != boundary:
-                state = replace(state, t=boundary)
             guard_hits += state.guard_hits
         rec = diag.record(state, forcing, params, env, guard_activations=guard_hits)
         yield state, rec, rejected

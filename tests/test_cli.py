@@ -2,8 +2,10 @@
 
 import ctypes
 import gc
+import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -215,6 +217,37 @@ def test_decay_command_passes(tmp_path):
     assert names == {"k_exponent", "omega_exponent", "L_min_exponent"}
 
 
+# the benchmark's decay_1d config; its series has kept these bits since the solver took its
+# present form, and a change that moves them must update the digest and say why
+DECAY_1D = """
+dim = 1
+n = 4
+alpha2 = 1.4285714285714286
+dt_max = 0.01
+t_end = 20
+sample_every = 0.5
+"""
+DECAY_1D_SERIES_SHA256 = "604bc526b2945380e28e67a929068c84dfaaad7299f3c746e632d6641af50d96"
+
+
+def test_decay_series_bits_are_pinned(tmp_path):
+    cfg = write_cfg(tmp_path, DECAY_1D)
+    assert cli.main(["decay", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    series = (tmp_path / "out" / "series.ndjson").read_bytes()
+    assert hashlib.sha256(series).hexdigest() == DECAY_1D_SERIES_SHA256
+
+
+def test_series_keys_come_in_the_documented_order(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("one JSON object per sample with keys, in order:", 1)[1].split(".", 1)[0]
+    documented = re.findall(r"`(\w+)`", listed)
+    assert documented[0] == "t" and documented[-1] == "guard_activations"
+    cfg = write_cfg(tmp_path, "dim = 1\nn = 4\nt_end = 0.1\n")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "series.ndjson").read_text().splitlines()
+    assert lines and all(list(json.loads(line)) == documented for line in lines)
+
+
 def test_decay_command_passes_at_small_k(tmp_path):
     # the same homogeneous decay in units where k is 1e-16: no absolute floor may hold k up
     cfg = write_cfg(tmp_path, DECAY + "ic_k0 = 1e-16\n")
@@ -392,6 +425,34 @@ def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, key, lines):
     code, err = run_cli(tmp_path, capsys, config_with(lines))
     assert code == 2
     assert len(err) == 1 and err[0].startswith(f"error: ValidationError: {key}: ")
+
+
+def test_undecodable_config_exits_2_naming_its_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"dim = 1\nn = 4\n# \xff\xfe in a comment\nt_end = 0.1\n")
+    code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: ParseError: line 3: not valid UTF-8"
+    ]
+
+
+def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # numpy refuses the 56.8 PiB velocity array before it touches any memory
+    code, err = run_cli(tmp_path, capsys, "dim = 3\nn = 200000\n")
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: MemoryError: Unable to allocate ")
+
+
+@pytest.mark.parametrize("rho", ["inf", "1e-320"])
+def test_scaling_names_a_bad_rho(tmp_path, capsys, rho):
+    # 1e-320 is finite, but neither 1/rho nor the scaled box side is
+    cfg = write_cfg(tmp_path, "dim = 1\nn = 4\nt_end = 0.1\n")
+    argv = ["scaling", "--config", str(cfg), "--rho", rho, "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: NonpositiveParameter: rho, gamma and their reciprocals must be finite and > 0"
+    ]
 
 
 def test_runs_without_mallopt(tmp_path, monkeypatch):

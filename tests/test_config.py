@@ -100,7 +100,7 @@ class TestParse:
 
     @pytest.mark.parametrize("cls", [ModelParams, StepConfig])
     def test_constructor_defaults_match_run_config(self, cls):
-        # the defaults are written twice, in cls and in RunConfig
+        # RunConfig reads these defaults from cls, so a key and its field cannot drift apart
         for f in fields(cls):
             assert f.default == getattr(C.RunConfig(), f.name), f.name
 

@@ -42,6 +42,16 @@ class TestFamily:
         with pytest.raises(NonpositiveParameter):
             S.ScalingParams(1.0, 1.0, 1.0, -1.0, 1.0)
 
+    @pytest.mark.parametrize("value", [np.inf, 1e-320], ids=["inf", "subnormal"])
+    @pytest.mark.parametrize("name", ["rho", "gamma"])
+    def test_nonfinite_scale_rejected_by_name(self, name, value):
+        # 1e-320 is finite, but its reciprocal is not
+        scales = {"rho": 2.0, "gamma": 1.5, name: value}
+        with pytest.raises(NonpositiveParameter, match="^rho, gamma and their reciprocals "):
+            S.family_from(**scales)
+        with pytest.raises(NonpositiveParameter, match="^A, B, rho, gamma and their reciprocals "):
+            S.general_family(1.0, 1.0, **scales)
+
 
 class TestBetaGeneral:
     def test_reduces_to_family(self):

@@ -188,6 +188,17 @@ class TestRun:
         traj = T.run(st, t_end, None, PARAMS, env, T.StepConfig(dt_max=0.01), sample_every)
         assert T.sample_times(t0, t_end, sample_every) == list(traj.times)
 
+    def test_a_step_of_the_whole_distance_lands_on_the_boundary(self):
+        # t0 + (b - t0) rounds to 1.0 here, an ulp short of b; the step must still end at b
+        t0, b = 2.0**-53, 1.0 + 2.0**-52
+        assert t0 + (b - t0) != b
+        g = F.Grid(1, 4, 1000.0)  # a box so wide that the CFL step exceeds b - t0
+        ic = M.HomogeneousIC(u_const=(0.0,), omega0=1.0, k0=1.0)
+        st = M.homogeneous_state(g, ic, PARAMS, t=t0)
+        env = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1.0)
+        state, rejected = T._advance(st, b, None, PARAMS, env, T.StepConfig())
+        assert (state.t, rejected) == (b, 0)
+
     def test_kinetic_energy_monotone_without_forcing(self):
         g, st, env, params = structured_problem(n=16)
         for dtm in (2e-3, 1e-3):
