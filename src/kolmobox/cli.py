@@ -1,11 +1,13 @@
 """Command-line driver: canonical experiments with NDJSON/summary outputs.
 
 Commands: run, decay, bounds, balance, scaling.  Each reads a key=value config
-file, executes one or more simulations, writes `series.ndjson` (one
-diagnostics record per sample), binary snapshots `snap_<t>.kbox` (run only),
-and a `summary.json` with named pass/fail checks.  The process exits 0 exactly
-when every check passed, 1 when a check failed, and 2 when there is no
-verdict: a config, snapshot, I/O or solver error, reported on one stderr line.
+file, executes one or more simulations and writes a `summary.json` with named
+pass/fail checks.  All but `scaling` write `series.ndjson` (one diagnostics
+record per sample); `run` also writes binary snapshots `snap_<t>.kbox`,
+`balance` writes `balance.json` and `scaling` writes `scaling_report.ndjson`.
+The process exits 0 exactly when every check passed, 1 when a check failed,
+and 2 when there is no verdict: a config, snapshot, I/O or solver error,
+reported on one stderr line.
 
 `run` and `bounds` consume `timestepper.samples` and write each series line
 and snapshot as its sample is taken, keeping no trajectory of states: `run`
@@ -42,16 +44,6 @@ class Check:
     measured: float
     bound: float
     passed: bool
-
-
-@dataclass(frozen=True)
-class VerificationSummary:
-    experiment: str
-    checks: List[Check]
-
-    @property
-    def overall(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def _run_args(p):
@@ -102,28 +94,25 @@ def _snapshot_names(times) -> list:
         digits += 1
 
 
-def _write_summary(outdir: Path, summary: VerificationSummary) -> None:
+def _finish(outdir: Path, experiment: str, checks: List[Check]) -> int:
+    overall = all(c.passed for c in checks)
     payload = {
-        "experiment": summary.experiment,
+        "experiment": experiment,
         "checks": [
             {"name": c.name, "measured": float(c.measured), "bound": float(c.bound),
              "pass": bool(c.passed)}
-            for c in summary.checks
+            for c in checks
         ],
-        "overall": bool(summary.overall),
+        "overall": bool(overall),
     }
     with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-
-
-def _finish(outdir: Path, summary: VerificationSummary) -> int:
-    _write_summary(outdir, summary)
-    for c in summary.checks:
+    for c in checks:
         status = "pass" if c.passed else "FAIL"
         print(f"  [{status}] {c.name}: measured {c.measured:.6g} vs bound {c.bound:.6g}")
-    print(f"{summary.experiment}: {'pass' if summary.overall else 'FAIL'}")
-    return 0 if summary.overall else 1
+    print(f"{experiment}: {'pass' if overall else 'FAIL'}")
+    return 0 if overall else 1
 
 
 def _shrink_check(name: str, coarse: float, fine: float, factor: float, floor: float) -> Check:
@@ -151,14 +140,11 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
     finite = all(np.all(np.isfinite(a)) for a in (*final.u, final.omega, final.k))
     umax = float(np.abs(final.u).max())
     div_resid = float(np.abs(divergence(final.grid, final.u)).max())
-    summary = VerificationSummary(
-        "run",
-        [
-            Check("fields_finite", 0.0 if finite else 1.0, 0.5, finite),
-            Check("projection_residual", div_resid, 1e-12 * (1.0 + umax), div_resid <= 1e-12 * (1.0 + umax)),
-        ],
-    )
-    return _finish(outdir, summary)
+    bound = 1e-12 * (1.0 + umax)
+    return _finish(outdir, "run", [
+        Check("fields_finite", 0.0 if finite else 1.0, 0.5, finite),
+        Check("projection_residual", div_resid, bound, div_resid <= bound),
+    ])
 
 
 def cmd_decay(cfg: RunConfig, outdir: Path) -> int:
@@ -175,7 +161,7 @@ def cmd_decay(cfg: RunConfig, outdir: Path) -> int:
         Check("omega_exponent", fit_om.exponent, -1.0, abs(fit_om.exponent + 1.0) <= 0.02),
         Check("L_min_exponent", fit_l.exponent, l_target - 0.05, fit_l.exponent >= l_target - 0.05),
     ]
-    return _finish(outdir, VerificationSummary("decay", checks))
+    return _finish(outdir, "decay", checks)
 
 
 def _max_violations(records):
@@ -213,7 +199,7 @@ def cmd_bounds(cfg: RunConfig, outdir: Path) -> int:
             True,
         ),
     ]
-    return _finish(outdir, VerificationSummary("bounds", checks))
+    return _finish(outdir, "bounds", checks)
 
 
 def cmd_balance(cfg: RunConfig, outdir: Path) -> int:
@@ -237,7 +223,7 @@ def cmd_balance(cfg: RunConfig, outdir: Path) -> int:
 
     with open(outdir / "balance.json", "w", encoding="utf-8") as fh:
         json.dump({"base": _as_dict(rep0), "refined": _as_dict(rep1)}, fh, indent=2)
-    return _finish(outdir, VerificationSummary("balance", checks))
+    return _finish(outdir, "balance", checks)
 
 
 def cmd_scaling(cfg: RunConfig, outdir: Path, rho: float, gamma: float) -> int:
@@ -263,7 +249,7 @@ def cmd_scaling(cfg: RunConfig, outdir: Path, rho: float, gamma: float) -> int:
         for name in ("u", "omega", "k")
     ]
     checks.append(Check("coefficient_invariance", worst, 1e-12, worst <= 1e-12))
-    return _finish(outdir, VerificationSummary("scaling", checks))
+    return _finish(outdir, "scaling", checks)
 
 
 _COMMANDS = dict(run=cmd_run, decay=cmd_decay, bounds=cmd_bounds, balance=cmd_balance,

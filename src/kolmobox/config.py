@@ -11,9 +11,11 @@ Every check raises `ValidationError` naming the key, and each has one owner.
 `Grid`, `ModelParams` and `StepConfig` check their own fields (named like the
 config keys) when parsing builds them; `_validate` checks the rest: every real
 must be finite (except dt_max), plus the sampling, envelope, initial-data,
-forcing and seed keys.  The pointwise initial-data constraints (omega0 within
-[omega_star, omega_sup], k0 >= k_star) and the snapshot grid, which must equal
-Grid(dim, n, side), are checked when the state is built.
+forcing and seed keys, and that no key the rest of the config leaves unread
+(`_ONLY_WITH`) differs from its default.  The pointwise initial-data
+constraints (omega0 within [omega_star, omega_sup], k0 >= k_star) and the
+snapshot grid, which must equal Grid(dim, n, side), are checked when the
+state is built.
 """
 
 from __future__ import annotations
@@ -95,6 +97,12 @@ class RunConfig:
         return self.sample_every if self.sample_every > 0 else max(self.t_end / 50.0, 1e-12)
 
 
+# keys that only one value of another key reads: key -> (that key, that value)
+_ONLY_WITH = dict(
+    perturb_modes=("ic", "perturbed"), perturb_random_modes=("ic", "perturbed"),
+    perturb_random_amplitude=("ic", "perturbed"), snapshot_path=("ic", "snapshot"),
+    forcing_vector=("forcing", "constant"), forcing_amplitude=("forcing", "single_mode"),
+)
 # what a perturbation mode may target: the first 2 + dim, drawn in this order by random modes
 _TARGETS = ("omega", "k", "u1", "u2", "u3")
 _BOOL = {"true": True, "false": False, "on": True, "off": False, "1": True, "0": False}
@@ -242,6 +250,9 @@ def _validate(cfg: RunConfig):
         _require(0 <= cfg.forcing_component < cfg.dim, "forcing_component", "out of range")
         _require_resolvable(cfg.forcing_wavenumber, cfg.n, "forcing_wavenumber")
     _require(cfg.seed >= 0, "seed", "must be a nonnegative integer")
+    for key, (selector, value) in _ONLY_WITH.items():
+        unread = getattr(cfg, selector) != value and getattr(cfg, key) != getattr(RunConfig, key)
+        _require(not unread, key, f"is read only when {selector} = {value}")
 
 
 # ---------------------------------------------------------------------------

@@ -102,10 +102,7 @@ def record(
     g = state.grid
     u, om, kk = state.u, state.omega, state.k
 
-    speed_sq = np.zeros(g.shape)
-    for c in u:
-        speed_sq += c**2
-    e_kin = 0.5 * F.integrate(g, speed_sq)
+    e_kin = 0.5 * F.integrate(g, F.pointwise_dot(u, u))
 
     eddy = M.eddy_coefficient(kk, om, params)
     dsq = F.frobenius_sq(g, F.sym_gradient(g, u))
@@ -115,12 +112,7 @@ def record(
     sink_k = params.alpha2 * F.integrate(g, kk * om_pos)
     sink_omega = params.alpha1 * F.integrate(g, om_pos * om)
 
-    power_in = 0.0
-    if forcing is not None:
-        fu = np.zeros(g.shape)
-        for fc, uc in zip(forcing, u):
-            fu += fc * uc
-        power_in = F.integrate(g, fu)
+    power_in = 0.0 if forcing is None else F.integrate(g, F.pointwise_dot(forcing, u))
 
     lo = M.omega_lower(state.t, env, params)
     hi = M.omega_upper(state.t, env, params)
@@ -267,10 +259,7 @@ def _eps_correction_u_energy(traj, idx) -> list:
         g, u = traj.states[i].grid, traj.states[i].u
         rl = F.r_laplacian_vec(g, u, params.r)
         damp = F.vector_signed_power(u, params.r)
-        tot = np.zeros(g.shape)
-        for uc, rc, dc in zip(u, rl, damp):
-            tot += uc * (rc - dc)
-        out.append(params.eps * F.integrate(g, tot))
+        out.append(params.eps * F.integrate(g, F.pointwise_dot(u, rl - damp)))
     return out
 
 
@@ -351,10 +340,8 @@ def entropy_phi(tau, delta: float):
 def entropy_functional(g, k: np.ndarray, delta: float):
     """(integral of the entropy density, integral of |grad k|^2 / (1+k)^delta)."""
     phi = entropy_phi(k, delta)
-    mag2 = np.zeros(g.shape)
-    for c in F.gradient(g, k):
-        mag2 += c**2
-    weighted = mag2 / (1.0 + k) ** delta
+    grad = F.partials(g, k)
+    weighted = F.pointwise_dot(grad, grad) / (1.0 + k) ** delta
     return F.integrate(g, phi), F.integrate(g, weighted)
 
 

@@ -7,10 +7,10 @@ components along a leading axis, shape `(d, *grid.shape)`, and a tensor such
 as D(u) stacks two leading axes, shape `(d, d, *grid.shape)`.  Operators take
 the grid first and return new arrays; they never write into their inputs.
 Stencils count the spatial axes from the end, so one call serves a scalar and
-every component of a vector alike.  They are slice differences with periodic
-wrap written into one fresh array (`_diff`, `_next`), with the same
-subtraction and then the same division as a rolled copy would give, bit for
-bit.  The slicing of each stencil is planned once per array shape, axis and
+every component of a vector alike.  One walker, `_diff`, writes each into one
+fresh array with periodic wrap: a slice difference, or for a face average a
+slice sum, with the same arithmetic as a rolled copy would give, bit for bit.
+The slicing of each stencil is planned once per array shape, axis and
 offset pair and cached (`_stencil_plan`), so a call on a small grid costs
 little more than its subtractions.
 
@@ -35,7 +35,8 @@ counterparts of the continuous identities exact:
 * energy identity:        sum(u . div_tensor_flux(a, D(u))) == -sum(a |D(u)|^2)
 
 Reductions use numpy's fixed-order pairwise summation over C-contiguous
-arrays, one component at a time, so diagnostics are bit-reproducible.
+arrays, one component at a time, so diagnostics are bit-reproducible; every
+L2 norm is `l2_norm`, and every pointwise inner product `pointwise_dot`.
 
 `diffusion_solve` inverts I - c*Lap_h, with Lap_h the compact 3-point
 Laplacian (`div_flux` with unit coefficient), by the same real-to-complex
@@ -71,6 +72,8 @@ __all__ = [
     "diffusion_solve",
     "integrate",
     "lp_norm",
+    "l2_norm",
+    "pointwise_dot",
     "w1p_seminorm",
     "advect",
     "advect_vec",
@@ -155,38 +158,24 @@ def _stencil_plan(shape: tuple, axis: int, hi: int, lo: int) -> tuple:
     return interior, wraps
 
 
-def _diff(a: np.ndarray, axis: int, hi: int, lo: int, out=None) -> np.ndarray:
-    """a[j+hi] - a[j+lo] along `axis`, periodic; -1 <= lo <= 0 <= hi <= 1.
+def _diff(a: np.ndarray, axis: int, hi: int, lo: int, op=np.subtract) -> np.ndarray:
+    """New array op(a[j+hi], a[j+lo]) along `axis`, periodic; -1 <= lo <= 0 <= hi <= 1.
 
-    Written into `out`, or into a new array: one subtraction over the
-    flattened arrays, then one per wrapping row, as `_stencil_plan` lays them
-    out.  `out` must be C-contiguous, since only then is its flattened view
-    the array itself; any other `out` raises ValueError.
+    The one walker of a `_stencil_plan`: `op` (a binary ufunc, subtraction
+    unless given) once over the flattened arrays, then once per wrapping row.
     """
-    if out is None:
-        out = np.empty(a.shape, dtype=np.result_type(a, 1.0))
-    elif not out.flags.c_contiguous:
-        raise ValueError("_diff: out must be C-contiguous")
+    out = np.empty(a.shape, dtype=np.result_type(a, 1.0))
     (o, h, l), wraps = _stencil_plan(a.shape, axis, hi, lo)
     flat = a.reshape(-1)
-    np.subtract(flat[h], flat[l], out=out.reshape(-1)[o])
+    op(flat[h], flat[l], out=out.reshape(-1)[o])
     for o, h, l in wraps:
-        np.subtract(a[h], a[l], out=out[o])
+        op(a[h], a[l], out=out[o])
     return out
 
 
-def _next(a: np.ndarray, axis: int) -> np.ndarray:
-    """New array a[j+1] along `axis` with periodic wrap."""
-    out = np.empty(a.shape, dtype=np.result_type(a, 1.0))
-    (o, h, _), ((wo, wh, _),) = _stencil_plan(a.shape, axis, 1, 0)
-    out.reshape(-1)[o] = a.reshape(-1)[h]
-    out[wo] = a[wh]
-    return out
-
-
-def _centered(a: np.ndarray, ax: int, g: Grid, out=None) -> np.ndarray:
+def _centered(a: np.ndarray, ax: int, g: Grid) -> np.ndarray:
     """Second-order centered difference with periodic wrap."""
-    out = _diff(a, ax - g.dim, 1, -1, out)
+    out = _diff(a, ax - g.dim, 1, -1)
     out /= 2.0 * g.h
     return out
 
@@ -200,8 +189,7 @@ def _fwd(a: np.ndarray, ax: int, g: Grid) -> np.ndarray:
 
 def _face_avg(a: np.ndarray, ax: int, g: Grid) -> np.ndarray:
     """Arithmetic mean of the two cells adjacent to face j+1/2."""
-    out = _next(a, ax - g.dim)
-    out += a
+    out = _diff(a, ax - g.dim, 1, 0, np.add)
     out *= 0.5
     return out
 
@@ -224,10 +212,7 @@ def partials(g: Grid, f: np.ndarray) -> list:
 
 def gradient(g: Grid, f: np.ndarray) -> np.ndarray:
     """Centered-difference gradient: `partials` stacked along a new first axis."""
-    out = np.empty((g.dim,) + f.shape, dtype=np.result_type(f, 1.0))
-    for ax in range(g.dim):
-        _centered(f, ax, g, out[ax])
-    return out
+    return np.stack(partials(g, f))
 
 
 def face_differences(g: Grid, f: np.ndarray) -> list:
@@ -421,8 +406,7 @@ def signed_power(x: np.ndarray, r: float) -> np.ndarray:
 def vector_signed_power(v, r: float) -> np.ndarray:
     """|xi|^(r-2) * xi for a vector xi stacked along the first axis."""
     v = np.asarray(v)
-    mag2 = sum(c * c for c in v)
-    return mag2 ** ((r - 2.0) / 2.0) * v
+    return pointwise_dot(v, v) ** ((r - 2.0) / 2.0) * v
 
 
 def max_face_gradient(g: Grid, f: np.ndarray) -> float:
@@ -533,13 +517,29 @@ def lp_norm(g: Grid, f: np.ndarray, p: float) -> float:
     return float((g.h**g.dim * np.sum(np.abs(f) ** p)) ** (1.0 / p))
 
 
+def l2_norm(g: Grid, arrays) -> float:
+    """Discrete L2 norm of the arrays taken together, summed one array at a time."""
+    s = 0.0
+    with np.errstate(over="ignore"):  # overflow gives inf: a divergence signal, not a bug
+        for a in arrays:
+            s += float(np.sum(a * a))
+    return math.sqrt(g.h**g.dim * s)
+
+
+def pointwise_dot(a, b) -> np.ndarray:
+    """sum_i a_i * b_i over the leading axis, accumulated in order into zeros."""
+    out = np.zeros(np.shape(a[0]))
+    for ai, bi in zip(a, b):
+        out += ai * bi
+    return out
+
+
 def w1p_seminorm(g: Grid, f: np.ndarray, p: float) -> float:
     """L^p norm of the centered-gradient magnitude."""
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    mag2 = np.zeros(g.shape)
-    for c in gradient(g, f):
-        mag2 += c**2
+    grad = partials(g, f)
+    mag2 = pointwise_dot(grad, grad)
     return float((g.h**g.dim * np.sum(mag2 ** (p / 2.0))) ** (1.0 / p))
 
 

@@ -60,6 +60,8 @@ class ModelParams:
                 raise ValidationError(name, "must be positive")
         if not self.eps >= 0.0:
             raise ValidationError("eps", "must be nonnegative")
+        if self.eps != 0.0 and not self.regularized:
+            raise ValidationError("eps", "is read only when regularized = true")
         if self.regularized:
             if not self.eps > 0.0:
                 raise ValidationError("eps", "must be positive when regularized")

@@ -74,24 +74,46 @@ class ScalingParams:
         return ScalingParams(self.rho, self.gamma, self.alpha, self.beta, sigma)
 
 
+def _require_scales(given: dict, **derived) -> None:
+    """Raise NonpositiveParameter unless the `given` scales, then the factors
+    `derived` from them, and all their reciprocals are finite and > 0."""
+    for name, v in {**given, **derived}.items():
+        if not (0.0 < v < np.inf and 1.0 / v < np.inf):
+            if name in given:
+                raise NonpositiveParameter(
+                    f"{', '.join(given)} and their reciprocals must be finite and > 0")
+            inputs = ", ".join(f"{k} = {x!r}" for k, x in given.items())
+            raise NonpositiveParameter(
+                f"{name} = {v!r} from {inputs}; it and its reciprocal must be finite and > 0")
+
+
 def family_from(rho: float, gamma: float) -> ScalingParams:
     """Two-parameter family (rho, gamma) -> (rho, rho/gamma, gamma, rho, gamma^2)."""
-    if not all(0.0 < v < np.inf and 1.0 / v < np.inf for v in (rho, gamma)):
-        raise NonpositiveParameter("rho, gamma and their reciprocals must be finite and > 0")
-    return ScalingParams(rho=rho, gamma=gamma, alpha=rho, beta=rho / gamma, sigma=gamma * gamma)
+    given = dict(rho=rho, gamma=gamma)
+    _require_scales(given)
+    beta, sigma = rho / gamma, gamma * gamma
+    _require_scales(given, beta=beta, sigma=sigma)
+    return ScalingParams(rho=rho, gamma=gamma, alpha=rho, beta=beta, sigma=sigma)
 
 
 def beta_general(A: float, B: float, rho: float, gamma: float) -> float:
     """Spatial scale beta = rho^A * gamma^(1-2B) of the power-law family."""
-    if not all(0.0 < v < np.inf and 1.0 / v < np.inf for v in (A, B, rho, gamma)):
-        raise NonpositiveParameter("A, B, rho, gamma and their reciprocals must be finite and > 0")
-    return rho**A * gamma ** (1.0 - 2.0 * B)
+    given = dict(A=A, B=B, rho=rho, gamma=gamma)
+    _require_scales(given)
+    try:
+        beta = rho**A * gamma ** (1.0 - 2.0 * B)
+    except OverflowError:  # float ** raises where float * gives inf
+        beta = np.inf
+    _require_scales(given, beta=beta)
+    return beta
 
 
 def general_family(A: float, B: float, rho: float, gamma: float) -> ScalingParams:
     """Scaling with beta from `beta_general`, alpha = beta*gamma, sigma = gamma^2."""
     beta = beta_general(A, B, rho, gamma)
-    return ScalingParams(rho=rho, gamma=gamma, alpha=beta * gamma, beta=beta, sigma=gamma * gamma)
+    alpha, sigma = beta * gamma, gamma * gamma
+    _require_scales(dict(A=A, B=B, rho=rho, gamma=gamma), alpha=alpha, sigma=sigma)
+    return ScalingParams(rho=rho, gamma=gamma, alpha=alpha, beta=beta, sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -254,12 +276,8 @@ def pde_residual(traj) -> PdeResiduals:
         rom = wm * s_m.omega + w0 * s_0.omega + wp * s_p.omega - dom
         rk = wm * s_m.k + w0 * s_0.k + wp * s_p.k - dk
 
-        hd = g.h**g.dim
-        worst["u"] = max(
-            worst["u"], float(np.sqrt(hd * sum(np.sum(c**2) for c in ru_sol)))
-        )
-        worst["omega"] = max(worst["omega"], float(np.sqrt(hd * np.sum(rom**2))))
-        worst["k"] = max(worst["k"], float(np.sqrt(hd * np.sum(rk**2))))
+        for name, arrays in (("u", ru_sol), ("omega", [rom]), ("k", [rk])):
+            worst[name] = max(worst[name], F.l2_norm(g, arrays))
     return PdeResiduals(u=worst["u"], omega=worst["omega"], k=worst["k"])
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -222,15 +222,6 @@ def operator_apply(
     )
 
 
-def _l2(grid, arrays: Sequence[np.ndarray]) -> float:
-    """Discrete L2 norm of the arrays taken together, summed one array at a time."""
-    s = 0.0
-    with np.errstate(over="ignore"):  # overflow here is a divergence signal, not a bug
-        for a in arrays:
-            s += float(np.sum(a * a))
-    return math.sqrt(grid.h**grid.dim * s)
-
-
 def step_rothe(
     state: State,
     dt: float,
@@ -260,7 +251,7 @@ def step_rothe(
     d = g.dim
     t_new = state.t + dt
 
-    scale = (_l2(g, state.u) + _l2(g, [state.omega]) + _l2(g, [state.k])) / dt + 1e-300
+    scale = sum(F.l2_norm(g, a) for a in (state.u, [state.omega], [state.k])) / dt + 1e-300
     cbar = dt * float(M.eddy_coefficient(state.k, state.omega, params).max())
     coeffs = cbar * np.array([0.5 * params.nu0] * d + [params.nu1, params.nu2])
 
@@ -273,7 +264,7 @@ def step_rothe(
             cand = State(t=t_new, grid=g, u=u, omega=om, k=kk)
             ru, rom, rk = operator_apply(cand, state, dt, forcing, params, env)
         ru_sol, _ = F.leray_project(g, ru)
-        res = _l2(g, ru_sol) + _l2(g, [rom, rk])
+        res = F.l2_norm(g, ru_sol) + F.l2_norm(g, [rom, rk])
         if not math.isfinite(res):
             raise PicardDiverged(f"non-finite residual at dt={dt}")
         if it and res <= cfg.picard_tol * scale:
@@ -297,6 +288,8 @@ def _advance(state, boundary, forcing, params, env, cfg):
     Returns (state, rejected attempts); a step of the whole distance lands
     on `boundary` exactly.  Stage 1 is evaluated here once, whatever the
     scheme: its maxima give the CFL step and its rates go to every attempt.
+    An attempt whose dt leaves t unchanged (below t's rounding step, or 0)
+    raises StepRejected: no number of such steps reaches `boundary`.
     """
     remaining = boundary - state.t
     limits = []
@@ -304,6 +297,8 @@ def _advance(state, boundary, forcing, params, env, cfg):
     dt = min(cfl_dt(state, limits, params, cfg), remaining)
     step = step_explicit if cfg.scheme == "explicit_rk2" else step_rothe
     for rejected in range(_MAX_RETRIES + 1):
+        if state.t + dt == state.t:
+            raise StepRejected(f"dt = {dt!r} does not advance t = {state.t!r}")
         try:
             new = step(state, dt, forcing, params, env, cfg, rates=rates)
         except (StepRejected, PicardDiverged):

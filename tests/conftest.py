@@ -114,8 +114,8 @@ def rng():
 
 
 # One config error per row: (the key it must name, the config lines that make
-# it).  Every constraint that Grid, ModelParams and StepConfig own, plus reals
-# that must be finite.
+# it).  Every constraint that Grid, ModelParams and StepConfig own, reals that
+# must be finite, and keys that the rest of the config would leave unread.
 BAD_CONFIGS = [
     ("dim", "dim = 4"),
     ("n", "n = 5"),
@@ -142,6 +142,13 @@ BAD_CONFIGS = [
     ("ic_u", "ic_u = inf"),
     ("forcing_vector", "forcing = constant\nforcing_vector = nan"),
     ("perturb_modes", "ic = perturbed\nperturb_modes = omega:0:1:inf"),
+    ("eps", "eps = 0.5"),
+    ("perturb_modes", "perturb_modes = omega:0:1:0.1"),
+    ("perturb_random_modes", "perturb_random_modes = 2"),
+    ("perturb_random_amplitude", "perturb_random_amplitude = 0.1"),
+    ("snapshot_path", "snapshot_path = start.kbox"),
+    ("forcing_vector", "forcing_vector = 1.0"),
+    ("forcing_amplitude", "forcing = constant\nforcing_vector = 1.0\nforcing_amplitude = 0.5"),
 ]
 BAD_CONFIG_IDS = [lines.splitlines()[-1] for _, lines in BAD_CONFIGS]
 

@@ -455,6 +455,24 @@ def test_scaling_names_a_bad_rho(tmp_path, capsys, rho):
     ]
 
 
+def test_a_step_that_underflows_to_zero_exits_2(tmp_path, capsys):
+    # h^2 underflows to 0, so the diffusive limit gives dt = 0
+    code, err = run_cli(tmp_path, capsys, "dim = 1\nn = 4\nt_end = 0.1\nside = 1e-200\n")
+    assert code == 2
+    assert err == ["error: StepRejected: dt = 0.0 does not advance t = 0.0"]
+
+
+def test_scaling_names_the_gamma_behind_a_bad_derived_factor(tmp_path, capsys):
+    # gamma is finite and so is 1/gamma, but sigma = gamma^2 underflows to 0
+    cfg = write_cfg(tmp_path, "dim = 1\nn = 4\nt_end = 0.1\n")
+    argv = ["scaling", "--config", str(cfg), "--gamma", "1e-300", "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: NonpositiveParameter: sigma = 0.0 from rho = 2.0, gamma = 1e-300; "
+        "it and its reciprocal must be finite and > 0"
+    ]
+
+
 def test_runs_without_mallopt(tmp_path, monkeypatch):
     # a C library without mallopt: the allocator policy is skipped, the run goes on
     monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())

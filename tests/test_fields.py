@@ -486,29 +486,24 @@ class TestStencilOracle:
         for ax in range(dim):
             axis = ax - dim
             nxt, prv = np.roll(a, -1, axis=axis), np.roll(a, 1, axis=axis)
-            assert np.array_equal(F._next(a, axis), nxt)
             assert np.array_equal(F._diff(a, axis, 1, -1), nxt - prv)
             assert np.array_equal(F._diff(a, axis, 1, 0), nxt - a)
             assert np.array_equal(F._diff(a, axis, 0, -1), a - prv)
+            assert np.array_equal(F._diff(a, axis, 1, -1, np.add), nxt + prv)
+            assert np.array_equal(F._diff(a, axis, 1, 0, np.add), nxt + a)
+            assert np.array_equal(F._diff(a, axis, 0, -1, np.add), a + prv)
             assert np.array_equal(F._centered(a, ax, g), (nxt - prv) / (2.0 * g.h))
             assert np.array_equal(F._fwd(a, ax, g), (nxt - a) / g.h)
             assert np.array_equal(F._face_avg(a, ax, g), 0.5 * (a + nxt))
             assert np.array_equal(F._face_div(a, ax, g, 0.37), (a - prv) / 0.37)
 
-    def test_non_contiguous_out_raises(self):
-        # its flattened view would be a copy, so the interior would never reach `out`
-        out = np.zeros((4, 4)).T
-        with pytest.raises(ValueError, match="C-contiguous"):
-            F._diff(np.arange(16.).reshape(4, 4), -1, 1, -1, out)
-        assert not out.any()
-
     @staticmethod
     def assert_stencils_match_roll(a, dim):
         for axis in range(-dim, 0):
             nxt, prv = np.roll(a, -1, axis=axis), np.roll(a, 1, axis=axis)
-            assert np.array_equal(F._next(a, axis), nxt)
-            for hi, lo, ref in ((1, -1, nxt - prv), (1, 0, nxt - a), (0, -1, a - prv)):
-                assert np.array_equal(F._diff(a, axis, hi, lo), ref)
+            for op in (np.subtract, np.add):
+                for hi, lo, ref in ((1, -1, op(nxt, prv)), (1, 0, op(nxt, a)), (0, -1, op(a, prv))):
+                    assert np.array_equal(F._diff(a, axis, hi, lo, op), ref)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_plans_reused_across_calls_never_across_shapes(self, dim, rng):
@@ -538,14 +533,9 @@ class TestStencilOracle:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n", [4, 8])
-    def test_out_is_a_row_of_a_stacked_array(self, dim, n, rng):
+    def test_gradient_stacks_the_centered_differences(self, dim, n, rng):
         g = F.Grid(dim, n, 1.0)
         f = rng.standard_normal((dim,) + g.shape)
-        out = np.full((dim,) + f.shape, np.nan)
-        for ax in range(dim):
-            assert np.shares_memory(F._diff(f, ax - dim, 1, -1, out[ax]), out)
-            assert np.array_equal(out[ax], np.roll(f, -1, ax - dim) - np.roll(f, 1, ax - dim))
-            assert np.isnan(out[ax + 1:]).all()  # the rows not yet written stay untouched
         stacked = np.stack([F._centered(f, ax, g) for ax in range(dim)])
         assert np.array_equal(F.gradient(g, f), stacked)
 
@@ -734,6 +724,22 @@ class TestReductions:
         # |f'| = 2 pi |cos|; L2 seminorm = 2 pi / sqrt(2), centered diff damps by sinc
         approx = F.w1p_seminorm(g, f, 2.0)
         assert approx == pytest.approx(2 * np.pi / np.sqrt(2), rel=2e-3)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_l2_norm_and_pointwise_dot_match_their_loops(self, dim, rng):
+        g = F.Grid(dim, 8, 1.3)
+        a, b = rng.standard_normal((2, dim) + g.shape)
+        dot = np.zeros(g.shape)
+        for ac, bc in zip(a, b):
+            dot += ac * bc
+        assert np.array_equal(F.pointwise_dot(a, b), dot)
+        sq = sum(float(np.sum(c**2)) for c in (*a, b[0]))
+        assert F.l2_norm(g, [*a, b[0]]) == np.sqrt(g.h**dim * sq)
+
+    def test_pointwise_dot_of_signed_zeros_is_positive_zero(self):
+        # as the loop into zeros gives: a forcing against a resting velocity has power_in 0, not -0
+        dot = F.pointwise_dot(np.array([[-1.0, 1.0]]), np.array([[0.0, -0.0]]))
+        assert not np.signbit(dot).any()
 
     def test_integrate_deterministic(self, rng):
         g = F.Grid(2, 32, 1.0)

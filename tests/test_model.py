@@ -7,7 +7,7 @@ from conftest import const, const_vector, pairing, random_vector, zero_vector
 
 from kolmobox import fields as F
 from kolmobox import model as M
-from kolmobox.errors import DegenerateOmega, IncompatibleGrid
+from kolmobox.errors import DegenerateOmega, IncompatibleGrid, ValidationError
 
 
 PARAMS = M.ModelParams(alpha1=1.0, alpha2=10.0 / 7.0)
@@ -26,6 +26,12 @@ class TestParams:
             M.ModelParams(regularized=True, eps=0.0)
         with pytest.raises(ValueError):
             M.ModelParams(regularized=True, eps=1e-3, r=2.0)
+
+    def test_eps_needs_regularized(self):
+        # the unregularized model never reads eps, so setting it is an error, not a no-op
+        with pytest.raises(ValidationError, match="regularized = true") as exc:
+            M.ModelParams(eps=0.5)
+        assert exc.value.field == "eps"
 
     def test_small_r_warns(self):
         with pytest.warns(UserWarning):

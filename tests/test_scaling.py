@@ -1,5 +1,7 @@
 """Scaling family algebra, state transformation, PDE-residual invariance."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,24 @@ class TestFamily:
             S.family_from(**scales)
         with pytest.raises(NonpositiveParameter, match="^A, B, rho, gamma and their reciprocals "):
             S.general_family(1.0, 1.0, **scales)
+
+    @pytest.mark.parametrize("rho, gamma, blamed", [
+        (1.0, 1e-300, "sigma = 0.0"),  # gamma^2 underflows
+        (1e300, 1e-300, "beta = inf"),  # rho/gamma overflows
+        (1e-300, 1e300, "beta = 0.0"),
+    ])
+    def test_derived_factor_out_of_range_is_named_with_the_inputs(self, rho, gamma, blamed):
+        message = f"{blamed} from rho = {rho!r}, gamma = {gamma!r}; "
+        with pytest.raises(NonpositiveParameter, match="^" + re.escape(message)):
+            S.family_from(rho, gamma)
+
+    def test_overflowing_power_is_named_not_raised_raw(self):
+        # float ** raises OverflowError for gamma^-3 here
+        blamed = "^beta = inf from A = 1.0, B = 2.0, rho = 2.0, gamma = 1e-200; "
+        with pytest.raises(NonpositiveParameter, match=blamed):
+            S.general_family(1.0, 2.0, 2.0, 1e-200)
+        with pytest.raises(NonpositiveParameter, match=blamed):
+            S.beta_general(1.0, 2.0, 2.0, 1e-200)
 
 
 class TestBetaGeneral:
