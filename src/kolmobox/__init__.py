@@ -19,7 +19,7 @@ from .errors import (
 )
 from .fields import Grid
 from .model import ComparisonEnvelope, HomogeneousIC, ModelParams, State
-from .timestepper import StepConfig, Trajectory
+from .timestepper import StepConfig
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,6 @@ __all__ = [
     "State",
     "HomogeneousIC",
     "StepConfig",
-    "Trajectory",
     "KolmoboxError",
     "NegativeCoefficient",
     "DegenerateOmega",

@@ -9,10 +9,12 @@ The process exits 0 exactly when every check passed, 1 when a check failed,
 and 2 when there is no verdict: a config, snapshot, I/O or solver error,
 reported on one stderr line.
 
-`run` and `bounds` consume `timestepper.samples` and write each series line
-and snapshot as its sample is taken, keeping no trajectory of states: `run`
-keeps the last state for its summary, `bounds` each run's records.  So an
-exit-2 run leaves the samples taken before the failure, and no summary.json.
+Every command consumes `timestepper.samples` and writes each series line
+(and `run` each snapshot) as its sample is taken, keeping no earlier state:
+`run` keeps the last state for its summary, `bounds` each run's records,
+`decay` and `balance` a few scalars per sample, and `scaling` the last three
+states of its run and of their transformation.  So an exit-2 run leaves the
+samples taken before the failure, and no summary.json.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from . import snapshot as snap
 from . import timestepper as T
 from .config import RunConfig, build_problem, load_config
 from .errors import KolmoboxError
-from .fields import divergence
+from .fields import divergence, integrate
 
 __all__ = ["main"]
 
@@ -46,14 +48,9 @@ class Check:
     passed: bool
 
 
-def _run_args(p):
-    """The arguments of `timestepper.run` and `timestepper.samples` for a built problem."""
-    return p.state, p.cfg.t_end, p.forcing, p.params, p.env, p.step, p.cfg.sample_interval
-
-
-def _run_cfg(cfg: RunConfig):
-    p = build_problem(cfg)
-    return p, T.run(*_run_args(p))
+def _samples(p):
+    """`timestepper.samples` of a built problem."""
+    return T.samples(p.state, p.cfg.t_end, p.forcing, p.params, p.env, p.step, p.cfg.sample_interval)
 
 
 def _build_pair(cfg: RunConfig, **refine):
@@ -75,10 +72,11 @@ def _write_record(fh, rec) -> None:
     fh.flush()
 
 
-def _write_series(outdir: Path, traj) -> None:
-    with _open_series(outdir) as fh:
-        for rec in traj.records:
-            _write_record(fh, rec)
+def _written(fh, taken):
+    """(state, record) of each sample in `taken`, after its series line is written to `fh`."""
+    for state, rec, _ in taken:
+        _write_record(fh, rec)
+        yield state, rec
 
 
 def _snapshot_names(times) -> list:
@@ -129,7 +127,7 @@ def _shrink_check(name: str, coarse: float, fine: float, factor: float, floor: f
 def cmd_run(cfg: RunConfig, outdir: Path) -> int:
     p = build_problem(cfg)
     names = _snapshot_names(T.sample_times(p.state.t, cfg.t_end, cfg.sample_interval))
-    taken = T.samples(*_run_args(p))
+    taken = _samples(p)
     with _open_series(outdir) as fh:
         for name in names:
             final, rec, _ = next(taken)
@@ -148,12 +146,19 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
 
 
 def cmd_decay(cfg: RunConfig, outdir: Path) -> int:
-    _, traj = _run_cfg(cfg)
-    _write_series(outdir, traj)
+    p = build_problem(cfg)
     window = (5.0, min(50.0, cfg.t_end))
-    fit_k = diag.decay_fit(traj, "mean_k", window)
-    fit_om = diag.decay_fit(traj, "mean_omega", window)
-    fit_l = diag.decay_fit(traj, "L_min", window)
+    times, mean_k, mean_om, l_min = [], [], [], []
+    with _open_series(outdir) as fh:
+        for state, rec in diag.window_samples(_written(fh, _samples(p)), window):
+            g = state.grid
+            times.append(state.t)
+            mean_k.append(integrate(g, state.k) / g.volume)
+            mean_om.append(integrate(g, state.omega) / g.volume)
+            l_min.append(rec.L_min)
+    fit_k = diag.decay_fit("mean_k", times, mean_k, p.params, p.env)
+    fit_om = diag.decay_fit("mean_omega", times, mean_om, p.params, p.env)
+    fit_l = diag.decay_fit("L_min", times, l_min, p.params, p.env)
     ratio = cfg.alpha2 / cfg.alpha1
     l_target = 1.0 - ratio / 2.0
     checks = [
@@ -176,10 +181,10 @@ def cmd_bounds(cfg: RunConfig, outdir: Path) -> int:
     base, fine = _build_pair(cfg)
     base_records = []
     with _open_series(outdir) as fh:
-        for _, rec, _ in T.samples(*_run_args(base)):
+        for _, rec, _ in _samples(base):
             _write_record(fh, rec)
             base_records.append(rec)
-    fine_records = [rec for _, rec, _ in T.samples(*_run_args(fine))]
+    fine_records = [rec for _, rec, _ in _samples(fine)]
     env = base.env
     base_worst_om, base_worst_k = _max_violations(base_records)
     fine_worst_om, fine_worst_k = _max_violations(fine_records)
@@ -202,15 +207,18 @@ def cmd_bounds(cfg: RunConfig, outdir: Path) -> int:
     return _finish(outdir, "bounds", checks)
 
 
+def _balance(p, pairs):
+    """The balance report of problem `p` over its whole run, folded over its (state, record) pairs."""
+    return diag.balance_report(pairs, (p.state.t, p.cfg.t_end), p.params, p.env)
+
+
 def cmd_balance(cfg: RunConfig, outdir: Path) -> int:
-    problems = _build_pair(cfg, sample_every=cfg.sample_interval / 2.0)
-    base, fine = (T.run(*_run_args(p)) for p in problems)
-    _write_series(outdir, base)
-    w0 = (base.times[0], base.times[-1])
-    w1 = (fine.times[0], fine.times[-1])
-    rep0 = diag.balance_report(base, w0)
-    rep1 = diag.balance_report(fine, w1)
-    scale = max(1.0, abs(rep0.mu_proxy), base.records[0].E_turb)
+    base, fine = _build_pair(cfg, sample_every=cfg.sample_interval / 2.0)
+    with _open_series(outdir) as fh:
+        rep0 = _balance(base, _written(fh, _samples(base)))
+    rep1 = _balance(fine, ((state, rec) for state, rec, _ in _samples(fine)))
+    e_turb0 = integrate(base.state.grid, base.state.k)  # the first record's E_turb
+    scale = max(1.0, abs(rep0.mu_proxy), e_turb0)
     floor = 1e-13 * scale
     checks = [
         _shrink_check("omega_balance_shrink", rep0.omega_residual, rep1.omega_residual, 1.5, floor),
@@ -228,8 +236,9 @@ def cmd_balance(cfg: RunConfig, outdir: Path) -> int:
 
 def cmd_scaling(cfg: RunConfig, outdir: Path, rho: float, gamma: float) -> int:
     sp = S.family_from(rho, gamma)  # a bad rho or gamma fails before the run
-    p, traj = _run_cfg(cfg)
-    report = S.invariance_experiment(traj, sp)
+    p = build_problem(cfg)
+    states = (state for state, _, _ in _samples(p))
+    report = S.invariance_experiment(states, sp, p.forcing, p.params, p.env)
     with open(outdir / "scaling_report.ndjson", "w", encoding="utf-8") as fh:
         for line in S.report_ndjson_lines(report):
             fh.write(line + "\n")

@@ -97,11 +97,20 @@ class RunConfig:
         return self.sample_every if self.sample_every > 0 else max(self.t_end / 50.0, 1e-12)
 
 
-# keys that only one value of another key reads: key -> (that key, that value)
+# keys that some configs leave unread: key -> (whether a config reads it, when it does)
+_PERTURBED = (lambda c: c.ic == "perturbed", "ic = perturbed")
+_BUILT_IC = (lambda c: c.ic != "snapshot", "ic = homogeneous or perturbed")
+_SINGLE_MODE = (lambda c: c.forcing == "single_mode", "forcing = single_mode")
+_ROTHE = (lambda c: c.scheme == "rothe_picard", "scheme = rothe_picard")
 _ONLY_WITH = dict(
-    perturb_modes=("ic", "perturbed"), perturb_random_modes=("ic", "perturbed"),
-    perturb_random_amplitude=("ic", "perturbed"), snapshot_path=("ic", "snapshot"),
-    forcing_vector=("forcing", "constant"), forcing_amplitude=("forcing", "single_mode"),
+    perturb_modes=_PERTURBED, perturb_random_modes=_PERTURBED, perturb_random_amplitude=_PERTURBED,
+    snapshot_path=(lambda c: c.ic == "snapshot", "ic = snapshot"),
+    ic_u=_BUILT_IC, ic_omega0=_BUILT_IC, ic_k0=_BUILT_IC,
+    forcing_vector=(lambda c: c.forcing == "constant", "forcing = constant"),
+    forcing_axis=_SINGLE_MODE, forcing_wavenumber=_SINGLE_MODE, forcing_amplitude=_SINGLE_MODE,
+    forcing_component=_SINGLE_MODE,
+    r=(lambda c: c.regularized, "regularized = true"),
+    picard_tol=_ROTHE, picard_max_iters=_ROTHE,
 )
 # what a perturbation mode may target: the first 2 + dim, drawn in this order by random modes
 _TARGETS = ("omega", "k", "u1", "u2", "u3")
@@ -250,9 +259,9 @@ def _validate(cfg: RunConfig):
         _require(0 <= cfg.forcing_component < cfg.dim, "forcing_component", "out of range")
         _require_resolvable(cfg.forcing_wavenumber, cfg.n, "forcing_wavenumber")
     _require(cfg.seed >= 0, "seed", "must be a nonnegative integer")
-    for key, (selector, value) in _ONLY_WITH.items():
-        unread = getattr(cfg, selector) != value and getattr(cfg, key) != getattr(RunConfig, key)
-        _require(not unread, key, f"is read only when {selector} = {value}")
+    for key, (reads, when) in _ONLY_WITH.items():
+        unread = not reads(cfg) and getattr(cfg, key) != getattr(RunConfig, key)
+        _require(not unread, key, f"is read only when {when}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Observables and verification quantities computed from states and trajectories.
+"""Observables and verification quantities computed from states and samples.
 
 Per-sample records hold energies, dissipation, sink terms, envelope-violation
-depths and the minimum length scale; `balance_report` evaluates the window
-balances of the omega and k equations (with the regularization source/damping
-integrals separated out) and the kinetic-energy equality gap; the entropy
-functional and log-log decay-exponent fits complete the set.
+depths and the minimum length scale.  `balance_report` folds over a run's
+(state, record) samples, keeping a few scalars per sample, and evaluates the
+window balances of the omega and k equations (with the regularization
+source/damping integrals separated out) and the kinetic-energy equality gap.
+`decay_fit` fits a log-log decay exponent to one window's times and values;
+the entropy functional completes the set.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "LengthScaleCheck",
     "record",
     "ndjson_line",
+    "window_samples",
     "balance_report",
     "length_scale_check",
     "entropy_phi",
@@ -163,17 +166,17 @@ def ndjson_line(rec: DiagnosticsRecord) -> str:
 
 
 # ---------------------------------------------------------------------------
-# window machinery
+# window balances: one pass over a run's (state, record) samples
 
 
-def _window_indices(traj, window, minimum: int):
+def window_samples(samples, window):
+    """The (state, record) pairs of `samples` whose t lies in `window`, to 1e-12 relative.
+
+    Every pair is drawn, so a stream is consumed to its end.
+    """
     s, t = window
-    times = np.asarray(traj.times, dtype=float)
     slack = 1e-12 * max(1.0, abs(s), abs(t))
-    idx = np.nonzero((times >= s - slack) & (times <= t + slack))[0]
-    if len(idx) < minimum:
-        raise InsufficientSamples(f"window {window} holds {len(idx)} samples, need {minimum}")
-    return idx, times[idx]
+    return ((st, rec) for st, rec in samples if s - slack <= st.t <= t + slack)
 
 
 def _trapezoid(values, times) -> float:
@@ -183,22 +186,28 @@ def _trapezoid(values, times) -> float:
     return total
 
 
-def _eps_corrections(traj, idx, field: str, envelope) -> list:
-    """eps * integral(source - odd-power damping) in one equation, per sample.
+def _eps_correction(state: State, field: str, envelope, params: ModelParams,
+                    env: ComparisonEnvelope) -> float:
+    """eps * integral(source - odd-power damping) in one equation at one sample.
 
     `field` is "omega" or "k" and `envelope` its lower envelope (omega_lower
     or kappa), whose (r-1)-th power is the source.
     """
-    params, env = traj.params, traj.env
     if not params.regularized:
-        return [0.0] * len(idx)
-    out = []
-    for i in idx:
-        s = traj.states[i]
-        src = envelope(s.t, env, params) ** (params.r - 1.0) * s.grid.volume
-        damp = F.integrate(s.grid, F.signed_power(getattr(s, field), params.r))
-        out.append(params.eps * (src - damp))
-    return out
+        return 0.0
+    src = envelope(state.t, env, params) ** (params.r - 1.0) * state.grid.volume
+    damp = F.integrate(state.grid, F.signed_power(getattr(state, field), params.r))
+    return params.eps * (src - damp)
+
+
+def _eps_drain(state: State, params: ModelParams) -> float:
+    """eps * integral(u . (r-laplacian(u) - |u|^(r-2) u)), the regularized u-energy drain."""
+    if not params.regularized:
+        return 0.0
+    g, u = state.grid, state.u
+    rl = F.r_laplacian_vec(g, u, params.r)
+    damp = F.vector_signed_power(u, params.r)
+    return params.eps * F.integrate(g, F.pointwise_dot(u, rl - damp))
 
 
 def _production_integral(state: State, params: ModelParams) -> float:
@@ -208,80 +217,64 @@ def _production_integral(state: State, params: ModelParams) -> float:
     return params.nu0 * F.integrate(g, prod * dsq)
 
 
-def _omega_residual(traj, idx, times, eps_corr) -> float:
-    """|d integral(omega) + time-integrated sink - eps corrections| over the window.
+def _balance_scalars(state: State, rec: DiagnosticsRecord, params: ModelParams,
+                     env: ComparisonEnvelope) -> tuple:
+    """All that the window balances read of one sample, each eps correction evaluated once."""
+    g = state.grid
+    return (
+        state.t,
+        F.integrate(g, state.omega),
+        F.integrate(g, state.k),
+        _production_integral(state, params),
+        _eps_correction(state, "omega", M.omega_lower, params, env),
+        _eps_correction(state, "k", M.kappa, params, env),
+        _eps_drain(state, params),
+        rec.sink_omega,
+        rec.sink_k,
+        rec.E_kin,
+        rec.power_in,
+        rec.dissipation,
+    )
 
-    Exact for the semi-discrete dynamics up to time quadrature: advection and
-    fluxes integrate to zero, so only the damping (and eps terms) move the
-    mean of omega.
+
+def balance_report(samples, window, params: ModelParams, env: ComparisonEnvelope) -> BalanceReport:
+    """The window balances of a run, folded over its (state, record) samples in one pass.
+
+    Only the scalars of `_balance_scalars` are kept from each sample in the
+    window, which must hold at least 2.  With eps corrections (zero unless
+    regularized) taken out of each equation and time integrals by the
+    trapezoid rule on the sample times:
+
+    - omega_residual = |d integral(omega) + integrated sink - eps corrections|.
+      It is exact for the semi-discrete dynamics up to time quadrature:
+      advection and fluxes integrate to zero, so only the damping (and eps
+      terms) move the mean of omega.
+    - mu_proxy = d integral(k) - integral of (production - sink + eps
+      corrections), and k_residual = |mu_proxy|.  For the continuous limit
+      object this is the mass of the nonnegative defect measure on the window.
+    - energy_gap = (E_kin(s) + work + eps drain) - (E_kin(t) + dissipation),
+      the kinetic-energy equality defect; it vanishes identically for u == 0.
     """
-    mass = [F.integrate(traj.states[i].grid, traj.states[i].omega) for i in idx]
-    sink = [traj.records[i].sink_omega for i in idx]
-    net = [s - e for s, e in zip(sink, eps_corr)]
-    return abs(mass[-1] - mass[0] + _trapezoid(net, times))
-
-
-def _k_residual(traj, idx, times, eps_corr):
-    """(residual, mu_proxy) of the k balance over the window.
-
-    mu_proxy = integral(k)(t) - integral(k)(s) - time-quadrature of
-    (production - sink + eps corrections); for the continuous limit object
-    this is the mass of the nonnegative defect measure on the window.
-    """
-    mass = [F.integrate(traj.states[i].grid, traj.states[i].k) for i in idx]
-    production = [_production_integral(traj.states[i], traj.params) for i in idx]
-    sink = [traj.records[i].sink_k for i in idx]
-    net = [p - s + e for p, s, e in zip(production, sink, eps_corr)]
-    mu_proxy = mass[-1] - mass[0] - _trapezoid(net, times)
-    return abs(mu_proxy), mu_proxy
-
-
-def _energy_gap(traj, idx, times, drain) -> float:
-    """Kinetic-energy equality defect: (E_kin(s) + work + eps drain) - (E_kin(t) + dissipation).
-
-    Zero means the discrete run satisfies the u-energy equality on the window;
-    for u == 0 trajectories the gap vanishes identically.
-    """
-    e_kin = [traj.records[i].E_kin for i in idx]
-    power = [traj.records[i].power_in for i in idx]
-    diss = [traj.records[i].dissipation for i in idx]
+    rows = [_balance_scalars(st, rec, params, env) for st, rec in window_samples(samples, window)]
+    if len(rows) < 2:
+        raise InsufficientSamples(f"window {window} holds {len(rows)} samples, need 2")
+    (times, mass_om, mass_k, production, eps_om, eps_k, drain,
+     sink_om, sink_k, e_kin, power, diss) = zip(*rows)
+    omega_net = [s - e for s, e in zip(sink_om, eps_om)]
+    k_net = [p - s + e for p, s, e in zip(production, sink_k, eps_k)]
+    mu_proxy = mass_k[-1] - mass_k[0] - _trapezoid(k_net, times)
     work = e_kin[0] + _trapezoid(power, times) + _trapezoid(drain, times)
-    return work - (e_kin[-1] + _trapezoid(diss, times))
-
-
-def _eps_correction_u_energy(traj, idx) -> list:
-    """eps * integral(u . (r-laplacian(u) - |u|^(r-2) u)), the regularized drain, per sample."""
-    params = traj.params
-    if not params.regularized:
-        return [0.0] * len(idx)
-    out = []
-    for i in idx:
-        g, u = traj.states[i].grid, traj.states[i].u
-        rl = F.r_laplacian_vec(g, u, params.r)
-        damp = F.vector_signed_power(u, params.r)
-        out.append(params.eps * F.integrate(g, F.pointwise_dot(u, rl - damp)))
-    return out
-
-
-def balance_report(traj, window) -> BalanceReport:
-    """Assemble all window balances in one report; each eps correction is evaluated once.
-
-    The fields are defined at `_omega_residual`, `_k_residual` and `_energy_gap`.
-    """
-    idx, times = _window_indices(traj, window, 2)
-    corr = {
-        "omega": _eps_corrections(traj, idx, "omega", M.omega_lower),
-        "k": _eps_corrections(traj, idx, "k", M.kappa),
-        "u_energy": _eps_correction_u_energy(traj, idx),
-    }
-    k_res, mu = _k_residual(traj, idx, times, corr["k"])
     return BalanceReport(
         window=(float(times[0]), float(times[-1])),
-        omega_residual=_omega_residual(traj, idx, times, corr["omega"]),
-        k_residual=k_res,
-        mu_proxy=mu,
-        energy_gap=_energy_gap(traj, idx, times, corr["u_energy"]),
-        epsilon_corrections={name: _trapezoid(c, times) for name, c in corr.items()},
+        omega_residual=abs(mass_om[-1] - mass_om[0] + _trapezoid(omega_net, times)),
+        k_residual=abs(mu_proxy),
+        mu_proxy=mu_proxy,
+        energy_gap=work - (e_kin[-1] + _trapezoid(diss, times)),
+        epsilon_corrections={
+            "omega": _trapezoid(eps_om, times),
+            "k": _trapezoid(eps_k, times),
+            "u_energy": _trapezoid(drain, times),
+        },
     )
 
 
@@ -349,19 +342,16 @@ def entropy_functional(g, k: np.ndarray, delta: float):
 # decay fits
 
 
-def decay_fit(traj, quantity: str, window) -> FitResult:
-    """Least-squares slope of log(quantity) against log(1 + alpha1*omega_sup*t)."""
-    idx, times = _window_indices(traj, window, 3)
-    params, env = traj.params, traj.env
-    states = [traj.states[i] for i in idx]
-    if quantity in ("mean_k", "mean_omega"):
-        field = quantity.removeprefix("mean_")
-        vals = [F.integrate(s.grid, getattr(s, field)) / s.grid.volume for s in states]
-    elif quantity == "L_min":
-        vals = [traj.records[i].L_min for i in idx]
-    else:
-        raise ValueError(f"unknown quantity {quantity!r}")
-    vals = np.asarray(vals)
+def decay_fit(quantity: str, times, values, params: ModelParams, env: ComparisonEnvelope) -> FitResult:
+    """Least-squares slope of log(values) against log(1 + alpha1*omega_sup*t).
+
+    `times` and `values` are the samples of one window, at least 3 of them;
+    `quantity` names the values in errors.
+    """
+    if len(times) < 3:
+        raise InsufficientSamples(f"a {quantity} fit needs 3 samples in its window, got {len(times)}")
+    times = np.asarray(times, dtype=float)
+    vals = np.asarray(values)
     if np.any(vals <= 0.0):
         raise NonpositiveSamples(f"{quantity} must be positive throughout the window")
 

@@ -11,9 +11,11 @@ classical two-parameter family (rho, gamma) -> (rho, rho/gamma, gamma, rho,
 gamma^2) under which the k/omega closure is invariant.
 
 This module provides the family constructors, the algebraic residual checker,
-state/trajectory transformation (the scaled state lives on the same nodes of
-the box of side l/beta, so no resampling is needed), and a discrete
-PDE-residual evaluator used to verify invariance numerically.
+the transformation of a state and of a run's forcing and envelopes (the
+scaled state lives on the same nodes of the box of side l/beta, so no
+resampling is needed), and a discrete PDE-residual evaluator used to verify
+invariance numerically.  The evaluator folds over a run's states as they
+come, holding the last three of the run and of its transformation.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from . import diagnostics as diag
 from . import fields as F
 from . import model as M
-from . import timestepper as T
 from .errors import InsufficientSamples, NonpositiveParameter, NonpositiveSamples
 from .fields import Grid
 from .model import ComparisonEnvelope, ModelParams, State
@@ -40,7 +40,7 @@ __all__ = [
     "coefficient_invariance_residuals",
     "CoefficientInvarianceResult",
     "transform_state",
-    "transform_trajectory",
+    "transform_inputs",
     "PdeResiduals",
     "pde_residual",
     "InvarianceReport",
@@ -68,10 +68,6 @@ class ScalingParams:
         for name in ("rho", "gamma", "alpha", "beta", "sigma"):
             if not getattr(self, name) > 0.0:
                 raise NonpositiveParameter(f"{name} must be positive")
-
-    def with_sigma(self, sigma: float) -> "ScalingParams":
-        """Copy with a replaced sigma (for controlled violation experiments)."""
-        return ScalingParams(self.rho, self.gamma, self.alpha, self.beta, sigma)
 
 
 def _require_scales(given: dict, **derived) -> None:
@@ -215,19 +211,15 @@ def transform_state(state: State, sp: ScalingParams) -> State:
     )
 
 
-def transform_trajectory(traj, sp: ScalingParams):
-    """Transform every sample and the forcing (by gamma*alpha); records keep their guard counts."""
-    env = traj.env
+def transform_inputs(forcing, env: ComparisonEnvelope, sp: ScalingParams):
+    """(forcing, envelope) of the scaled problem: forcing times gamma*alpha, omega
+    bounds times rho and k_star times sigma.  A None forcing stays None."""
     env_t = ComparisonEnvelope(
         omega_star=sp.rho * env.omega_star,
         omega_sup=sp.rho * env.omega_sup,
         k_star=sp.sigma * env.k_star,
     )
-    forcing = None if traj.forcing is None else sp.gamma * sp.alpha * traj.forcing
-    states = tuple(transform_state(s, sp) for s in traj.states)
-    records = tuple(diag.record(s, forcing, traj.params, env_t, r.guard_activations)
-                    for s, r in zip(states, traj.records))
-    return T.Trajectory(states, records, traj.params, env_t, forcing)
+    return (None if forcing is None else sp.gamma * sp.alpha * forcing), env_t
 
 
 # ---------------------------------------------------------------------------
@@ -251,34 +243,45 @@ def _ddt_weights(a: float, b: float):
     return w_m, w_0, w_p
 
 
-def pde_residual(traj) -> PdeResiduals:
-    """Residual norms of the discrete equations along a sampled trajectory.
+def _windows(states):
+    """Each three consecutive states of `states`, holding no earlier one."""
+    window = ()
+    for state in states:
+        window = window[-2:] + (state,)
+        if len(window) == 3:
+            yield window
 
-    The equations take the trajectory's params, envelopes and forcing.  Time
-    derivatives use three-point differences on the sample grid; interior
-    samples only.  The u-residual is Leray-projected before measuring since
-    the pressure gradient is not part of the reduced dynamics.
+
+def _residual_norms(window, forcing, params: ModelParams, env: ComparisonEnvelope) -> tuple:
+    """(u, omega, k) L2 norms of the discrete equations' residuals at the middle of `window`.
+
+    The time derivative is the three-point difference on the window's sample
+    times.  The u-residual is Leray-projected before measuring since the
+    pressure gradient is not part of the reduced dynamics.
     """
-    if len(traj.states) < 3:
+    s_m, s_0, s_p = window
+    g = s_0.grid
+    wm, w0, wp = _ddt_weights(s_0.t - s_m.t, s_p.t - s_0.t)
+    du, dom, dk = M.rhs(s_0, s_0.t, forcing, params, env)
+    ru_sol, _ = F.leray_project(g, wm * s_m.u + w0 * s_0.u + wp * s_p.u - du)
+    rom = wm * s_m.omega + w0 * s_0.omega + wp * s_p.omega - dom
+    rk = wm * s_m.k + w0 * s_0.k + wp * s_p.k - dk
+    return F.l2_norm(g, ru_sol), F.l2_norm(g, [rom]), F.l2_norm(g, [rk])
+
+
+def pde_residual(states, forcing, params: ModelParams, env: ComparisonEnvelope) -> PdeResiduals:
+    """Worst residual norms of the discrete equations over a run's interior samples.
+
+    One pass over `states`, at least 3 of them, with the run's forcing,
+    params and envelopes; see `_residual_norms`.
+    """
+    worst, interior = (0.0, 0.0, 0.0), 0
+    for window in _windows(states):
+        worst = tuple(map(max, worst, _residual_norms(window, forcing, params, env)))
+        interior += 1
+    if not interior:
         raise InsufficientSamples("pde_residual needs at least 3 samples")
-    g = traj.states[0].grid
-    worst = {"u": 0.0, "omega": 0.0, "k": 0.0}
-    times = np.asarray(traj.times, dtype=float)
-    for i in range(1, len(times) - 1):
-        a = times[i] - times[i - 1]
-        b = times[i + 1] - times[i]
-        wm, w0, wp = _ddt_weights(a, b)
-        s_m, s_0, s_p = traj.states[i - 1], traj.states[i], traj.states[i + 1]
-        du, dom, dk = M.rhs(s_0, float(times[i]), traj.forcing, traj.params, traj.env)
-
-        ru = wm * s_m.u + w0 * s_0.u + wp * s_p.u - du
-        ru_sol, _ = F.leray_project(g, ru)
-        rom = wm * s_m.omega + w0 * s_0.omega + wp * s_p.omega - dom
-        rk = wm * s_m.k + w0 * s_0.k + wp * s_p.k - dk
-
-        for name, arrays in (("u", ru_sol), ("omega", [rom]), ("k", [rk])):
-            worst[name] = max(worst[name], F.l2_norm(g, arrays))
-    return PdeResiduals(u=worst["u"], omega=worst["omega"], k=worst["k"])
+    return PdeResiduals(*worst)
 
 
 @dataclass(frozen=True)
@@ -298,18 +301,29 @@ _VERDICT_MARGIN = 3.0
 _VERDICT_FLOOR = 1e-14
 
 
-def invariance_experiment(traj, sp: ScalingParams) -> InvarianceReport:
-    """Transform a trajectory and compare its residuals to the scaled originals.
+def invariance_experiment(states, sp: ScalingParams, forcing, params: ModelParams,
+                          env: ComparisonEnvelope) -> InvarianceReport:
+    """Compare the residuals of a run's transformed states to the scaled originals.
 
-    Under an invariance-respecting scaling the discrete residual transforms
-    exactly with factor gamma*alpha (u), rho*alpha (omega), sigma*alpha (k),
-    times beta^(-d/2) from the L2 measure, so the transformed residual should
-    stay within a small margin of the scaled original.
+    One pass over `states` (at least 3), each transformed by `transform_state`
+    as it comes; the transformed equations take `transform_inputs`' forcing
+    and envelopes.  Under an invariance-respecting scaling the discrete
+    residual transforms exactly with factor gamma*alpha (u), rho*alpha (omega),
+    sigma*alpha (k), times beta^(-d/2) from the L2 measure, so the transformed
+    residual should stay within a small margin of the scaled original.
     """
-    d = traj.states[0].grid.dim
-    orig = pde_residual(traj)
-    trans = pde_residual(transform_trajectory(traj, sp))
-    meas = sp.beta ** (-0.5 * d)
+    forcing_t, env_t = transform_inputs(forcing, env, sp)
+    orig = trans = (0.0, 0.0, 0.0)
+    interior = 0
+    for window in _windows((s, transform_state(s, sp)) for s in states):
+        originals, transformed = zip(*window)
+        orig = tuple(map(max, orig, _residual_norms(originals, forcing, params, env)))
+        trans = tuple(map(max, trans, _residual_norms(transformed, forcing_t, params, env_t)))
+        interior += 1
+    if not interior:
+        raise InsufficientSamples("pde_residual needs at least 3 samples")
+    orig, trans = PdeResiduals(*orig), PdeResiduals(*trans)
+    meas = sp.beta ** (-0.5 * originals[0].grid.dim)
     expected = PdeResiduals(
         u=sp.gamma * sp.alpha * meas * orig.u,
         omega=sp.rho * sp.alpha * meas * orig.omega,

@@ -15,7 +15,8 @@ the first Picard residual); retries after a rejection reuse the same rates.
 
 `samples` is the sampling loop: a generator that walks the schedule of
 `sample_times` and yields each sample's state and diagnostics record as it is
-taken, holding no earlier sample.  `run` collects it into a Trajectory.
+taken, holding no earlier sample.  Every command consumes it as it goes;
+`run` collects it into a list for callers that want every sample at once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .model import ComparisonEnvelope, ModelParams, State
 
 __all__ = [
     "StepConfig",
-    "Trajectory",
     "cfl_dt",
     "step_explicit",
     "operator_apply",
@@ -69,34 +69,6 @@ class StepConfig:
             raise ValidationError("picard_max_iters", "must be positive")
         if not self.picard_tol > 0.0:
             raise ValidationError("picard_tol", "must be positive")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled simulation output: states and diagnostics at increasing times.
-
-    The first sample time equals the initial state's time (0 for fresh runs;
-    restarted segments start at their restart time).  `forcing` is the run's
-    constant forcing, or None.  `rejected_attempts` counts the step attempts
-    that were rejected and retried with half the dt.
-    """
-
-    states: tuple
-    records: tuple
-    params: ModelParams
-    env: ComparisonEnvelope
-    forcing: Optional[np.ndarray] = None
-    rejected_attempts: int = 0
-
-    def __post_init__(self):
-        if len(self.states) != len(self.records):
-            raise ValueError("states/records must have equal length")
-        if not np.all(np.diff(self.times) > 0):
-            raise ValueError("sample times must be strictly increasing")
-
-    @property
-    def times(self) -> tuple:
-        return tuple(s.t for s in self.states)
 
 
 def cfl_dt(state: State, limits: list, params: ModelParams, cfg: StepConfig) -> float:
@@ -208,13 +180,11 @@ def operator_apply(
     A is the stationary operator of the regularized system assembled from the
     discrete field operators (advection in skew form, diffusion in flux form,
     r-terms, damping, production); F carries the external forcing and the
-    envelope sources.  dt = inf drops the time term and returns A(U) - F.
-    Zero residual characterizes the discrete implicit-Euler solution.
+    envelope sources.  Zero residual characterizes the discrete implicit-Euler solution.
     """
     if not params.regularized:
         raise ValueError("operator_apply requires regularized parameters")
-    t_new = state_old.t + dt if math.isfinite(dt) else state_old.t
-    du, dom, dk = M.rhs(state_candidate, t_new, forcing, params, env)
+    du, dom, dk = M.rhs(state_candidate, state_old.t + dt, forcing, params, env)
     return (
         (state_candidate.u - state_old.u) / dt - du,
         (state_candidate.omega - state_old.omega) / dt - dom,
@@ -373,8 +343,6 @@ def run(
     env: ComparisonEnvelope,
     cfg: StepConfig,
     sample_every: float,
-) -> Trajectory:
-    """Collect `samples` into a Trajectory; t_end itself is always the final sample."""
-    taken = samples(initial, t_end, forcing, params, env, cfg, sample_every)
-    states, records, rejected = zip(*taken)
-    return Trajectory(states, records, params, env, forcing, sum(rejected))
+) -> list:
+    """Every (state, record, rejected) that `samples` yields, in a list; t_end is the last."""
+    return list(samples(initial, t_end, forcing, params, env, cfg, sample_every))

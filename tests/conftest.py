@@ -99,13 +99,25 @@ def entropy_bracket_constant(delta):
 
 
 def exact_homogeneous_trajectory(grid, ic, params, env, times):
-    """Trajectory sampled from the closed-form spatially constant solution."""
-    states, records = [], []
+    """(state, record) pairs sampled from the closed-form spatially constant solution."""
+    samples = []
     for t in times:
         st = M.homogeneous_state(grid, ic, params, t=float(t))
-        states.append(st)
-        records.append(D.record(st, None, params, env))
-    return T.Trajectory(tuple(states), tuple(records), params, env)
+        samples.append((st, D.record(st, None, params, env)))
+    return samples
+
+
+def run_pairs(*args):
+    """The (state, record) pair of each sample of `timestepper.run(*args)`."""
+    return [(state, rec) for state, rec, _ in T.run(*args)]
+
+
+def states_of(samples):
+    return [state for state, *_ in samples]
+
+
+def records_of(samples):
+    return [rec for _, rec, *_ in samples]
 
 
 @pytest.fixture
@@ -149,6 +161,15 @@ BAD_CONFIGS = [
     ("snapshot_path", "snapshot_path = start.kbox"),
     ("forcing_vector", "forcing_vector = 1.0"),
     ("forcing_amplitude", "forcing = constant\nforcing_vector = 1.0\nforcing_amplitude = 0.5"),
+    ("forcing_wavenumber", "forcing_wavenumber = 3"),
+    ("forcing_axis", "forcing_axis = 1"),
+    ("forcing_component", "forcing = constant\nforcing_vector = 1.0\nforcing_component = 1"),
+    ("ic_omega0", "ic = snapshot\nsnapshot_path = start.kbox\nic_omega0 = 5"),
+    ("ic_k0", "ic = snapshot\nsnapshot_path = start.kbox\nic_k0 = 5"),
+    ("ic_u", "ic = snapshot\nsnapshot_path = start.kbox\nic_u = 1.0"),
+    ("r", "r = 5"),
+    ("picard_tol", "picard_tol = 1e-3"),
+    ("picard_max_iters", "scheme = explicit_rk2\npicard_max_iters = 50"),
 ]
 BAD_CONFIG_IDS = [lines.splitlines()[-1] for _, lines in BAD_CONFIGS]
 

@@ -10,6 +10,7 @@ cruder constant 2/(1-delta) is false for delta = 0.1: phi(100) = 30.37 while
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ import pytest
 from conftest import (
     entropy_bracket_constant,
     exact_homogeneous_trajectory,
+    records_of,
+    run_pairs,
+    states_of,
     structured_problem,
 )
 
@@ -55,9 +59,9 @@ def test_criterion_1_homogeneous_decay(alpha2):
 
     errs = {}
     for dt in (1e-3, 5e-4):
-        traj = T.run(st, 2.0, None, params, env, T.StepConfig(dt_max=dt), 0.25)
-        w = traj.states[-1].omega.flat[0]
-        k = traj.states[-1].k.flat[0]
+        final = T.run(st, 2.0, None, params, env, T.StepConfig(dt_max=dt), 0.25)[-1][0]
+        w = final.omega.flat[0]
+        k = final.k.flat[0]
         errs[dt] = max(abs(w - w_exact) / w_exact, abs(k - k_exact) / k_exact)
 
     ratio = errs[1e-3] / errs[5e-4]
@@ -111,14 +115,14 @@ def _bounds_violations(n, side, uamp, sharp, kscale, cfl, t_end):
         omega_star=float(om.min()), omega_sup=float(om.max()), k_star=float(kk.min())
     )
     st = M.State(t=0.0, grid=g, u=u, omega=om, k=kk)
-    traj = T.run(st, t_end, None, params, env,
-                 T.StepConfig(cfl_safety=cfl, guard=False), t_end / 20)
+    records = records_of(T.run(st, t_end, None, params, env,
+                               T.StepConfig(cfl_safety=cfl, guard=False), t_end / 20))
     viol = max(
-        max(r.envelope_violation_omega_low for r in traj.records),
-        max(r.envelope_violation_omega_high for r in traj.records),
-        max(r.envelope_violation_k for r in traj.records),
+        max(r.envelope_violation_omega_low for r in records),
+        max(r.envelope_violation_omega_high for r in records),
+        max(r.envelope_violation_k for r in records),
     )
-    guard_hits = sum(r.guard_activations for r in traj.records)
+    guard_hits = sum(r.guard_activations for r in records)
     return viol, env, guard_hits
 
 
@@ -166,9 +170,8 @@ def _balance_levels():
     reports = []
     for n, se, dtm in [(16, 0.05, 2e-3), (32, 0.025, 1e-3), (64, 0.0125, 5e-4)]:
         g, st, env, params = structured_problem(n=n, uamp=0.5)
-        traj = T.run(st, 0.5, None, params, env,
-                     T.StepConfig(dt_max=dtm, guard=False), se)
-        reports.append(D.balance_report(traj, (0.0, 0.5)))
+        samples = run_pairs(st, 0.5, None, params, env, T.StepConfig(dt_max=dtm, guard=False), se)
+        reports.append(D.balance_report(samples, (0.0, 0.5), params, env))
     _BALANCE_CACHE["reports"] = reports
     return reports
 
@@ -182,8 +185,8 @@ def test_criterion_4_balance_identities():
     )
 
     g, st, env, params = structured_problem(n=8, uamp=0.0)
-    traj0 = T.run(st, 0.5, None, params, env, T.StepConfig(guard=False), 0.05)
-    gap0 = D.balance_report(traj0, (0.0, 0.5)).energy_gap
+    samples0 = run_pairs(st, 0.5, None, params, env, T.StepConfig(guard=False), 0.05)
+    gap0 = D.balance_report(samples0, (0.0, 0.5), params, env).energy_gap
     ok_gap = gap0 == 0.0
 
     ok = report(
@@ -205,22 +208,22 @@ def test_criterion_5_scaling_invariance():
     g = F.Grid(2, 8, 1.0)
     ic = M.HomogeneousIC(u_const=(0.0, 0.0), omega0=1.0, k0=1.0)
     env = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1.0)
-    traj = exact_homogeneous_trajectory(g, ic, params, env, np.linspace(0.0, 2.0, 41))
+    states = states_of(exact_homogeneous_trajectory(g, ic, params, env, np.linspace(0.0, 2.0, 41)))
 
     rng = np.random.default_rng(20260810)
     all_pass = True
     for _ in range(20):
         rho, gamma = rng.uniform(0.5, 4.0, 2)
-        rep = S.invariance_experiment(traj, S.family_from(rho, gamma))
+        rep = S.invariance_experiment(states, S.family_from(rho, gamma), None, params, env)
         all_pass = all_pass and rep.overall
 
     # controlled sigma violation on a spatially structured trajectory
     g2, st, env2, _ = structured_problem(n=32)
-    traj2 = T.run(st, 0.5, None, params, env2,
-                  T.StepConfig(dt_max=1e-3, guard=False), 0.0125)
+    states2 = states_of(T.run(st, 0.5, None, params, env2,
+                              T.StepConfig(dt_max=1e-3, guard=False), 0.0125))
     sp = S.family_from(2.0, 1.5)
-    rep_ok = S.invariance_experiment(traj2, sp)
-    rep_bad = S.invariance_experiment(traj2, sp.with_sigma(sp.sigma * 1.1))
+    rep_ok = S.invariance_experiment(states2, sp, None, params, env2)
+    rep_bad = S.invariance_experiment(states2, replace(sp, sigma=sp.sigma * 1.1), None, params, env2)
     inflation = rep_bad.transformed.k / rep_ok.transformed.k
     ok_violation = rep_ok.overall and inflation >= 10.0
 

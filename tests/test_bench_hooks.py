@@ -1,4 +1,5 @@
-"""The names the benchmark's tracer wraps must exist in the package."""
+"""The names the benchmark's tracer wraps must exist in the package, with the signatures
+its traced runs call them by."""
 
 import json
 import math
@@ -55,3 +56,33 @@ def test_traced_run_annotates_every_step(tmp_path, scheme):
     assert infos
     for npoints, dt, guard_hits in infos:
         assert npoints == 64 and 0.0 < dt <= 0.005 and guard_hits >= 0
+
+
+# the benchmark's decay_1d workload, shortened: the decay window t >= 5 holds three samples
+TINY_DECAY_1D = """\
+dim = 1
+n = 4
+alpha2 = 1.4285714285714286
+dt_max = 0.01
+t_end = 6.0
+sample_every = 0.5
+"""
+
+
+@pytest.mark.parametrize("command", ["decay", "balance"])
+def test_traced_decay_and_balance_run(tmp_path, command):
+    # every benchmark run starts with a traced warm-up of its workload, decay_1d included;
+    # a traced command that fails makes every workload fail
+    cfg = tmp_path / "decay.cfg"
+    cfg.write_text(TINY_DECAY_1D)
+    result = tmp_path / "result.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "cli", str(result), "1",
+         command, "--config", str(cfg), "--out", str(tmp_path / "out")],
+        cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    names = [span[1] for span in json.loads(result.read_text())["spans"]]
+    assert "timestepper.step" in names and "diagnostics.record" in names
+    if command == "decay":
+        assert names.count("diagnostics.decay_fit") == 3

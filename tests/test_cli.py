@@ -80,7 +80,9 @@ def test_every_sample_gets_its_own_snapshot(tmp_path, t_end, sample_every, stamp
     assert len({p.read_bytes() for p in snaps}) == len(snaps)  # no state written twice
 
 
-def test_failed_run_leaves_the_samples_taken_before_it(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["run", "decay", "balance"])
+def test_failed_run_leaves_the_samples_taken_before_it(tmp_path, capsys, monkeypatch, command):
+    # decay and balance write the same series as run: that of the config's own run
     cfg = write_cfg(tmp_path, HOMOG)
     full, cut = tmp_path / "full", tmp_path / "cut"
     assert cli.main(["run", "--config", str(cfg), "--out", str(full)]) == 0
@@ -95,14 +97,16 @@ def test_failed_run_leaves_the_samples_taken_before_it(tmp_path, capsys, monkeyp
 
     # HOMOG reaches its samples at t = 0.25 and 0.5 in 77 and 70 steps; step 150 is before 0.75
     monkeypatch.setattr(T, "_advance", fail_on_call_150)
-    assert cli.main(["run", "--config", str(cfg), "--out", str(cut)]) == 2
+    assert cli.main([command, "--config", str(cfg), "--out", str(cut)]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: StepRejected: synthetic failure"]
     lines = (cut / "series.ndjson").read_bytes().splitlines(keepends=True)
     assert lines == (full / "series.ndjson").read_bytes().splitlines(keepends=True)[:3]
     snaps = sorted(cut.glob("snap_*.kbox"))
-    assert [p.name for p in snaps] == [p.name for p in sorted(full.glob("snap_*.kbox"))[:3]]
+    taken = sorted(full.glob("snap_*.kbox"))[:3] if command == "run" else []
+    assert [p.name for p in snaps] == [p.name for p in taken]
     assert all(p.read_bytes() == (full / p.name).read_bytes() for p in snaps)
     assert not (cut / "summary.json").exists()
+    assert not (cut / "balance.json").exists()
 
 
 REG_2D = """
@@ -121,23 +125,24 @@ sample_every = 0.0025
 
 
 def trajectory_of(cfg_path):
+    """Every (state, record, rejected) sample of the config's run."""
     p = build_problem(load_config(cfg_path))
     return T.run(p.state, p.cfg.t_end, p.forcing, p.params, p.env, p.step, p.cfg.sample_interval)
 
 
-def series_of(traj):
-    return "".join(D.ndjson_line(rec) + "\n" for rec in traj.records)
+def series_of(samples):
+    return "".join(D.ndjson_line(rec) + "\n" for _, rec, _ in samples)
 
 
 def test_streamed_run_writes_what_the_trajectory_holds(tmp_path):
     cfg = write_cfg(tmp_path, REG_2D)
     out = tmp_path / "o"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    traj = trajectory_of(cfg)
-    assert (out / "series.ndjson").read_text() == series_of(traj)
+    samples = trajectory_of(cfg)
+    assert (out / "series.ndjson").read_text() == series_of(samples)
     snaps = sorted(out.glob("snap_*.kbox"))
-    assert len(snaps) == len(traj.states) == 5
-    for path, state in zip(snaps, traj.states):
+    assert len(snaps) == len(samples) == 5
+    for path, (state, _, _) in zip(snaps, samples):
         snap.write_snapshot(tmp_path / "ref.kbox", state)
         assert path.read_bytes() == (tmp_path / "ref.kbox").read_bytes(), path.name
 
@@ -170,9 +175,21 @@ t_end = 0.032
 """
 
 
+# a homogeneous decay whose window t >= 5 holds 3 samples at 5 samples in all
+DECAY_2D = """
+dim = 2
+n = 32
+side = 1000.0
+dt_max = 0.1
+t_end = 10.0
+alpha2 = 1.4285714285714286
+"""
+
+
 def traced_peak(tmp_path, command, text, samples):
     """tracemalloc's peak over one command whose run takes `samples` samples."""
-    text += f"sample_every = {0.032 / (samples - 1)!r}\n"
+    t_end = float(re.search(r"^t_end = (.*)$", text, re.M).group(1))
+    text += f"sample_every = {t_end / (samples - 1)!r}\n"
     cfg = write_cfg(tmp_path, text, f"{samples}.cfg")
     gc.collect()
     gc.disable()  # cycle collections at varying points would move the peak by up to ~20 kB
@@ -187,15 +204,22 @@ def traced_peak(tmp_path, command, text, samples):
     return peak
 
 
-@pytest.mark.parametrize("command, text, grid_values", [
-    ("bounds", BOUNDS_3D, 5 * 16**3),  # one State of the refined 16^3 run
-    ("run", RUN_2D, 4 * 32**2),  # one State of the 2D n = 32 run
-], ids=["bounds_3d", "run_2d"])
-def test_memory_does_not_grow_with_the_sample_count(tmp_path, capsys, command, text, grid_values):
-    traced_peak(tmp_path, command, text, 3)  # fills the per-shape caches before tracing
-    few = traced_peak(tmp_path, command, text, 3)
-    many = traced_peak(tmp_path, command, text, 33)
-    assert abs(many - few) < 8 * grid_values, (few, many)
+@pytest.mark.parametrize("command, text, few, grid_values", [
+    ("bounds", BOUNDS_3D, 3, 5 * 16**3),  # one State of the refined 16^3 run
+    ("run", RUN_2D, 3, 4 * 32**2),  # one State of the 2D n = 32 run
+    ("decay", DECAY_2D, 5, 4 * 32**2),
+    ("balance", BOUNDS_3D, 3, 5 * 16**3),
+    # from 4 samples on, scaling's window of three is full while the run steps
+    ("scaling", RUN_2D, 4, 4 * 32**2),
+], ids=["bounds_3d", "run_2d", "decay_2d", "balance_3d", "scaling_2d"])
+def test_memory_does_not_grow_with_the_sample_count(tmp_path, capsys, command, text, few,
+                                                    grid_values):
+    # 30 more samples may not cost one State: the scalars that decay and balance keep
+    # per sample (four and twelve floats) count against that bound too
+    traced_peak(tmp_path, command, text, few)  # fills the per-shape caches before tracing
+    low = traced_peak(tmp_path, command, text, few)
+    high = traced_peak(tmp_path, command, text, few + 30)
+    assert abs(high - low) < 8 * grid_values, (low, high)
 
 
 DECAY = """

@@ -12,6 +12,7 @@ from conftest import (
     entropy_bracket_constant,
     exact_homogeneous_trajectory,
     regularized_params,
+    run_pairs,
     structured_problem,
     zero_vector,
 )
@@ -117,7 +118,7 @@ def fabricated_trajectory(masses, times, grid, params=PARAMS, env=ENV1):
         )
         states.append(st)
         records.append(D.record(st, None, params, env))
-    return T.Trajectory(tuple(states), tuple(records), params, env)
+    return list(zip(states, records))
 
 
 class TestOmegaBalance:
@@ -133,16 +134,16 @@ class TestOmegaBalance:
                          k=const(g, 1.0))
             states.append(st)
             records.append(D.record(st, None, tiny, ENV1))
-        traj = T.Trajectory(tuple(states), tuple(records), tiny, ENV1)
-        assert D.balance_report(traj, (0.0, 1.0)).omega_residual <= 1e-15
+        samples = list(zip(states, records))
+        assert D.balance_report(samples, (0.0, 1.0), tiny, ENV1).omega_residual <= 1e-15
 
     def test_exact_solution_quadrature_error_quarters(self):
         g = F.Grid(1, 8, 1.0)
         ic = M.HomogeneousIC(u_const=(0.0,), omega0=1.0, k0=1.0)
         res = {}
         for m in (21, 41):
-            traj = exact_homogeneous_trajectory(g, ic, PARAMS, ENV1, np.linspace(0, 2, m))
-            res[m] = D.balance_report(traj, (0.0, 2.0)).omega_residual
+            samples = exact_homogeneous_trajectory(g, ic, PARAMS, ENV1, np.linspace(0, 2, m))
+            res[m] = D.balance_report(samples, (0.0, 2.0), PARAMS, ENV1).omega_residual
         assert 3.2 <= res[21] / res[41] <= 4.8
 
     def test_forward_euler_residual_halves_with_dt(self):
@@ -170,23 +171,23 @@ class TestOmegaBalance:
                 om = om + dt * dom
                 kk = kk + dt * dk
                 t += dt
-            traj = T.Trajectory(tuple(states), tuple(records), PARAMS, env)
-            res[dt] = D.balance_report(traj, (0.0, 0.5)).omega_residual
+            samples = list(zip(states, records))
+            res[dt] = D.balance_report(samples, (0.0, 0.5), PARAMS, env).omega_residual
         assert 1.5 <= res[0.001] / res[0.0005] <= 2.5
 
     def test_insufficient_samples(self):
         g = F.Grid(1, 8, 1.0)
-        traj = fabricated_trajectory([1.0], [0.0], g)
-        with pytest.raises(InsufficientSamples):
-            D.balance_report(traj, (0.0, 1.0))
+        samples = fabricated_trajectory([1.0], [0.0], g)
+        with pytest.raises(InsufficientSamples, match=r"^window \(0\.0, 1\.0\) holds 1 samples, need 2$"):
+            D.balance_report(samples, (0.0, 1.0), PARAMS, ENV1)
 
 
 class TestKBalance:
     def test_homogeneous_mu_proxy_small(self):
         g = F.Grid(1, 8, 1.0)
         ic = M.HomogeneousIC(u_const=(0.0,), omega0=1.0, k0=1.0)
-        traj = exact_homogeneous_trajectory(g, ic, PARAMS, ENV1, np.linspace(0, 2, 201))
-        rep = D.balance_report(traj, (0.0, 2.0))
+        samples = exact_homogeneous_trajectory(g, ic, PARAMS, ENV1, np.linspace(0, 2, 201))
+        rep = D.balance_report(samples, (0.0, 2.0), PARAMS, ENV1)
         assert rep.k_residual <= 5e-5  # trapezoid error at this sampling
         assert rep.k_residual == abs(rep.mu_proxy)
 
@@ -196,30 +197,26 @@ class TestKBalance:
         masses = [1.0 if t < 0.5 else 1.1 for t in times]
         tiny = M.ModelParams(alpha1=1e-300, alpha2=1e-300)
         env = ENV1
-        traj = fabricated_trajectory(masses, times, g, params=tiny, env=env)
-        mu = D.balance_report(traj, (0.0, 1.0)).mu_proxy
+        samples = fabricated_trajectory(masses, times, g, params=tiny, env=env)
+        mu = D.balance_report(samples, (0.0, 1.0), tiny, env).mu_proxy
         assert mu == pytest.approx(0.1 * g.volume, rel=1e-9)
 
 
 class TestEnergyGap:
     def test_zero_velocity_gap_is_exactly_zero(self):
         g, st, env, params = structured_problem(n=8, uamp=0.0)
-        traj = T.run(st, 0.3, None, params, env, T.StepConfig(guard=False), 0.05)
-        assert D.balance_report(traj, (0.0, 0.3)).energy_gap == 0.0
+        samples = run_pairs(st, 0.3, None, params, env, T.StepConfig(guard=False), 0.05)
+        assert D.balance_report(samples, (0.0, 0.3), params, env).energy_gap == 0.0
 
     def test_reduced_dissipation_shows_as_positive_gap(self):
         g, st, env, params = structured_problem(n=16)
-        traj = T.run(st, 0.1, None, params, env, T.StepConfig(guard=False), 0.05)
-        gap0 = D.balance_report(traj, (0.0, 0.1)).energy_gap
-        # rebuild the trajectory with dissipation artificially reduced
-        import dataclasses
-
+        samples = run_pairs(st, 0.1, None, params, env, T.StepConfig(guard=False), 0.05)
+        gap0 = D.balance_report(samples, (0.0, 0.1), params, env).energy_gap
+        # the same samples with dissipation artificially reduced
         removed = 0.01
-        records = list(traj.records)
-        records[1] = dataclasses.replace(records[1], dissipation=records[1].dissipation - removed)
-        records[2] = dataclasses.replace(records[2], dissipation=records[2].dissipation - removed)
-        traj2 = T.Trajectory(traj.states, tuple(records), params, env)
-        gap1 = D.balance_report(traj2, (0.0, 0.1)).energy_gap
+        samples2 = [(state, replace(rec, dissipation=rec.dissipation - removed) if i else rec)
+                    for i, (state, rec) in enumerate(samples)]
+        gap1 = D.balance_report(samples2, (0.0, 0.1), params, env).energy_gap
         # trapezoid weights on samples (0, 0.05, 0.1): 0.025, 0.05, 0.025
         assert gap1 - gap0 == pytest.approx(removed * 0.075, rel=1e-9)
 
@@ -227,21 +224,22 @@ class TestEnergyGap:
 class TestBalanceReport:
     def test_eps_corrections_zero_when_unregularized(self):
         g, st, env, params = structured_problem(n=8)
-        traj = T.run(st, 0.1, None, params, env, T.StepConfig(guard=False), 0.05)
-        rep = D.balance_report(traj, (0.0, 0.1))
+        samples = run_pairs(st, 0.1, None, params, env, T.StepConfig(guard=False), 0.05)
+        rep = D.balance_report(samples, (0.0, 0.1), params, env)
         assert rep.epsilon_corrections == {"omega": 0.0, "k": 0.0, "u_energy": 0.0}
         assert rep.k_residual == abs(rep.mu_proxy)
 
     @staticmethod
-    def regularized_trajectory():
-        """Nine samples of a regularized run on t in [0, 0.1]."""
+    def regularized_run():
+        """Nine samples of a regularized run on t in [0, 0.1], its params and its envelope."""
         g, st, env, _ = structured_problem(n=8)
         params = regularized_params(r=3.2, eps=1e-2)
-        return T.run(st, 0.1, None, params, env, T.StepConfig(dt_max=1e-3, guard=False), 0.0125)
+        cfg = T.StepConfig(dt_max=1e-3, guard=False)
+        return run_pairs(st, 0.1, None, params, env, cfg, 0.0125), params, env
 
     def test_regularized_omega_balance_includes_eps_terms(self):
-        traj = self.regularized_trajectory()
-        rep = D.balance_report(traj, (0.0, 0.1))
+        samples, params, env = self.regularized_run()
+        rep = D.balance_report(samples, (0.0, 0.1), params, env)
         assert rep.epsilon_corrections["omega"] != 0.0
         # with the corrections included the residual sits at quadrature level,
         # far below the size of the correction itself
@@ -249,14 +247,14 @@ class TestBalanceReport:
         assert rep.omega_residual <= 0.1 * abs(rep.epsilon_corrections["omega"])
 
     def test_regularized_energy_gap_includes_eps_drain(self):
-        traj = self.regularized_trajectory()
-        rep = D.balance_report(traj, (0.0, 0.1))
+        samples, params, env = self.regularized_run()
+        rep = D.balance_report(samples, (0.0, 0.1), params, env)
         # without the eps drain the gap would be about the size of the drain itself
         assert rep.epsilon_corrections["u_energy"] != 0.0
         assert abs(rep.energy_gap) <= 0.1 * abs(rep.epsilon_corrections["u_energy"])
 
     def test_each_eps_correction_is_evaluated_once(self, monkeypatch):
-        traj = self.regularized_trajectory()
+        samples, params, env = self.regularized_run()
         calls = []
         for name in ("r_laplacian_vec", "signed_power"):
             def counting(*args, _real=getattr(F, name), _name=name, **kwargs):
@@ -264,8 +262,8 @@ class TestBalanceReport:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(F, name, counting)
-        D.balance_report(traj, (0.0, 0.1))
-        assert len(traj.states) == 9
+        D.balance_report(samples, (0.0, 0.1), params, env)
+        assert len(samples) == 9
         assert calls.count("r_laplacian_vec") == 9  # the u drain, once per sample
         assert calls.count("signed_power") == 18  # the omega and k damping, once per sample
 
@@ -365,47 +363,44 @@ class TestEntropy:
             D.entropy_phi(1.0, 0.0)
 
 
+def fit_mean(samples, field, window):
+    """decay_fit of the mean of `field` over the samples in `window`, as the decay command takes it."""
+    picked = list(D.window_samples(samples, window))
+    times = [st.t for st, _ in picked]
+    means = [F.integrate(st.grid, getattr(st, field)) / st.grid.volume for st, _ in picked]
+    return D.decay_fit(f"mean_{field}", times, means, PARAMS, ENV1)
+
+
 class TestDecayFit:
     def exact_traj(self, alpha2=10.0 / 7.0, m=91):
         params = M.ModelParams(alpha1=1.0, alpha2=alpha2)
         g = F.Grid(1, 8, 1.0)
         ic = M.HomogeneousIC(u_const=(0.0,), omega0=1.0, k0=1.0)
-        env = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1.0)
-        return exact_homogeneous_trajectory(g, ic, params, env, np.linspace(5, 50, m))
+        return exact_homogeneous_trajectory(g, ic, params, ENV1, np.linspace(5, 50, m))
 
     def test_k_exponent_on_closed_form(self):
-        traj = self.exact_traj()
-        fit = D.decay_fit(traj, "mean_k", (5.0, 50.0))
+        fit = fit_mean(self.exact_traj(), "k", (5.0, 50.0))
         assert abs(fit.exponent + 10.0 / 7.0) <= 1e-10
         assert fit.stderr <= 1e-10
 
     def test_omega_exponent_on_closed_form(self):
-        traj = self.exact_traj()
-        fit = D.decay_fit(traj, "mean_omega", (5.0, 50.0))
+        fit = fit_mean(self.exact_traj(), "omega", (5.0, 50.0))
         assert abs(fit.exponent + 1.0) <= 1e-10
 
     def test_constant_series(self):
         g = F.Grid(1, 8, 1.0)
         times = np.linspace(1.0, 2.0, 11)
-        traj = fabricated_trajectory(np.ones(11), times, g)
-        fit = D.decay_fit(traj, "mean_k", (1.0, 2.0))
+        fit = fit_mean(fabricated_trajectory(np.ones(11), times, g), "k", (1.0, 2.0))
         assert fit.exponent == 0.0
 
     def test_nonpositive_rejected(self):
         g = F.Grid(1, 8, 1.0)
         times = np.linspace(1.0, 2.0, 5)
-        states, records = [], []
-        for t in times:
-            st = M.State(t=float(t), grid=g, u=zero_vector(g),
-                         omega=const(g, 1.0),
-                         k=const(g, -1.0))
-            states.append(st)
-            records.append(D.record(st, None, PARAMS, ENV1))
-        traj = T.Trajectory(tuple(states), tuple(records), PARAMS, ENV1)
-        with pytest.raises(NonpositiveSamples):
-            D.decay_fit(traj, "mean_k", (1.0, 2.0))
+        samples = fabricated_trajectory(-np.ones(5), times, g)
+        with pytest.raises(NonpositiveSamples, match="^mean_k must be positive"):
+            fit_mean(samples, "k", (1.0, 2.0))
 
     def test_window_too_small(self):
-        traj = self.exact_traj(m=3)
-        with pytest.raises(InsufficientSamples):
-            D.decay_fit(traj, "mean_k", (5.0, 5.5))
+        # samples at t = 5, 27.5 and 50: the window holds only the first
+        with pytest.raises(InsufficientSamples, match="^a mean_k fit needs 3 samples in its window, got 1$"):
+            fit_mean(self.exact_traj(m=3), "k", (5.0, 5.5))

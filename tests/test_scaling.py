@@ -1,11 +1,18 @@
 """Scaling family algebra, state transformation, PDE-residual invariance."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import exact_homogeneous_trajectory, perturbed_problem, structured_problem
+from conftest import (
+    exact_homogeneous_trajectory,
+    perturbed_problem,
+    records_of,
+    states_of,
+    structured_problem,
+)
 
 from kolmobox import diagnostics as D
 from kolmobox import fields as F
@@ -102,7 +109,7 @@ class TestCoefficientInvariance:
         assert res.overall == 0.0
 
     def test_wrong_sigma_detected(self):
-        sp = S.family_from(4.0, 2.0).with_sigma(4.0 * 1.1)
+        sp = replace(S.family_from(4.0, 2.0), sigma=4.0 * 1.1)
         res = S.coefficient_invariance_residuals(self.kolmogorov(), sp, [(1.0, 1.0)])
         assert res.max_d == pytest.approx(abs(1.1 - 1.0), rel=1e-10)
 
@@ -182,20 +189,25 @@ EQUIVARIANCE_PROBLEMS = [(dim, forced) for dim in (1, 2, 3) for forced in (False
 
 
 def transformed_runs(dim, forced, rho, gamma):
-    """(transformed run, run of the transformed problem) of one random unregularized problem.
+    """(transformed states of a run, states of the run of the transformed problem).
 
-    Default step control with the guard on; sample_every and t_end are divided by
-    alpha, and the forcing is multiplied by gamma * alpha.
+    One random unregularized problem, default step control with the guard on;
+    sample_every and t_end are divided by alpha, and the forcing and envelopes
+    are those of `transform_inputs`.
     """
     st, env, params, forcing = perturbed_problem(dim, False, forced)
     cfg = T.StepConfig()
-    base = T.run(st, 0.2, forcing, params, env, cfg, 0.05)
     sp = S.family_from(rho, gamma)
-    expected = S.transform_trajectory(base, sp)
-    forcing_t = None if forcing is None else sp.gamma * sp.alpha * forcing
-    got = T.run(S.transform_state(st, sp), 0.2 / sp.alpha, forcing_t, params, expected.env,
-                cfg, 0.05 / sp.alpha)
+    expected = [S.transform_state(s, sp) for s in states_of(T.run(st, 0.2, forcing, params, env,
+                                                                   cfg, 0.05))]
+    forcing_t, env_t = S.transform_inputs(forcing, env, sp)
+    got = states_of(T.run(S.transform_state(st, sp), 0.2 / sp.alpha, forcing_t, params, env_t,
+                          cfg, 0.05 / sp.alpha))
     return expected, got
+
+
+def times_of(states):
+    return [s.t for s in states]
 
 
 class TestSolverEquivariance:
@@ -206,8 +218,8 @@ class TestSolverEquivariance:
     @pytest.mark.parametrize("dim, forced", EQUIVARIANCE_PROBLEMS)
     def test_bitwise_at_powers_of_two(self, dim, forced, rho, gamma):
         expected, got = transformed_runs(dim, forced, rho, gamma)
-        assert got.times == expected.times
-        for a, b in zip(got.states, expected.states):
+        assert times_of(got) == times_of(expected)
+        for a, b in zip(got, expected):
             for name in ("u", "omega", "k"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), (a.t, name)
 
@@ -215,129 +227,142 @@ class TestSolverEquivariance:
     @pytest.mark.parametrize("dim, forced", EQUIVARIANCE_PROBLEMS)
     def test_to_rounding_otherwise(self, dim, forced, rho, gamma):
         expected, got = transformed_runs(dim, forced, rho, gamma)
-        assert len(got.times) == len(expected.times)
-        pairs = [(np.asarray(got.times), np.asarray(expected.times))]
-        for a, b in zip(got.states, expected.states):
+        assert len(got) == len(expected)
+        pairs = [(np.asarray(times_of(got)), np.asarray(times_of(expected)))]
+        for a, b in zip(got, expected):
             pairs += [(getattr(a, name), getattr(b, name)) for name in ("u", "omega", "k")]
         worst = max(float(np.abs(x - y).max() / np.abs(y).max()) for x, y in pairs)
         assert worst <= 1e-13
 
 
+HOMOG_ENV = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1.0)
+
+
 def homogeneous_traj(m=41, t_end=2.0, dim=2, n=8):
+    """The closed-form homogeneous states at m times; their params and envelope are PARAMS
+    and HOMOG_ENV."""
     g = F.Grid(dim, n, 1.0)
     ic = M.HomogeneousIC(u_const=(0.0,) * dim, omega0=1.0, k0=1.0)
-    env = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1.0)
-    return exact_homogeneous_trajectory(g, ic, PARAMS, env, np.linspace(0.0, t_end, m))
+    samples = exact_homogeneous_trajectory(g, ic, PARAMS, HOMOG_ENV, np.linspace(0.0, t_end, m))
+    return states_of(samples)
 
 
 class TestPdeResidual:
     def test_exact_trajectory_quadrature_error_quarters(self):
         res = {}
         for m in (21, 41):
-            res[m] = S.pde_residual(homogeneous_traj(m=m)).omega
+            res[m] = S.pde_residual(homogeneous_traj(m=m), None, PARAMS, HOMOG_ENV).omega
         assert 3.2 <= res[21] / res[41] <= 4.8
 
     def test_solver_trajectory_residual_decreases_under_refinement(self):
         results = []
         for n, se, dtm in [(16, 0.025, 2e-3), (32, 0.0125, 1e-3), (64, 0.00625, 5e-4)]:
             g, st, env, params = structured_problem(n=n)
-            traj = T.run(st, 0.25, None, params, env,
-                         T.StepConfig(dt_max=dtm, guard=False), se)
-            r = S.pde_residual(traj)
+            states = states_of(T.run(st, 0.25, None, params, env,
+                                     T.StepConfig(dt_max=dtm, guard=False), se))
+            r = S.pde_residual(states, None, params, env)
             results.append(max(r.u, r.omega, r.k))
         assert results[0] > results[1] > results[2]
 
     def test_perturbed_k_detected(self):
         g, st, env, params = structured_problem(n=32)
-        traj = T.run(st, 0.5, None, params, env,
-                     T.StepConfig(dt_max=5e-4, guard=False), 0.0025)
-        base = S.pde_residual(traj)
-        states = tuple(
-            M.State(t=s.t, grid=g, u=s.u, omega=s.omega, k=1.01 * s.k)
-            for s in traj.states
-        )
-        records = tuple(D.record(s, None, params, env) for s in states)
-        bumped = T.Trajectory(states, records, params, env)
-        pert = S.pde_residual(bumped)
+        states = states_of(T.run(st, 0.5, None, params, env,
+                                 T.StepConfig(dt_max=5e-4, guard=False), 0.0025))
+        base = S.pde_residual(states, None, params, env)
+        bumped = (replace(s, k=1.01 * s.k) for s in states)
+        pert = S.pde_residual(bumped, None, params, env)
         assert pert.k >= 10.0 * base.k
 
     def test_needs_three_samples(self):
         with pytest.raises(InsufficientSamples):
-            S.pde_residual(homogeneous_traj(m=2))
+            S.pde_residual(homogeneous_traj(m=2), None, PARAMS, HOMOG_ENV)
 
 
 class TestForcedTrajectory:
-    """The run's forcing travels with its trajectory into residuals and transforms."""
+    """A forced run's forcing goes into its residuals and, scaled, into its transform."""
 
     @pytest.fixture(scope="class")
     def forced(self):
+        """(samples, forcing, params, env) of a forced 2D run."""
         st, env, params, forcing = perturbed_problem(2, False, True)
-        return T.run(st, 0.2, forcing, params, env, T.StepConfig(), 0.05)
+        return T.run(st, 0.2, forcing, params, env, T.StepConfig(), 0.05), forcing, params, env
+
+    @staticmethod
+    def transformed_records(forced, sp):
+        """The records of the transformed states, under the transformed forcing and envelope."""
+        samples, forcing, params, env = forced
+        forcing_t, env_t = S.transform_inputs(forcing, env, sp)
+        return [D.record(S.transform_state(s, sp), forcing_t, params, env_t, r.guard_activations)
+                for s, r, _ in samples]
 
     def test_pde_residual_includes_forcing(self, forced):
         # without the forcing term the u residual is ~0.67, the missing term itself
-        assert S.pde_residual(forced).u <= 1e-2
+        samples, forcing, params, env = forced
+        assert S.pde_residual(states_of(samples), forcing, params, env).u <= 1e-2
 
     def test_identity_transform_keeps_records(self, forced):
-        assert forced.records[-1].power_in != 0.0
-        assert S.transform_trajectory(forced, S.family_from(1.0, 1.0)).records == forced.records
+        records = records_of(forced[0])
+        assert records[-1].power_in != 0.0
+        assert self.transformed_records(forced, S.family_from(1.0, 1.0)) == records
 
     def test_transform_scales_forcing(self, forced):
         sp = S.family_from(2.0, 1.5)
-        traj_t = S.transform_trajectory(forced, sp)
-        assert np.array_equal(traj_t.forcing, sp.gamma * sp.alpha * forced.forcing)
+        samples, forcing, _, env = forced
+        forcing_t, _ = S.transform_inputs(forcing, env, sp)
+        assert np.array_equal(forcing_t, sp.gamma * sp.alpha * forcing)
+        assert S.transform_inputs(None, env, sp)[0] is None
         # power_in = integral(f . u) scales by gamma^2 alpha beta^-d
-        for r, rt in zip(forced.records, traj_t.records):
+        for r, rt in zip(records_of(samples), self.transformed_records(forced, sp)):
             want = sp.gamma**2 * sp.alpha * sp.beta**-2 * r.power_in
             assert rt.power_in == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_transform_keeps_guard_counts(self, forced):
-        import dataclasses
-
-        records = tuple(dataclasses.replace(r, guard_activations=3 * i + 1)
-                        for i, r in enumerate(forced.records))
-        traj = dataclasses.replace(forced, records=records)
-        traj_t = S.transform_trajectory(traj, S.family_from(2.0, 1.5))
-        assert [r.guard_activations for r in traj_t.records] == [1, 4, 7, 10, 13]
+        states = [replace(s, guard_hits=3 * i + 1) for i, s in enumerate(states_of(forced[0]))]
+        scaled = [S.transform_state(s, S.family_from(2.0, 1.5)) for s in states]
+        assert [s.guard_hits for s in scaled] == [1, 4, 7, 10, 13]
 
 
 class TestInvarianceExperiment:
     def test_exact_trajectory_twenty_random_scalings(self, rng):
-        traj = homogeneous_traj()
+        states = homogeneous_traj()
         for _ in range(20):
             rho, gamma = rng.uniform(0.5, 4.0, 2)
-            rep = S.invariance_experiment(traj, S.family_from(rho, gamma))
+            rep = S.invariance_experiment(states, S.family_from(rho, gamma), None, PARAMS, HOMOG_ENV)
             assert rep.overall, (rho, gamma, rep)
 
     def test_identity_trivially_passes(self):
-        traj = homogeneous_traj()
-        rep = S.invariance_experiment(traj, S.family_from(1.0, 1.0))
+        rep = S.invariance_experiment(homogeneous_traj(), S.family_from(1.0, 1.0), None, PARAMS,
+                                      HOMOG_ENV)
         assert rep.overall
         assert rep.transformed == rep.original
 
     def test_sigma_violation_inflates_k_residual(self):
         g, st, env, params = structured_problem(n=32)
-        traj = T.run(st, 0.5, None, params, env,
-                     T.StepConfig(dt_max=1e-3, guard=False), 0.0125)
+        states = states_of(T.run(st, 0.5, None, params, env,
+                                 T.StepConfig(dt_max=1e-3, guard=False), 0.0125))
         sp = S.family_from(2.0, 1.5)
-        rep_ok = S.invariance_experiment(traj, sp)
-        rep_bad = S.invariance_experiment(traj, sp.with_sigma(sp.sigma * 1.1))
+        rep_ok = S.invariance_experiment(states, sp, None, params, env)
+        rep_bad = S.invariance_experiment(states, replace(sp, sigma=sp.sigma * 1.1), None, params, env)
         assert rep_ok.overall
         assert rep_bad.transformed.k >= 10.0 * rep_ok.transformed.k
 
     def test_energy_balance_covariance_on_transformed_trajectory(self):
         # d/dt integral(u^2/2 + k) + alpha2 integral(omega k) = 0 for the
         # transformed homogeneous solution, up to sampling quadrature
-        traj_t = S.transform_trajectory(homogeneous_traj(m=81), S.family_from(2.0, 1.5))
-        times = np.asarray(traj_t.times)
-        e = np.array([r.E_kin + r.E_turb for r in traj_t.records])
-        sink = np.array([r.sink_k for r in traj_t.records])
+        sp = S.family_from(2.0, 1.5)
+        _, env_t = S.transform_inputs(None, HOMOG_ENV, sp)
+        records_t = [D.record(S.transform_state(s, sp), None, PARAMS, env_t)
+                     for s in homogeneous_traj(m=81)]
+        times = np.array([r.t for r in records_t])
+        e = np.array([r.E_kin + r.E_turb for r in records_t])
+        sink = np.array([r.sink_k for r in records_t])
         for i in range(1, len(times) - 1):
             dedt = (e[i + 1] - e[i - 1]) / (times[i + 1] - times[i - 1])
             assert abs(dedt + sink[i]) <= 2e-3 * abs(sink[i])
 
     def test_report_serialization(self):
-        rep = S.invariance_experiment(homogeneous_traj(), S.family_from(2.0, 1.5))
+        rep = S.invariance_experiment(homogeneous_traj(), S.family_from(2.0, 1.5), None, PARAMS,
+                                      HOMOG_ENV)
         lines = S.report_ndjson_lines(rep)
         import json
 

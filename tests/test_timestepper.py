@@ -1,6 +1,5 @@
-"""Explicit and Rothe stepping, CFL logic, trajectories."""
+"""Explicit and Rothe stepping, CFL logic, sampled runs."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +9,10 @@ from conftest import (
     const,
     const_vector,
     perturbed_problem,
+    records_of,
     regularized_params,
     stage_one_cfl_dt,
+    states_of,
     structured_problem,
     zero_vector,
 )
@@ -145,34 +146,36 @@ class TestInputStateUnchanged:
 class TestRun:
     def test_degenerate_window(self):
         g, ic, env, st = homogeneous()
-        traj = T.run(st, 0.0, None, PARAMS, env, T.StepConfig(), sample_every=0.1)
-        assert len(traj.times) == 1 and traj.times[0] == 0.0
+        samples = T.run(st, 0.0, None, PARAMS, env, T.StepConfig(), sample_every=0.1)
+        assert len(samples) == 1 and samples[0][0].t == 0.0
 
     def test_homogeneous_matches_closed_form(self):
         g, ic, env, st = homogeneous()
-        traj = T.run(st, 2.0, None, PARAMS, env, T.StepConfig(dt_max=1e-3), 0.25)
+        final = T.run(st, 2.0, None, PARAMS, env, T.StepConfig(dt_max=1e-3), 0.25)[-1][0]
         _, w_exact, k_exact = M.homogeneous_solution(2.0, ic, PARAMS)
-        w = traj.states[-1].omega.flat[0]
-        k = traj.states[-1].k.flat[0]
+        w = final.omega.flat[0]
+        k = final.k.flat[0]
         assert abs(w - w_exact) / w_exact <= 1e-4
         assert abs(k - k_exact) / k_exact <= 1e-4
 
     def test_restartable_bitwise(self):
         g, ic, env, st = homogeneous()
         cfg = T.StepConfig(dt_max=1e-3)
-        full = T.run(st, 2.0, None, PARAMS, env, cfg, 0.25)
-        half = T.run(st, 1.0, None, PARAMS, env, cfg, 0.25)
-        rest = T.run(half.states[-1], 2.0, None, PARAMS, env, cfg, 0.25)
-        assert np.array_equal(full.states[-1].omega, rest.states[-1].omega)
-        assert np.array_equal(full.states[-1].k, rest.states[-1].k)
-        assert full.times[-1] == rest.times[-1]
+        full = T.run(st, 2.0, None, PARAMS, env, cfg, 0.25)[-1][0]
+        half = T.run(st, 1.0, None, PARAMS, env, cfg, 0.25)[-1][0]
+        rest = T.run(half, 2.0, None, PARAMS, env, cfg, 0.25)[-1][0]
+        assert np.array_equal(full.omega, rest.omega)
+        assert np.array_equal(full.k, rest.k)
+        assert full.t == rest.t
 
     def test_sample_times_and_records(self):
         g, ic, env, st = homogeneous()
-        traj = T.run(st, 1.0, None, PARAMS, env, T.StepConfig(dt_max=0.01), 0.25)
-        np.testing.assert_allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0])
-        assert len(traj.records) == 5
-        assert traj.records[0].E_turb == pytest.approx(1.0)
+        samples = T.run(st, 1.0, None, PARAMS, env, T.StepConfig(dt_max=0.01), 0.25)
+        np.testing.assert_allclose([s.t for s in states_of(samples)], [0.0, 0.25, 0.5, 0.75, 1.0])
+        records = records_of(samples)
+        assert [r.t for r in records] == [s.t for s in states_of(samples)]
+        assert len(records) == 5
+        assert records[0].E_turb == pytest.approx(1.0)
 
     @pytest.mark.parametrize("t0, t_end, sample_every", [
         (0.0, 2.0, 0.25),  # the CLI tests' HOMOG config, with its dt_max
@@ -185,8 +188,8 @@ class TestRun:
     def test_schedule_is_the_run_times(self, t0, t_end, sample_every):
         g, ic, env, st = homogeneous()
         st = replace(st, t=t0)
-        traj = T.run(st, t_end, None, PARAMS, env, T.StepConfig(dt_max=0.01), sample_every)
-        assert T.sample_times(t0, t_end, sample_every) == list(traj.times)
+        samples = T.run(st, t_end, None, PARAMS, env, T.StepConfig(dt_max=0.01), sample_every)
+        assert T.sample_times(t0, t_end, sample_every) == [s.t for s in states_of(samples)]
 
     def test_a_step_of_the_whole_distance_lands_on_the_boundary(self):
         # t0 + (b - t0) rounds to 1.0 here, an ulp short of b; the step must still end at b
@@ -220,16 +223,16 @@ class TestRun:
     def test_kinetic_energy_monotone_without_forcing(self):
         g, st, env, params = structured_problem(n=16)
         for dtm in (2e-3, 1e-3):
-            traj = T.run(st, 0.2, None, params, env, T.StepConfig(dt_max=dtm, guard=False), 0.01)
-            e = [r.E_kin for r in traj.records]
+            samples = T.run(st, 0.2, None, params, env, T.StepConfig(dt_max=dtm, guard=False), 0.01)
+            e = [r.E_kin for r in records_of(samples)]
             worst_rise = max(e[i + 1] - e[i] for i in range(len(e) - 1))
             assert worst_rise <= 1e-12 * e[0]
 
     def test_guard_stays_quiet_on_resolved_run(self):
         # saturated envelopes, resolved fields: the guard must never fire
         g, st, env, params = structured_problem(n=16)
-        traj = T.run(st, 0.2, None, params, env, T.StepConfig(guard=True), 0.02)
-        assert sum(r.guard_activations for r in traj.records) == 0
+        samples = T.run(st, 0.2, None, params, env, T.StepConfig(guard=True), 0.02)
+        assert sum(r.guard_activations for r in records_of(samples)) == 0
 
     def test_three_dimensional_regularized_run(self):
         params = regularized_params()
@@ -246,21 +249,20 @@ class TestRun:
         env = M.ComparisonEnvelope(omega_star=float(om.min()), omega_sup=float(om.max()),
                                    k_star=float(kk.min()))
         st = M.State(t=0.0, grid=g, u=u, omega=om, k=kk)
-        traj = T.run(st, 0.1, None, params, env, T.StepConfig(guard=False), 0.025)
-        final = traj.states[-1]
+        final, rec, _ = T.run(st, 0.1, None, params, env, T.StepConfig(guard=False), 0.025)[-1]
         assert np.abs(F.divergence(g, final.u)).max() <= 1e-12
-        assert traj.records[-1].envelope_violation_omega_low == 0.0
+        assert rec.envelope_violation_omega_low == 0.0
 
     def test_rothe_scheme_through_run(self):
         params = regularized_params()
         g, st, env, _ = structured_problem(n=16)
         cfg_r = T.StepConfig(scheme="rothe_picard", guard=False)
         cfg_e = T.StepConfig(guard=False)
-        traj_r = T.run(st, 0.1, None, params, env, cfg_r, 0.025)
-        traj_e = T.run(st, 0.1, None, params, env, cfg_e, 0.025)
-        d = np.abs(traj_r.states[-1].omega - traj_e.states[-1].omega).max()
+        final_r = T.run(st, 0.1, None, params, env, cfg_r, 0.025)[-1][0]
+        final_e = T.run(st, 0.1, None, params, env, cfg_e, 0.025)[-1][0]
+        d = np.abs(final_r.omega - final_e.omega).max()
         assert d <= 1e-2  # first- vs second-order schemes at the CFL step size
-        assert traj_r.times[-1] == 0.1
+        assert final_r.t == 0.1
 
 
 class TestForcingAndRetry:
@@ -273,12 +275,13 @@ class TestForcingAndRetry:
         with pytest.raises(IncompatibleGrid):
             T.run(st, 0.2, bad, params, env, T.StepConfig(), 0.05)
 
-    def test_run_stores_its_forcing(self):
+    def test_forced_run_applies_its_forcing_at_each_sample(self):
         st, env, params, forcing = perturbed_problem(2, False, True)
-        traj = T.run(st, 0.1, forcing, params, env, T.StepConfig(), 0.05)
-        assert traj.forcing is forcing
-        assert traj.times == tuple(s.t for s in traj.states) == (0.0, 0.05, 0.1)
-        assert T.run(st, 0.1, None, params, env, T.StepConfig(), 0.05).forcing is None
+        samples = T.run(st, 0.1, forcing, params, env, T.StepConfig(), 0.05)
+        assert [s.t for s in states_of(samples)] == [0.0, 0.05, 0.1]
+        assert all(r.power_in != 0.0 for r in records_of(samples))
+        unforced = T.run(st, 0.1, None, params, env, T.StepConfig(), 0.05)
+        assert all(r.power_in == 0.0 for r in records_of(unforced))
 
     def test_run_retries_with_halved_dt(self, monkeypatch):
         g, ic, env, st = homogeneous()
@@ -292,10 +295,10 @@ class TestForcingAndRetry:
             return real_step(state, dt, forcing, params, env_, cfg, **stage1)
 
         monkeypatch.setattr(T, "step_explicit", flaky)
-        traj = T.run(st, 0.2, None, PARAMS, env, T.StepConfig(dt_max=0.2), 0.2)
+        samples = T.run(st, 0.2, None, PARAMS, env, T.StepConfig(dt_max=0.2), 0.2)
         assert attempts[1] == attempts[0] / 2 and attempts[2] == attempts[0] / 4
-        assert traj.times[-1] == 0.2  # still reaches t_end after the retries
-        assert traj.rejected_attempts == 2
+        assert samples[-1][0].t == 0.2  # still reaches t_end after the retries
+        assert sum(rejected for *_, rejected in samples) == 2
 
 
 class _Stop(Exception):
@@ -368,12 +371,12 @@ class TestStageOneSharing:
 
         monkeypatch.setattr(T, "step_explicit", flaky)
         monkeypatch.setattr(M, "rhs", counting_rhs)
-        traj = T.run(st, t_end, forcing, params, env, cfg, t_end)
+        samples = T.run(st, t_end, forcing, params, env, cfg, t_end)
         # the step at dt/4 is accepted; a second, fresh step then reaches t_end
         assert len(handed) == 4 and handed[0] is not None
         assert handed[1] is handed[0] and handed[2] is handed[0] and handed[3] is not handed[0]
         assert rhs_calls == [0.0, t_end / 4, t_end / 4, t_end]  # two per accepted step
-        assert traj.rejected_attempts == 2
+        assert sum(rejected for *_, rejected in samples) == 2
 
     def test_rothe_retries_reuse_stage_one_rates(self, monkeypatch):
         st, env, params, forcing = perturbed_problem(2, True, True)
@@ -394,14 +397,14 @@ class TestStageOneSharing:
 
         monkeypatch.setattr(T, "step_rothe", flaky)
         monkeypatch.setattr(M, "rhs", counting_rhs)
-        traj = T.run(st, t_end, forcing, params, env, cfg, t_end)
+        samples = T.run(st, t_end, forcing, params, env, cfg, t_end)
         # the step at dt/4 is accepted; a second, fresh step then reaches t_end
         assert len(handed) == 4 and handed[0] is not None
         assert handed[1] is handed[0] and handed[2] is handed[0] and handed[3] is not handed[0]
         # stage 1 of each step is its only rhs at the step's start; the Picard
         # residuals are taken at the step's end
         assert rhs_calls.count(0.0) == 1 and rhs_calls.count(t_end / 4) >= 2
-        assert traj.rejected_attempts == 2
+        assert sum(rejected for *_, rejected in samples) == 2
 
 
 class TestStencilCount:
@@ -549,7 +552,7 @@ class TestOperatorApply:
             omega=const(g, 0.0),
             k=const(g, 0.0),
         )
-        ru, rom, rk = T.operator_apply(zero, zero, math.inf, None, params, env)
+        ru, rom, rk = (-r for r in M.rhs(zero, 0.0, None, params, env))  # A(U) - F
         src_om = params.eps * M.omega_lower(0.0, env, params) ** (params.r - 1.0)
         src_k = params.eps * M.kappa(0.0, env, params) ** (params.r - 1.0)
         for c in ru:
@@ -570,7 +573,7 @@ class TestOperatorApply:
             om = rng.uniform(0.2, 2.0, g.shape)
             kk = rng.uniform(0.2, 2.0, g.shape)
             st = M.State(t=0.3, grid=g, u=u, omega=om, k=kk)
-            ru, rom, rk = T.operator_apply(st, st, math.inf, None, params, env)
+            ru, rom, rk = (-r for r in M.rhs(st, st.t, None, params, env))  # A(U) - F
             src_om = params.eps * M.omega_lower(st.t, env, params) ** (r - 1)
             src_k = params.eps * M.kappa(st.t, env, params) ** (r - 1)
             hd = g.h**g.dim
