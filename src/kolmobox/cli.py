@@ -9,12 +9,14 @@ The process exits 0 exactly when every check passed, 1 when a check failed,
 and 2 when there is no verdict: a config, snapshot, I/O or solver error,
 reported on one stderr line.
 
-Every command consumes `timestepper.samples` and writes each series line
-(and `run` each snapshot) as its sample is taken, keeping no earlier state:
-`run` keeps the last state for its summary, `bounds` each run's records,
-`decay` and `balance` a few scalars per sample, and `scaling` the last three
-states of its run and of their transformation.  So an exit-2 run leaves the
-samples taken before the failure, and no summary.json.
+Every command folds the one stream `_stream` makes of `timestepper.samples`,
+writing each series line (and `run` each snapshot) as its sample is taken and
+holding no sample past its turn: `run` keeps the last state for its summary,
+`bounds` the worst violations and guard count of each run, `decay` and
+`balance` a few scalars per sample, `scaling` two states and their transforms.
+So an exit-2 run leaves the samples taken before the failure, and no
+summary.json; `decay` exits 2 before its first step if its fit window holds
+fewer than 3 samples.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import ctypes
 import json
 import sys
 from dataclasses import dataclass, fields, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import List, Optional
 
@@ -48,35 +51,32 @@ class Check:
     passed: bool
 
 
-def _samples(p):
-    """`timestepper.samples` of a built problem."""
-    return T.samples(p.state, p.cfg.t_end, p.forcing, p.params, p.env, p.step, p.cfg.sample_interval)
-
-
-def _build_pair(cfg: RunConfig, **refine):
-    """The problems of a config and of its refinement: n doubled, dt_max halved, plus `refine`.
-
-    Both are built before either runs, so a bad one fails before any run.
-    """
-    refined = replace(cfg, n=2 * cfg.n, dt_max=cfg.dt_max / 2.0, **refine)
-    return build_problem(cfg), build_problem(refined)
+def _stream(p, fh=None):
+    """The (state, record) pair of each sample of problem `p`'s run, none held while
+    the next is drawn.  Given `fh`, each series line is written and flushed before
+    its pair is yielded, so a run that stops early leaves the samples it took."""
+    for state, rec, _ in T.samples(p.state, p.cfg.t_end, p.forcing, p.params, p.env, p.step,
+                                   p.cfg.sample_interval):
+        if fh is not None:
+            fh.write(diag.ndjson_line(rec) + "\n")
+            fh.flush()
+        yield state, rec
+        del state, rec
 
 
 def _open_series(outdir: Path):
     return open(outdir / "series.ndjson", "w", encoding="utf-8")
 
 
-def _write_record(fh, rec) -> None:
-    """One series line, flushed, so a run that stops early leaves the samples it took."""
-    fh.write(diag.ndjson_line(rec) + "\n")
-    fh.flush()
-
-
-def _written(fh, taken):
-    """(state, record) of each sample in `taken`, after its series line is written to `fh`."""
-    for state, rec, _ in taken:
-        _write_record(fh, rec)
-        yield state, rec
+def _run_pair(cfg: RunConfig, outdir: Path, fold, **refine):
+    """The base problem, then `fold(p, stream)` of its run, series written, and of its
+    refinement's (n doubled, dt_max halved, plus `refine`).  Both problems are built
+    before either runs, so a bad one fails before any run."""
+    base = build_problem(cfg)
+    fine = build_problem(replace(cfg, n=2 * cfg.n, dt_max=cfg.dt_max / 2.0, **refine))
+    with _open_series(outdir) as fh:
+        folded = fold(base, _stream(base, fh))
+    return base, folded, fold(fine, _stream(fine))
 
 
 def _snapshot_names(times) -> list:
@@ -126,14 +126,12 @@ def _shrink_check(name: str, coarse: float, fine: float, factor: float, floor: f
 
 def cmd_run(cfg: RunConfig, outdir: Path) -> int:
     p = build_problem(cfg)
-    names = _snapshot_names(T.sample_times(p.state.t, cfg.t_end, cfg.sample_interval))
-    taken = _samples(p)
+    times = T.sample_times(p.state.t, cfg.t_end, cfg.sample_interval)
+    names = dict(zip(times, _snapshot_names(times)))
     with _open_series(outdir) as fh:
-        for name in names:
-            final, rec, _ = next(taken)
-            _write_record(fh, rec)
-            snap.write_snapshot(outdir / name, final)
-            if name != names[-1]:
+        for final, _ in _stream(p, fh):
+            snap.write_snapshot(outdir / names[final.t], final)
+            if final.t != times[-1]:
                 del final  # the steps to the next sample need not keep this one alive
     finite = all(np.all(np.isfinite(a)) for a in (*final.u, final.omega, final.k))
     umax = float(np.abs(final.u).max())
@@ -148,14 +146,17 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
 def cmd_decay(cfg: RunConfig, outdir: Path) -> int:
     p = build_problem(cfg)
     window = (5.0, min(50.0, cfg.t_end))
+    schedule = T.sample_times(p.state.t, cfg.t_end, cfg.sample_interval)
+    diag.require_fit_samples("mean_k", sum(diag.in_window(t, window) for t in schedule))
     times, mean_k, mean_om, l_min = [], [], [], []
     with _open_series(outdir) as fh:
-        for state, rec in diag.window_samples(_written(fh, _samples(p)), window):
-            g = state.grid
-            times.append(state.t)
-            mean_k.append(integrate(g, state.k) / g.volume)
-            mean_om.append(integrate(g, state.omega) / g.volume)
-            l_min.append(rec.L_min)
+        for state, rec in _stream(p, fh):
+            if diag.in_window(state.t, window):
+                times.append(state.t)
+                mean_k.append(rec.E_turb / state.grid.volume)
+                mean_om.append(integrate(state.grid, state.omega) / state.grid.volume)
+                l_min.append(rec.L_min)
+            del state, rec
     fit_k = diag.decay_fit("mean_k", times, mean_k, p.params, p.env)
     fit_om = diag.decay_fit("mean_omega", times, mean_om, p.params, p.env)
     fit_l = diag.decay_fit("L_min", times, l_min, p.params, p.env)
@@ -169,25 +170,21 @@ def cmd_decay(cfg: RunConfig, outdir: Path) -> int:
     return _finish(outdir, "decay", checks)
 
 
-def _max_violations(records):
-    """(deepest omega envelope violation, on either side; deepest k violation)."""
-    return (
-        max(max(r.envelope_violation_omega_low, r.envelope_violation_omega_high) for r in records),
-        max(r.envelope_violation_k for r in records),
-    )
+def _violations(p, stream):
+    """(deepest omega envelope violation, on either side; deepest k violation; guard clamps)."""
+    worst_om, worst_k, guards = 0.0, 0.0, 0
+    for r in map(itemgetter(1), stream):  # map, unlike a for target, holds no state
+        worst_om = max(worst_om, r.envelope_violation_omega_low, r.envelope_violation_omega_high)
+        worst_k = max(worst_k, r.envelope_violation_k)
+        guards += r.guard_activations
+    return worst_om, worst_k, guards
 
 
 def cmd_bounds(cfg: RunConfig, outdir: Path) -> int:
-    base, fine = _build_pair(cfg)
-    base_records = []
-    with _open_series(outdir) as fh:
-        for _, rec, _ in _samples(base):
-            _write_record(fh, rec)
-            base_records.append(rec)
-    fine_records = [rec for _, rec, _ in _samples(fine)]
+    base, coarse, fine = _run_pair(cfg, outdir, _violations)
+    base_worst_om, base_worst_k, guards = coarse
+    fine_worst_om, fine_worst_k, _ = fine
     env = base.env
-    base_worst_om, base_worst_k = _max_violations(base_records)
-    fine_worst_om, fine_worst_k = _max_violations(fine_records)
     floor_om = 1e-12 * env.omega_star
     floor_k = 1e-12 * env.k_star
     checks = [
@@ -197,28 +194,19 @@ def cmd_bounds(cfg: RunConfig, outdir: Path) -> int:
         _shrink_check("omega_violation_shrink", base_worst_om, fine_worst_om, 1.5, floor_om),
         _shrink_check("k_violation_shrink", base_worst_k, fine_worst_k, 1.5, floor_k),
         # reported, not gated: how often the positivity guard clamped
-        Check(
-            "guard_activations_reported",
-            float(sum(r.guard_activations for r in base_records)),
-            0.0,
-            True,
-        ),
+        Check("guard_activations_reported", float(guards), 0.0, True),
     ]
     return _finish(outdir, "bounds", checks)
 
 
-def _balance(p, pairs):
-    """The balance report of problem `p` over its whole run, folded over its (state, record) pairs."""
-    return diag.balance_report(pairs, (p.state.t, p.cfg.t_end), p.params, p.env)
+def _balance(p, stream):
+    """The balance report of problem `p` over its whole run."""
+    return diag.balance_report(stream, (p.state.t, p.cfg.t_end), p.params, p.env)
 
 
 def cmd_balance(cfg: RunConfig, outdir: Path) -> int:
-    base, fine = _build_pair(cfg, sample_every=cfg.sample_interval / 2.0)
-    with _open_series(outdir) as fh:
-        rep0 = _balance(base, _written(fh, _samples(base)))
-    rep1 = _balance(fine, ((state, rec) for state, rec, _ in _samples(fine)))
-    e_turb0 = integrate(base.state.grid, base.state.k)  # the first record's E_turb
-    scale = max(1.0, abs(rep0.mu_proxy), e_turb0)
+    _, rep0, rep1 = _run_pair(cfg, outdir, _balance, sample_every=cfg.sample_interval / 2.0)
+    scale = max(1.0, abs(rep0.mu_proxy), rep0.mass_k[0])  # mass_k[0]: the first record's E_turb
     floor = 1e-13 * scale
     checks = [
         _shrink_check("omega_balance_shrink", rep0.omega_residual, rep1.omega_residual, 1.5, floor),
@@ -237,7 +225,7 @@ def cmd_balance(cfg: RunConfig, outdir: Path) -> int:
 def cmd_scaling(cfg: RunConfig, outdir: Path, rho: float, gamma: float) -> int:
     sp = S.family_from(rho, gamma)  # a bad rho or gamma fails before the run
     p = build_problem(cfg)
-    states = (state for state, _, _ in _samples(p))
+    states = map(itemgetter(0), _stream(p))  # map, unlike a generator, holds no state
     report = S.invariance_experiment(states, sp, p.forcing, p.params, p.env)
     with open(outdir / "scaling_report.ndjson", "w", encoding="utf-8") as fh:
         for line in S.report_ndjson_lines(report):

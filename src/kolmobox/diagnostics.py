@@ -1,8 +1,9 @@
 """Observables and verification quantities computed from states and samples.
 
 Per-sample records hold energies, dissipation, sink terms, envelope-violation
-depths and the minimum length scale.  `balance_report` folds over a run's
-(state, record) samples, keeping a few scalars per sample, and evaluates the
+depths and the minimum length scale; their `E_turb` is the one integral of k
+per sample.  `balance_report` folds over a run's (state, record) samples,
+keeping a few scalars per sample `in_window` and no state, and evaluates the
 window balances of the omega and k equations (with the regularization
 source/damping integrals separated out) and the kinetic-energy equality gap.
 `decay_fit` fits a log-log decay exponent to one window's times and values;
@@ -35,11 +36,12 @@ __all__ = [
     "LengthScaleCheck",
     "record",
     "ndjson_line",
-    "window_samples",
+    "in_window",
     "balance_report",
     "length_scale_check",
     "entropy_phi",
     "entropy_functional",
+    "require_fit_samples",
     "decay_fit",
 ]
 
@@ -71,6 +73,7 @@ class BalanceReport:
     """Window balances; epsilon_corrections holds the integrated eps terms."""
 
     window: Tuple[float, float]
+    mass_k: Tuple[float, float]  # integral of k (the records' E_turb) at the window's ends
     omega_residual: float
     k_residual: float
     mu_proxy: float
@@ -169,14 +172,11 @@ def ndjson_line(rec: DiagnosticsRecord) -> str:
 # window balances: one pass over a run's (state, record) samples
 
 
-def window_samples(samples, window):
-    """The (state, record) pairs of `samples` whose t lies in `window`, to 1e-12 relative.
-
-    Every pair is drawn, so a stream is consumed to its end.
-    """
-    s, t = window
-    slack = 1e-12 * max(1.0, abs(s), abs(t))
-    return ((st, rec) for st, rec in samples if s - slack <= st.t <= t + slack)
+def in_window(t: float, window) -> bool:
+    """Whether sample time `t` lies in `window`, to 1e-12 relative: the one window test."""
+    s, e = window
+    slack = 1e-12 * max(1.0, abs(s), abs(e))
+    return s - slack <= t <= e + slack
 
 
 def _trapezoid(values, times) -> float:
@@ -224,7 +224,7 @@ def _balance_scalars(state: State, rec: DiagnosticsRecord, params: ModelParams,
     return (
         state.t,
         F.integrate(g, state.omega),
-        F.integrate(g, state.k),
+        rec.E_turb,
         _production_integral(state, params),
         _eps_correction(state, "omega", M.omega_lower, params, env),
         _eps_correction(state, "k", M.kappa, params, env),
@@ -240,8 +240,8 @@ def _balance_scalars(state: State, rec: DiagnosticsRecord, params: ModelParams,
 def balance_report(samples, window, params: ModelParams, env: ComparisonEnvelope) -> BalanceReport:
     """The window balances of a run, folded over its (state, record) samples in one pass.
 
-    Only the scalars of `_balance_scalars` are kept from each sample in the
-    window, which must hold at least 2.  With eps corrections (zero unless
+    Only the scalars of `_balance_scalars` are kept from each sample
+    `in_window`, which must hold at least 2.  With eps corrections (zero unless
     regularized) taken out of each equation and time integrals by the
     trapezoid rule on the sample times:
 
@@ -255,7 +255,11 @@ def balance_report(samples, window, params: ModelParams, env: ComparisonEnvelope
     - energy_gap = (E_kin(s) + work + eps drain) - (E_kin(t) + dissipation),
       the kinetic-energy equality defect; it vanishes identically for u == 0.
     """
-    rows = [_balance_scalars(st, rec, params, env) for st, rec in window_samples(samples, window)]
+    rows = []
+    for state, rec in samples:  # every pair is drawn; none is held while the next is
+        if in_window(state.t, window):
+            rows.append(_balance_scalars(state, rec, params, env))
+        del state, rec
     if len(rows) < 2:
         raise InsufficientSamples(f"window {window} holds {len(rows)} samples, need 2")
     (times, mass_om, mass_k, production, eps_om, eps_k, drain,
@@ -266,6 +270,7 @@ def balance_report(samples, window, params: ModelParams, env: ComparisonEnvelope
     work = e_kin[0] + _trapezoid(power, times) + _trapezoid(drain, times)
     return BalanceReport(
         window=(float(times[0]), float(times[-1])),
+        mass_k=(mass_k[0], mass_k[-1]),
         omega_residual=abs(mass_om[-1] - mass_om[0] + _trapezoid(omega_net, times)),
         k_residual=abs(mu_proxy),
         mu_proxy=mu_proxy,
@@ -342,14 +347,19 @@ def entropy_functional(g, k: np.ndarray, delta: float):
 # decay fits
 
 
+def require_fit_samples(quantity: str, count: int) -> None:
+    """Raise InsufficientSamples unless a fit window holds at least 3 samples."""
+    if count < 3:
+        raise InsufficientSamples(f"a {quantity} fit needs 3 samples in its window, got {count}")
+
+
 def decay_fit(quantity: str, times, values, params: ModelParams, env: ComparisonEnvelope) -> FitResult:
     """Least-squares slope of log(values) against log(1 + alpha1*omega_sup*t).
 
-    `times` and `values` are the samples of one window, at least 3 of them;
-    `quantity` names the values in errors.
+    `times` and `values` are the samples of one window, at least 3 of them
+    (`require_fit_samples`); `quantity` names the values in errors.
     """
-    if len(times) < 3:
-        raise InsufficientSamples(f"a {quantity} fit needs 3 samples in its window, got {len(times)}")
+    require_fit_samples(quantity, len(times))
     times = np.asarray(times, dtype=float)
     vals = np.asarray(values)
     if np.any(vals <= 0.0):
@@ -361,6 +371,5 @@ def decay_fit(quantity: str, times, values, params: ModelParams, env: Comparison
     sxx = float(np.sum((x - xbar) ** 2))
     slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
     resid = y - (ybar + slope * (x - xbar))
-    dof = len(x) - 2
-    stderr = float(np.sqrt(np.sum(resid**2) / dof / sxx)) if dof > 0 else 0.0
+    stderr = float(np.sqrt(np.sum(resid**2) / (len(x) - 2) / sxx))  # len(x) >= 3
     return FitResult(exponent=slope, stderr=stderr, window=(float(times[0]), float(times[-1])))

@@ -14,8 +14,8 @@ This module provides the family constructors, the algebraic residual checker,
 the transformation of a state and of a run's forcing and envelopes (the
 scaled state lives on the same nodes of the box of side l/beta, so no
 resampling is needed), and a discrete PDE-residual evaluator used to verify
-invariance numerically.  The evaluator folds over a run's states as they
-come, holding the last three of the run and of its transformation.
+invariance numerically.  Its one fold takes a run's states (with their
+transforms) as they come and holds the last two between windows of three.
 """
 
 from __future__ import annotations
@@ -243,15 +243,6 @@ def _ddt_weights(a: float, b: float):
     return w_m, w_0, w_p
 
 
-def _windows(states):
-    """Each three consecutive states of `states`, holding no earlier one."""
-    window = ()
-    for state in states:
-        window = window[-2:] + (state,)
-        if len(window) == 3:
-            yield window
-
-
 def _residual_norms(window, forcing, params: ModelParams, env: ComparisonEnvelope) -> tuple:
     """(u, omega, k) L2 norms of the discrete equations' residuals at the middle of `window`.
 
@@ -269,18 +260,30 @@ def _residual_norms(window, forcing, params: ModelParams, env: ComparisonEnvelop
     return F.l2_norm(g, ru_sol), F.l2_norm(g, [rom]), F.l2_norm(g, [rk])
 
 
+def _worst_norms(caller: str, samples, norms):
+    """The elementwise max, from 0.0, of `norms(window)` over each window of three
+    consecutive `samples`, and the last sample.  Two samples are held between windows;
+    fewer than 3 raise InsufficientSamples naming `caller`."""
+    worst, held = (), ()
+    for sample in samples:
+        if len(held) == 2:
+            found = norms((*held, sample))
+            worst = tuple(map(max, worst or (0.0,) * len(found), found))
+        held = (*held[-1:], sample)
+        del sample
+    if not worst:
+        raise InsufficientSamples(f"{caller} needs at least 3 samples")
+    return worst, held[-1]
+
+
 def pde_residual(states, forcing, params: ModelParams, env: ComparisonEnvelope) -> PdeResiduals:
     """Worst residual norms of the discrete equations over a run's interior samples.
 
     One pass over `states`, at least 3 of them, with the run's forcing,
     params and envelopes; see `_residual_norms`.
     """
-    worst, interior = (0.0, 0.0, 0.0), 0
-    for window in _windows(states):
-        worst = tuple(map(max, worst, _residual_norms(window, forcing, params, env)))
-        interior += 1
-    if not interior:
-        raise InsufficientSamples("pde_residual needs at least 3 samples")
+    worst, _ = _worst_norms(
+        "pde_residual", states, lambda window: _residual_norms(window, forcing, params, env))
     return PdeResiduals(*worst)
 
 
@@ -313,17 +316,16 @@ def invariance_experiment(states, sp: ScalingParams, forcing, params: ModelParam
     residual should stay within a small margin of the scaled original.
     """
     forcing_t, env_t = transform_inputs(forcing, env, sp)
-    orig = trans = (0.0, 0.0, 0.0)
-    interior = 0
-    for window in _windows((s, transform_state(s, sp)) for s in states):
+    pairs = map(lambda s: (s, transform_state(s, sp)), states)  # map holds no pair
+
+    def norms(window):
         originals, transformed = zip(*window)
-        orig = tuple(map(max, orig, _residual_norms(originals, forcing, params, env)))
-        trans = tuple(map(max, trans, _residual_norms(transformed, forcing_t, params, env_t)))
-        interior += 1
-    if not interior:
-        raise InsufficientSamples("pde_residual needs at least 3 samples")
-    orig, trans = PdeResiduals(*orig), PdeResiduals(*trans)
-    meas = sp.beta ** (-0.5 * originals[0].grid.dim)
+        return (*_residual_norms(originals, forcing, params, env),
+                *_residual_norms(transformed, forcing_t, params, env_t))
+
+    worst, (last, _) = _worst_norms("invariance_experiment", pairs, norms)
+    orig, trans = PdeResiduals(*worst[:3]), PdeResiduals(*worst[3:])
+    meas = sp.beta ** (-0.5 * last.grid.dim)
     expected = PdeResiduals(
         u=sp.gamma * sp.alpha * meas * orig.u,
         omega=sp.rho * sp.alpha * meas * orig.omega,

@@ -1,8 +1,10 @@
 """End-to-end command tests: outputs, determinism, exit codes."""
 
+import collections
 import ctypes
 import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -11,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import weakref
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,7 @@ from kolmobox import cli
 from kolmobox import diagnostics as D
 from kolmobox import fields as F
 from kolmobox import model as M
+from kolmobox import scaling as S
 from kolmobox import snapshot as snap
 from kolmobox import timestepper as T
 from kolmobox.config import build_problem, load_config
@@ -80,10 +84,17 @@ def test_every_sample_gets_its_own_snapshot(tmp_path, t_end, sample_every, stamp
     assert len({p.read_bytes() for p in snaps}) == len(snaps)  # no state written twice
 
 
-@pytest.mark.parametrize("command", ["run", "decay", "balance"])
-def test_failed_run_leaves_the_samples_taken_before_it(tmp_path, capsys, monkeypatch, command):
+# decay's fit window (5, t_end) holds the samples at 5, 5.25 and 5.5
+HOMOG_TO_5_5 = HOMOG.replace("t_end = 2.0", "t_end = 5.5")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("run", HOMOG), ("decay", HOMOG_TO_5_5), ("balance", HOMOG),
+], ids=["run", "decay", "balance"])
+def test_failed_run_leaves_the_samples_taken_before_it(tmp_path, capsys, monkeypatch, command,
+                                                       text):
     # decay and balance write the same series as run: that of the config's own run
-    cfg = write_cfg(tmp_path, HOMOG)
+    cfg = write_cfg(tmp_path, text)
     full, cut = tmp_path / "full", tmp_path / "cut"
     assert cli.main(["run", "--config", str(cfg), "--out", str(full)]) == 0
     capsys.readouterr()
@@ -107,6 +118,84 @@ def test_failed_run_leaves_the_samples_taken_before_it(tmp_path, capsys, monkeyp
     assert all(p.read_bytes() == (full / p.name).read_bytes() for p in snaps)
     assert not (cut / "summary.json").exists()
     assert not (cut / "balance.json").exists()
+
+
+@pytest.mark.parametrize("t_end, held", [("2.0", 0), ("5.25", 2)])
+def test_decay_with_a_short_window_exits_2_before_its_first_step(tmp_path, capsys, monkeypatch,
+                                                                 t_end, held):
+    advance, calls = T._advance, []
+    monkeypatch.setattr(T, "_advance", lambda *args: calls.append(None) or advance(*args))
+    code, err = run_cli(tmp_path, capsys, HOMOG.replace("t_end = 2.0", f"t_end = {t_end}"),
+                        command="decay")
+    assert code == 2
+    assert err == [f"error: InsufficientSamples: a mean_k fit needs 3 samples in its window, "
+                   f"got {held}"]
+    assert calls == []
+    assert not (tmp_path / "o" / "series.ndjson").exists()
+
+
+PROBE_PARAMS = M.ModelParams(alpha2=1.4285714285714286)
+PROBE_ENV = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1.0)
+
+
+def probed_samples(count, keep, t0=0.0, make=lambda state: state):
+    """`make(state)` of `count` fresh homogeneous states, t0 + i/4 apart.
+
+    Each time the next one is drawn, and once more when the last has been,
+    it asserts that at most `keep` of the states made before are still alive.
+    """
+    g = F.Grid(1, 8, 1.0)
+    ic = M.HomogeneousIC(u_const=(0.0,), omega0=1.0, k0=1.0)
+    refs = []
+    for i in range(count + 1):
+        alive = sum(ref() is not None for ref in refs)
+        assert alive <= keep, f"{alive} earlier states alive when sample {i} is drawn"
+        if i == count:
+            return
+        state = M.homogeneous_state(g, ic, PROBE_PARAMS, t=t0 + 0.25 * i)
+        refs.append(weakref.ref(state))
+        yield make(state)
+        del state
+
+
+def with_record(state):
+    return state, D.record(state, None, PROBE_PARAMS, PROBE_ENV)
+
+
+def as_taken(state):
+    """What `timestepper.samples` yields: (state, record, rejected)."""
+    return (*with_record(state), 0)
+
+
+def test_stream_holds_no_sample_while_it_draws_the_next(monkeypatch):
+    monkeypatch.setattr(T, "samples", lambda *args: probed_samples(6, 0, make=as_taken))
+    cfg = types.SimpleNamespace(t_end=None, sample_interval=None)
+    p = types.SimpleNamespace(state=None, cfg=cfg, forcing=None, params=None, env=None, step=None)
+    fh = io.StringIO()
+    collections.deque(cli._stream(p, fh), maxlen=0)  # draws every pair and keeps none
+    assert len(fh.getvalue().splitlines()) == 6
+
+
+def test_balance_report_holds_no_sample_while_it_draws_the_next():
+    samples = probed_samples(6, 0, make=with_record)
+    assert D.balance_report(samples, (0.25, 1.0), PROBE_PARAMS, PROBE_ENV).window == (0.25, 1.0)
+
+
+def test_decay_holds_no_sample_while_it_draws_the_next(tmp_path, monkeypatch):
+    # the fit window (5, 6) of this schedule holds 5 samples, which the probe stands in for
+    monkeypatch.setattr(T, "samples", lambda *args: probed_samples(5, 0, t0=5.0, make=as_taken))
+    cfg = write_cfg(tmp_path, HOMOG.replace("t_end = 2.0", "t_end = 6.0"))
+    assert cli.main(["decay", "--config", str(cfg), "--out", str(tmp_path / "o")]) in (0, 1)
+    assert len((tmp_path / "o" / "series.ndjson").read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize("fold", [
+    lambda states: S.pde_residual(states, None, PROBE_PARAMS, PROBE_ENV),
+    lambda states: S.invariance_experiment(states, S.family_from(2.0, 1.5), None, PROBE_PARAMS,
+                                           PROBE_ENV),
+], ids=["pde_residual", "invariance_experiment"])
+def test_scaling_folds_hold_two_states_while_they_draw_the_next(fold):
+    fold(probed_samples(6, 2))  # a window of three needs the two states before the next
 
 
 REG_2D = """

@@ -365,7 +365,7 @@ class TestEntropy:
 
 def fit_mean(samples, field, window):
     """decay_fit of the mean of `field` over the samples in `window`, as the decay command takes it."""
-    picked = list(D.window_samples(samples, window))
+    picked = [(st, rec) for st, rec in samples if D.in_window(st.t, window)]
     times = [st.t for st, _ in picked]
     means = [F.integrate(st.grid, getattr(st, field)) / st.grid.volume for st, _ in picked]
     return D.decay_fit(f"mean_{field}", times, means, PARAMS, ENV1)

@@ -336,6 +336,12 @@ class TestInvarianceExperiment:
         assert rep.overall
         assert rep.transformed == rep.original
 
+    def test_needs_three_samples_and_says_so_in_its_own_name(self):
+        with pytest.raises(InsufficientSamples,
+                           match=r"^invariance_experiment needs at least 3 samples$"):
+            S.invariance_experiment(homogeneous_traj(m=2), S.family_from(2.0, 1.5), None, PARAMS,
+                                    HOMOG_ENV)
+
     def test_sigma_violation_inflates_k_residual(self):
         g, st, env, params = structured_problem(n=32)
         states = states_of(T.run(st, 0.5, None, params, env,
