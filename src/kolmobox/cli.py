@@ -37,7 +37,7 @@ from . import scaling as S
 from . import snapshot as snap
 from . import timestepper as T
 from .config import RunConfig, build_problem, load_config
-from .errors import KolmoboxError
+from .errors import KolmoboxError, ValidationError
 from .fields import divergence, integrate
 
 __all__ = ["main"]
@@ -71,7 +71,11 @@ def _open_series(outdir: Path):
 def _run_pair(cfg: RunConfig, outdir: Path, fold, **refine):
     """The base problem, then `fold(p, stream)` of its run, series written, and of its
     refinement's (n doubled, dt_max halved, plus `refine`).  Both problems are built
-    before either runs, so a bad one fails before any run."""
+    before either runs, so a bad one fails before any run; a snapshot initial state,
+    which holds one grid, fails before either is built."""
+    if cfg.ic == "snapshot":
+        raise ValidationError("snapshot_path", f"the refined run needs n = {2 * cfg.n} (2n), "
+                              "which a snapshot initial state cannot provide")
     base = build_problem(cfg)
     fine = build_problem(replace(cfg, n=2 * cfg.n, dt_max=cfg.dt_max / 2.0, **refine))
     with _open_series(outdir) as fh:

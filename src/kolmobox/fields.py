@@ -16,11 +16,17 @@ little more than its subtractions.
 
 A caller that applies several operators to the same field can build the
 shared stencils once -- `partials`, `face_differences`, `face_averages` of a
-`check_coefficient`-ed coefficient, `sym_gradient` -- and hand them to the
-operators as keyword-only arguments; each operator builds what it is not
-given, and the result is the same bit for bit either way.  The shared pieces
-are lists with one array per axis, so their blocks have the sizes the
-operators' own temporaries have.
+`check_coefficient`-ed coefficient -- and hand them to the operators as
+keyword-only arguments; each operator builds what it is not given, and the
+result is the same bit for bit either way.  The shared pieces are lists with
+one array per axis, so their blocks have the sizes the operators' own
+temporaries have.
+
+Both r-Laplacians and `max_face_gradient` take the gradient at a face from
+one construction, `_face_gradient`: the two-point difference across the face
+and face averages of the centered partials along it.  The scalar flux reads
+its magnitude with `pointwise_dot`, the vector flux is `sym_gradient` of the
+face gradient with its magnitude from `frobenius_sq`.
 
 Spatial derivatives are second-order centered differences, diffusion
 operators are written in conservative flux form, and the Leray projection uses
@@ -310,30 +316,29 @@ def div_tensor_flux(g: Grid, a: np.ndarray, D: np.ndarray) -> np.ndarray:
     return out
 
 
-def _face_gradient_sq(g: Grid, grad, diffs, normal_axis: int) -> tuple:
-    """(normal derivative, squared gradient magnitude) at the faces j+1/2."""
-    gn = diffs[normal_axis] / g.h
-    mag2 = gn * gn
-    for ax in range(g.dim):
-        if ax == normal_axis:
-            continue
-        t = _face_avg(grad[ax], normal_axis, g)
-        t *= t
-        mag2 += t
-    return gn, mag2
+def _face_gradient(g: Grid, grad, normal_derivative, normal_axis: int) -> list:
+    """Partials [df/dx_1, ..., df/dx_d] at the faces j+1/2 of `normal_axis`.
+
+    The normal partial is `normal_derivative`, the two-point difference; the
+    others are face averages of the centered `grad` (`partials(g, f)`).  For a
+    vector f each entry stacks the components, as `partials` does.
+    """
+    return [normal_derivative if ax == normal_axis else _face_avg(grad[ax], normal_axis, g)
+            for ax in range(g.dim)]
 
 
 def r_laplacian(g: Grid, f: np.ndarray, r: float, *, grad=None, diffs=None,
                 maxima=None) -> np.ndarray:
     """Degenerate diffusion div(|grad f|^(r-2) grad f) in flux form.
 
-    The face flux uses the two-point normal derivative and face-averaged
-    tangential centered differences for the gradient magnitude.  Conservative
-    (integral exactly zero) and dissipative (sum(f * r_laplacian(f)) <= 0).
-    r == 2 is allowed and reduces to div_flux with unit coefficient.  `grad`
-    and `diffs` are `partials(g, f)` and `face_differences(g, f)` if the
-    caller already holds them; a list `maxima` receives the largest squared
-    face-gradient magnitude of each face direction.
+    The face flux takes the gradient from `_face_gradient`: the two-point
+    normal derivative and face-averaged tangential centered differences.
+    Conservative (integral exactly zero) and dissipative
+    (sum(f * r_laplacian(f)) <= 0).  r == 2 is allowed and reduces to
+    div_flux with unit coefficient.  `grad` and `diffs` are `partials(g, f)`
+    and `face_differences(g, f)` if the caller already holds them; a list
+    `maxima` receives the largest squared face-gradient magnitude of each face
+    direction.
     """
     if r < 2.0:
         raise ValueError(f"r must be >= 2, got {r}")
@@ -343,58 +348,36 @@ def r_laplacian(g: Grid, f: np.ndarray, r: float, *, grad=None, diffs=None,
         diffs = face_differences(g, f)
     out = np.zeros(g.shape)
     for ax in range(g.dim):
-        gn, mag2 = _face_gradient_sq(g, grad, diffs, ax)
+        fg = _face_gradient(g, grad, diffs[ax] / g.h, ax)
+        flux = pointwise_dot(fg, fg)  # |grad f|^2 at the faces
         if maxima is not None:
-            maxima.append(float(mag2.max()))
-        flux = mag2
+            maxima.append(float(flux.max()))
         flux **= (r - 2.0) / 2.0
-        flux *= gn
+        flux *= fg[ax]
         out += _face_div(flux, ax, g, g.h)
     return out
 
 
-def r_laplacian_vec(g: Grid, u: np.ndarray, r: float, *, grad=None, D=None) -> np.ndarray:
-    """Row-wise div(|D(u)|^(r-2) D(u)) with face-assembled tensor magnitude.
+def r_laplacian_vec(g: Grid, u: np.ndarray, r: float, *, grad=None) -> np.ndarray:
+    """Row-wise div(|D(u)|^(r-2) D(u)) with the tensor assembled at the faces.
 
-    Mirrors the scalar construction: at a face with normal axis j, tensor
-    entries involving direction j take their normal part from the two-point
-    difference, all other parts are face averages of centered values.  `grad`
-    and `D` are `partials(g, u)` and `sym_gradient(g, u)` if the caller
-    already holds them.
+    Mirrors the scalar construction: at the faces with normal axis j the
+    tensor is `sym_gradient` of the `_face_gradient` of u, so entries
+    involving direction j take their normal part from the two-point
+    difference and all other parts are face averages of centered values.
+    `grad` is `partials(g, u)` if the caller already holds it.
     """
     if r < 2.0:
         raise ValueError(f"r must be >= 2, got {r}")
-    d = g.dim
     if grad is None:
-        grad = partials(g, u)  # grad[j][i] = du_i/dx_j
-    if D is None:
-        D = sym_gradient(g, u, grad=grad)
-
+        grad = partials(g, u)
     out = np.zeros(u.shape)
-    for j in range(d):  # faces with normal j
-        fwd = _fwd(u, j, g)  # two-point du_i/dx_j at the faces, every i at once
-        face = {}
-        for a in range(d):
-            for b in range(a, d):
-                if a == b == j:
-                    face[(a, b)] = fwd[j]
-                elif a == j or b == j:
-                    i = b if a == j else a  # the non-normal index
-                    t = _face_avg(grad[i][j], j, g)
-                    t += fwd[i]
-                    t *= 0.5
-                    face[(a, b)] = t
-                else:
-                    face[(a, b)] = _face_avg(D[a, b], j, g)
-        mag2 = np.zeros(g.shape)
-        for (a, b), v in face.items():
-            mag2 += v**2 if a == b else 2.0 * v**2
-        w = mag2
+    for j in range(g.dim):
+        D = sym_gradient(g, u, grad=_face_gradient(g, grad, _fwd(u, j, g), j))
+        w = frobenius_sq(g, D)
         w **= (r - 2.0) / 2.0
-        flux = np.empty(u.shape)
-        for i in range(d):
-            np.multiply(w, face[(min(i, j), max(i, j))], out=flux[i])
-        out += _face_div(flux, j, g, g.h)
+        out += _face_div(w * D[:, j], j, g, g.h)
+        del D, w  # not held while the next face's tensor is built
     return out
 
 
@@ -419,8 +402,8 @@ def max_face_gradient(g: Grid, f: np.ndarray) -> float:
     diffs = face_differences(g, f)
     m = 0.0
     for ax in range(g.dim):
-        _, mag2 = _face_gradient_sq(g, grad, diffs, ax)
-        m = max(m, float(mag2.max()))
+        fg = _face_gradient(g, grad, diffs[ax] / g.h, ax)
+        m = max(m, float(pointwise_dot(fg, fg).max()))
     return float(np.sqrt(m))
 
 

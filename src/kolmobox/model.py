@@ -15,7 +15,6 @@ neither time-stepping scheme builds the same stencils again.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,12 +66,6 @@ class ModelParams:
                 raise ValidationError("eps", "must be positive when regularized")
             if not self.r > 2.0:
                 raise ValidationError("r", "must exceed 2 when regularized")
-            if self.r <= 3.0:
-                warnings.warn(
-                    f"r = {self.r} <= 3; the implicit mode is only known to be "
-                    "well behaved for r > 3",
-                    stacklevel=2,
-                )
 
 
 @dataclass(frozen=True)
@@ -222,9 +215,10 @@ def rhs(
     fluxes are conservative).
 
     Every stencil is evaluated once: the checked eddy coefficient and its face
-    averages, the velocity gradient and D(u), and for omega and k the centered
-    gradient and the face differences are built here and handed to the
-    operators, and each is dropped after its last use.  A list `limits`
+    averages, the velocity gradient, and for omega and k the centered gradient
+    and the face differences are built here and handed to the operators, and
+    each is dropped after its last use.  The vector r-Laplacian assembles its
+    own face tensors, so it runs before D(u) is built.  A list `limits`
     receives the inputs of `timestepper.cfl_dt` for this state: the largest
     eddy coefficient, then (regularized) the largest |D(u)|^2 and squared face
     gradients of omega and k.
@@ -239,8 +233,8 @@ def rhs(
 
     grad_u = F.partials(g, u)
     adv = F.advect_vec(g, u, u, grad=grad_u)
+    lap_u = F.r_laplacian_vec(g, u, r, grad=grad_u) if params.regularized else None
     D = F.sym_gradient(g, u, grad=grad_u)
-    lap_u = F.r_laplacian_vec(g, u, r, grad=grad_u, D=D) if params.regularized else None
     del grad_u
     du = F.div_tensor_flux(g, av, D)
     du *= params.nu0

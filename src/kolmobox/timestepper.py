@@ -22,6 +22,7 @@ taken, holding no earlier sample.  Every command consumes it as it goes;
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -214,9 +215,14 @@ def step_rothe(
     come from `operator_apply` at t + dt.  The u-residual is Leray-projected
     (the discarded gradient part is the pressure).  Convergence is declared
     when a residual at t + dt drops below picard_tol relative to |U_old|/dt.
+    For r <= 3 it warns that the mode is only known to be well behaved for
+    r > 3.
     """
     if dt == 0.0:
         return replace(state, guard_hits=0)
+    if params.regularized and params.r <= 3.0:
+        warnings.warn(f"r = {params.r} <= 3; the implicit mode is only known to be "
+                      "well behaved for r > 3", stacklevel=2)
     g = state.grid
     d = g.dim
     t_new = state.t + dt

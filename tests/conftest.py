@@ -1,7 +1,5 @@
 """Shared builders for the test suite."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -59,9 +57,7 @@ def structured_problem(n=32, side=2.0 * np.pi, uamp=0.3, om_amp=0.1, k_amp=0.1,
 
 
 def regularized_params(r=3.5, eps=1e-3):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return M.ModelParams(alpha1=1.0, alpha2=10.0 / 7.0, eps=eps, r=r, regularized=True)
+    return M.ModelParams(alpha1=1.0, alpha2=10.0 / 7.0, eps=eps, r=r, regularized=True)
 
 
 def perturbed_problem(dim, regularized, forced, n=8):

@@ -9,7 +9,6 @@ cruder constant 2/(1-delta) is false for delta = 0.1: phi(100) = 30.37 while
 """
 
 import json
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -39,9 +38,7 @@ def report(criterion, name, ok, detail=""):
 
 
 def regularized(eps=1e-3, r=3.2, alpha2=10.0 / 7.0):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return M.ModelParams(alpha1=1.0, alpha2=alpha2, eps=eps, r=r, regularized=True)
+    return M.ModelParams(alpha1=1.0, alpha2=alpha2, eps=eps, r=r, regularized=True)
 
 
 # ---------------------------------------------------------------------------

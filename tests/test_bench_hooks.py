@@ -1,6 +1,7 @@
 """The names the benchmark's tracer wraps must exist in the package, with the signatures
 its traced runs call them by."""
 
+import collections
 import json
 import math
 import os
@@ -51,11 +52,19 @@ def test_traced_run_annotates_every_step(tmp_path, scheme):
         cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    infos = [span[7] for span in json.loads(result.read_text())["spans"]
-             if span[1] == "timestepper.step"]
+    spans = json.loads(result.read_text())["spans"]
+    infos = [span[7] for span in spans if span[1] == "timestepper.step"]
     assert infos
     for npoints, dt, guard_hits in infos:
         assert npoints == 64 and 0.0 < dt <= 0.005 and guard_hits >= 0
+    # both r-Laplacians are wrapped by name: one vector and two scalar calls per rhs
+    calls = {sid: collections.Counter() for sid, name, *_ in spans if name == "model.rhs"}
+    for _, name, _, _, parent, *_ in spans:
+        if parent in calls:
+            calls[parent][name] += 1
+    assert calls
+    for counts in calls.values():
+        assert (counts["fields.r_laplacian_vec"], counts["fields.r_laplacian"]) == (1, 2)
 
 
 # the benchmark's decay_1d workload, shortened: the decay window t >= 5 holds three samples

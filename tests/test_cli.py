@@ -350,6 +350,25 @@ def test_decay_series_bits_are_pinned(tmp_path):
     assert hashlib.sha256(series).hexdigest() == DECAY_1D_SERIES_SHA256
 
 
+# the decay_1d pin runs no r-Laplacian; every step of the REG_2D run takes both, under
+# either scheme, and its digests (series, last snapshot) are pinned on the same terms
+REG_2D_SHA256 = {
+    "explicit_rk2": ("ae41738f69d614dfbecb4163252a7832ae59f3dcbdb0c552b36a9c6f2f334ef1",
+                     "0e7802155cb00ee6efe6ee7139e6c22fc82e6aa842a12bd7c4096ea137268bac"),
+    "rothe_picard": ("f4f2484c80ea03a9d34e100a0fcdbaf371d72e307e31cca604ea0a9e7e537e20",
+                     "d57bdc5a53d7904a4d81b3ea86f50f96ab8c3a2864515a85df4d3a6496a1195b"),
+}
+
+
+@pytest.mark.parametrize("scheme", ["explicit_rk2", "rothe_picard"])
+def test_regularized_series_bits_are_pinned(tmp_path, scheme):
+    cfg = write_cfg(tmp_path, REG_2D + f"scheme = {scheme}\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    files = (out / "series.ndjson", out / "snap_0.010000.kbox")
+    assert tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files) == REG_2D_SHA256[scheme]
+
+
 def test_series_keys_come_in_the_documented_order(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     listed = readme.split("one JSON object per sample with keys, in order:", 1)[1].split(".", 1)[0]
@@ -631,9 +650,10 @@ def test_rothe_without_convergence_exits_2_on_one_stderr_line(tmp_path, capsys):
     assert err == ["error: StepRejected: step rejected after 10 dt halvings"]
 
 
-def test_overflow_exits_2_on_one_stderr_line(tmp_path):
-    # a real process: pytest's warning capture would hide numpy's warnings from cli.main
-    cfg = write_cfg(tmp_path, config_with("ic = perturbed\nperturb_modes = u1:0:1:1e200"))
+def run_process(tmp_path, text):
+    """(exit code, stderr lines) of `run` on a config text, in a real process: pytest's
+    warning capture would hide warnings from an in-process cli.main."""
+    cfg = write_cfg(tmp_path, text)
     src = str(Path(cli.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
@@ -642,9 +662,38 @@ def test_overflow_exits_2_on_one_stderr_line(tmp_path):
          "--out", str(tmp_path / "o")],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 2
-    err = proc.stderr.splitlines()
+    return proc.returncode, proc.stderr.splitlines()
+
+
+def test_overflow_exits_2_on_one_stderr_line(tmp_path):
+    code, err = run_process(tmp_path, config_with("ic = perturbed\nperturb_modes = u1:0:1:1e200"))
+    assert code == 2
     assert len(err) == 1 and err[0].startswith("error: NonFiniteRecord: "), err
+
+
+SMALL_R = """\
+dim = 2
+n = 8
+t_end = 0.01
+sample_every = 0.005
+regularized = true
+eps = 1e-2
+r = 2.5
+ic = perturbed
+perturb_modes = u1:1:1:0.5
+"""
+
+
+def test_small_r_warns_only_in_the_implicit_mode(tmp_path):
+    # the explicit scheme never runs the implicit mode, so it has nothing to warn about
+    assert run_process(tmp_path, SMALL_R) == (0, [])
+    # the warning names the stepping line of timestepper.py and comes before the error line
+    code, err = run_process(tmp_path, SMALL_R + "scheme = rothe_picard\npicard_max_iters = 1\n")
+    assert code == 2
+    assert re.search(r"timestepper\.py:\d+: UserWarning: r = 2\.5 <= 3; the implicit mode",
+                     err[0]), err
+    assert err[-1] == "error: StepRejected: step rejected after 10 dt halvings"
+    assert sum(line.startswith("error: ") for line in err) == 1
 
 
 def snapshot_file(tmp_path, dim, n):
@@ -682,6 +731,11 @@ def test_snapshot_ic_cannot_be_refined(tmp_path, capsys):
     code, err = run_cli(tmp_path, capsys, text, command="bounds")
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ValidationError: snapshot_path: ")
+    assert not (tmp_path / "o" / "series.ndjson").exists()
+    # so does balance; both name the refined n, not a grid the config never set
+    code, err2 = run_cli(tmp_path, capsys, text, command="balance")
+    assert code == 2 and err2 == err
+    assert "n = 16" in err[0] and "Grid(" not in err[0]
     assert not (tmp_path / "o" / "series.ndjson").exists()
 
 

@@ -33,10 +33,6 @@ class TestParams:
             M.ModelParams(eps=0.5)
         assert exc.value.field == "eps"
 
-    def test_small_r_warns(self):
-        with pytest.warns(UserWarning):
-            M.ModelParams(regularized=True, eps=1e-3, r=2.5)
-
 
 class TestEnvelopes:
     def test_initial_values(self):

@@ -1,5 +1,6 @@
 """Explicit and Rothe stepping, CFL logic, sampled runs."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -533,6 +534,17 @@ class TestRothe:
         with pytest.raises(PicardDiverged):
             T.step_rothe(st, 50.0, None, params, env,
                          T.StepConfig(scheme="rothe_picard", picard_max_iters=30))
+
+    def test_small_r_warns(self):
+        # only the implicit mode warns for r <= 3, and the warning names its caller's file
+        g, ic, env, st = homogeneous()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = regularized_params(r=2.5)
+            T.step_explicit(st, 0.01, None, params, env, T.StepConfig())
+        with pytest.warns(UserWarning, match=r"r = 2\.5 <= 3; the implicit mode") as caught:
+            T.step_rothe(st, 0.01, None, params, env, T.StepConfig(scheme="rothe_picard"))
+        assert [w.filename for w in caught] == [__file__]
 
     def test_requires_regularized(self):
         g, ic, env, st = homogeneous()
