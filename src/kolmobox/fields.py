@@ -393,7 +393,7 @@ def vector_signed_power(v, r: float) -> np.ndarray:
 
 
 def max_face_gradient(g: Grid, f: np.ndarray) -> float:
-    """Largest face gradient magnitude, as used by the r-Laplacian fluxes.
+    """Largest magnitude of the `_face_gradient` of f, the one the scalar r-Laplacian flux uses.
 
     No solver path calls this; it is the test oracle for the maxima that
     `model.rhs` reports, and a benchmark span.
