@@ -55,8 +55,6 @@ class RunConfig:
     scheme: str = StepConfig.scheme
     cfl_safety: float = StepConfig.cfl_safety
     dt_max: float = StepConfig.dt_max
-    picard_max_iters: int = StepConfig.picard_max_iters
-    picard_tol: float = StepConfig.picard_tol
     guard: bool = StepConfig.guard
     # closure coefficients and regularization
     nu0: float = ModelParams.nu0
@@ -101,7 +99,6 @@ class RunConfig:
 _PERTURBED = (lambda c: c.ic == "perturbed", "ic = perturbed")
 _BUILT_IC = (lambda c: c.ic != "snapshot", "ic = homogeneous or perturbed")
 _SINGLE_MODE = (lambda c: c.forcing == "single_mode", "forcing = single_mode")
-_ROTHE = (lambda c: c.scheme == "rothe_picard", "scheme = rothe_picard")
 _ONLY_WITH = dict(
     perturb_modes=_PERTURBED, perturb_random_modes=_PERTURBED, perturb_random_amplitude=_PERTURBED,
     snapshot_path=(lambda c: c.ic == "snapshot", "ic = snapshot"),
@@ -110,7 +107,6 @@ _ONLY_WITH = dict(
     forcing_axis=_SINGLE_MODE, forcing_wavenumber=_SINGLE_MODE, forcing_amplitude=_SINGLE_MODE,
     forcing_component=_SINGLE_MODE,
     r=(lambda c: c.regularized, "regularized = true"),
-    picard_tol=_ROTHE, picard_max_iters=_ROTHE,
 )
 # what a perturbation mode may target: the first 2 + dim, drawn in this order by random modes
 _TARGETS = ("omega", "k", "u1", "u2", "u3")

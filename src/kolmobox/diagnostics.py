@@ -22,7 +22,6 @@ from . import fields as F
 from . import model as M
 from .errors import (
     BadDelta,
-    DegenerateOmega,
     InsufficientSamples,
     NonFiniteRecord,
     NonpositiveSamples,
@@ -33,12 +32,10 @@ __all__ = [
     "DiagnosticsRecord",
     "BalanceReport",
     "FitResult",
-    "LengthScaleCheck",
     "record",
     "ndjson_line",
     "in_window",
     "balance_report",
-    "length_scale_check",
     "entropy_phi",
     "entropy_functional",
     "require_fit_samples",
@@ -88,15 +85,6 @@ class FitResult:
     window: Tuple[float, float]
 
 
-@dataclass(frozen=True)
-class LengthScaleCheck:
-    L_min: float
-    bound: float
-    satisfied: bool
-    bracket_low_ok: bool
-    bracket_high_ok: bool
-
-
 def record(
     state: State,
     forcing: Optional[np.ndarray],
@@ -104,7 +92,11 @@ def record(
     env: ComparisonEnvelope,
     guard_activations: int = 0,
 ) -> DiagnosticsRecord:
-    """Evaluate all per-sample observables for one state."""
+    """Evaluate all per-sample observables for one state.
+
+    L_min = min sqrt(k)/omega, or 0.0 where omega is not positive; inside the
+    envelopes it is at least sqrt(kappa)/omega_upper.
+    """
     g = state.grid
     u, om, kk = state.u, state.omega, state.k
 
@@ -280,39 +272,6 @@ def balance_report(samples, window, params: ModelParams, env: ComparisonEnvelope
             "k": _trapezoid(eps_k, times),
             "u_energy": _trapezoid(drain, times),
         },
-    )
-
-
-# ---------------------------------------------------------------------------
-# pointwise bound checks
-
-
-_REL_TOL = 1e-10  # slack for saturated (equality) envelope comparisons
-
-
-def length_scale_check(state: State, env: ComparisonEnvelope, params: ModelParams) -> LengthScaleCheck:
-    """Compare min sqrt(k)/omega against its decaying lower bound.
-
-    Also checks the reciprocal bracket 1/omega_sup + alpha1 t <= 1/omega <=
-    1/omega_star + alpha1 t implied by the omega envelopes.
-    """
-    if state.omega.min() <= 0.0:
-        raise DegenerateOmega("length scale undefined for nonpositive omega")
-    t = state.t
-    l_min = float(np.min(np.sqrt(np.maximum(state.k, 0.0)) / state.omega))
-    growth = (1.0 + params.alpha1 * env.omega_sup * t) ** (
-        1.0 - params.alpha2 / (2.0 * params.alpha1)
-    )
-    bound = math.sqrt(env.k_star) / env.omega_sup * growth
-    inv = 1.0 / state.omega
-    lo = 1.0 / env.omega_sup + params.alpha1 * t
-    hi = 1.0 / env.omega_star + params.alpha1 * t
-    return LengthScaleCheck(
-        L_min=l_min,
-        bound=bound,
-        satisfied=l_min >= bound * (1.0 - _REL_TOL),
-        bracket_low_ok=float(inv.min()) >= lo * (1.0 - _REL_TOL),
-        bracket_high_ok=float(inv.max()) <= hi * (1.0 + _REL_TOL),
     )
 
 

@@ -77,10 +77,8 @@ __all__ = [
     "leray_project",
     "diffusion_solve",
     "integrate",
-    "lp_norm",
     "l2_norm",
     "pointwise_dot",
-    "w1p_seminorm",
     "advect",
     "advect_vec",
     "signed_power",
@@ -268,7 +266,8 @@ def sym_gradient(g: Grid, u: np.ndarray, *, grad=None) -> np.ndarray:
         for j in range(i, d):
             np.add(grad[j][i], grad[i][j], out=D[i, j])
             D[i, j] *= 0.5
-            D[j, i] = D[i, j]
+            if j != i:
+                D[j, i] = D[i, j]
     return D
 
 
@@ -493,13 +492,6 @@ def integrate(g: Grid, f: np.ndarray) -> float:
     return float(g.h**g.dim * np.sum(f))
 
 
-def lp_norm(g: Grid, f: np.ndarray, p: float) -> float:
-    """(h^d * sum |f|^p)^(1/p) for p >= 1."""
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    return float((g.h**g.dim * np.sum(np.abs(f) ** p)) ** (1.0 / p))
-
-
 def l2_norm(g: Grid, arrays) -> float:
     """Discrete L2 norm of the arrays taken together, summed one array at a time."""
     s = 0.0
@@ -515,15 +507,6 @@ def pointwise_dot(a, b) -> np.ndarray:
     for ai, bi in zip(a, b):
         out += ai * bi
     return out
-
-
-def w1p_seminorm(g: Grid, f: np.ndarray, p: float) -> float:
-    """L^p norm of the centered-gradient magnitude."""
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    grad = partials(g, f)
-    mag2 = pointwise_dot(grad, grad)
-    return float((g.h**g.dim * np.sum(mag2 ** (p / 2.0))) ** (1.0 / p))
 
 
 def advect(g: Grid, u: np.ndarray, f: np.ndarray, *, grad=None) -> np.ndarray:

@@ -48,6 +48,9 @@ __all__ = [
 # the guard clamps omega and k this fraction below their envelope lower bounds,
 # which are positive, so no absolute floor is needed
 _GUARD_SLACK = 0.05
+# step_rothe's Picard stopping tolerance (relative to |U_old|/dt) and iterate cap
+_PICARD_TOL = 1e-10
+_PICARD_MAX_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -55,8 +58,6 @@ class StepConfig:
     scheme: str = "explicit_rk2"  # or "rothe_picard"
     cfl_safety: float = 0.4
     dt_max: float = math.inf
-    picard_max_iters: int = 200
-    picard_tol: float = 1e-10
     guard: bool = True
 
     def __post_init__(self):
@@ -66,10 +67,6 @@ class StepConfig:
             raise ValidationError("cfl_safety", "must be in ]0,1]")
         if not self.dt_max > 0.0:
             raise ValidationError("dt_max", "must be positive")
-        if not self.picard_max_iters > 0:
-            raise ValidationError("picard_max_iters", "must be positive")
-        if not self.picard_tol > 0.0:
-            raise ValidationError("picard_tol", "must be positive")
 
 
 def cfl_dt(state: State, limits: list, params: ModelParams, cfg: StepConfig) -> float:
@@ -214,7 +211,8 @@ def step_rothe(
     first update is the linearly implicit Euler predictor; later residuals
     come from `operator_apply` at t + dt.  The u-residual is Leray-projected
     (the discarded gradient part is the pressure).  Convergence is declared
-    when a residual at t + dt drops below picard_tol relative to |U_old|/dt.
+    when a residual at t + dt drops below `_PICARD_TOL` relative to
+    |U_old|/dt; after `_PICARD_MAX_ITERS` iterates it raises PicardDiverged.
     For r <= 3 it warns that the mode is only known to be well behaved for
     r > 3.
     """
@@ -235,7 +233,7 @@ def step_rothe(
         rates = M.rhs(state, state.t, forcing, params, env)
     ru, rom, rk = (-r for r in rates)
     u, om, kk = state.u, state.omega, state.k
-    for it in range(cfg.picard_max_iters):
+    for it in range(_PICARD_MAX_ITERS):
         if it:
             cand = State(t=t_new, grid=g, u=u, omega=om, k=kk)
             ru, rom, rk = operator_apply(cand, state, dt, forcing, params, env)
@@ -243,7 +241,7 @@ def step_rothe(
         res = F.l2_norm(g, ru_sol) + F.l2_norm(g, [rom, rk])
         if not math.isfinite(res):
             raise PicardDiverged(f"non-finite residual at dt={dt}")
-        if it and res <= cfg.picard_tol * scale:
+        if it and res <= _PICARD_TOL * scale:
             out = _finish_stage(g, u, om, kk, t_new, params, env, cfg)
             _check_finite(out, dt)
             return out
@@ -252,7 +250,7 @@ def step_rothe(
         u = u - corr[:d]
         om = om - corr[d]
         kk = kk - corr[d + 1]
-    raise PicardDiverged(f"no convergence in {cfg.picard_max_iters} iterations at dt={dt}")
+    raise PicardDiverged(f"no convergence in {_PICARD_MAX_ITERS} iterations at dt={dt}")
 
 
 _MAX_RETRIES = 10

@@ -143,8 +143,6 @@ BAD_CONFIGS = [
     ("cfl_safety", "cfl_safety = 0"),
     ("cfl_safety", "cfl_safety = 1.5"),
     ("dt_max", "dt_max = 0"),
-    ("picard_max_iters", "picard_max_iters = 0"),
-    ("picard_tol", "picard_tol = 0"),
     ("t_end", "t_end = inf"),
     ("ic_omega0", "ic_omega0 = inf"),
     ("ic_u", "ic_u = inf"),
@@ -164,8 +162,6 @@ BAD_CONFIGS = [
     ("ic_k0", "ic = snapshot\nsnapshot_path = start.kbox\nic_k0 = 5"),
     ("ic_u", "ic = snapshot\nsnapshot_path = start.kbox\nic_u = 1.0"),
     ("r", "r = 5"),
-    ("picard_tol", "picard_tol = 1e-3"),
-    ("picard_max_iters", "scheme = explicit_rk2\npicard_max_iters = 50"),
 ]
 BAD_CONFIG_IDS = [lines.splitlines()[-1] for _, lines in BAD_CONFIGS]
 

@@ -335,7 +335,7 @@ def test_criterion_6_entropy_bracket(delta):
 # 7. Rothe mode
 
 
-def test_criterion_7_rothe_mode():
+def test_criterion_7_rothe_mode(monkeypatch):
     params = regularized(r=3.5)
     g = F.Grid(1, 8, 1.0)
     env = M.ComparisonEnvelope(omega_star=0.8, omega_sup=1.2, k_star=0.9)
@@ -368,12 +368,13 @@ def test_criterion_7_rothe_mode():
     ok_oracle = err_oracle <= 1e-9
 
     g2, st2, env2, _ = structured_problem(n=16)
+    monkeypatch.setattr(T, "_PICARD_TOL", 1e-13)
     diffs = {}
     for dts in (2e-4, 1e-4):
         se = T.step_explicit(st2, dts, None, params, env2, T.StepConfig(guard=False))
         sr = T.step_rothe(
             st2, dts, None, params, env2,
-            T.StepConfig(scheme="rothe_picard", guard=False, picard_tol=1e-13),
+            T.StepConfig(scheme="rothe_picard", guard=False),
         )
         diffs[dts] = max(
             np.abs(se.omega - sr.omega).max(),

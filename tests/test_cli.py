@@ -544,9 +544,10 @@ def test_unresolvable_forcing_wavenumber_exits_2(tmp_path, capsys, wavenumber):
     assert len(err) == 1 and err[0].startswith("error: ValidationError: ")
 
 
-@pytest.mark.parametrize("line", ["k_floor = 1e-14", "guard_slack = 0.05", "picard_damping = 0.7"])
+@pytest.mark.parametrize("line", ["k_floor = 1e-14", "guard_slack = 0.05", "picard_damping = 0.7",
+                                  "picard_max_iters = 0", "picard_tol = 0"])
 def test_removed_step_keys_are_unknown(tmp_path, capsys, line):
-    # the k guard is relative to its envelope, and the slack and damping are constants
+    # the k guard is relative to its envelope; the slack and the Picard controls are constants
     code, err = run_cli(tmp_path, capsys, config_with(line))
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ParseError: line 4: unknown key ")
@@ -643,23 +644,26 @@ def test_rothe_run_writes_every_sample(tmp_path):
     assert len(sorted(out.glob("snap_*.kbox"))) == len(times)
 
 
-def test_rothe_without_convergence_exits_2_on_one_stderr_line(tmp_path, capsys):
-    # one iterate can never meet picard_tol, so every halving fails too
-    code, err = run_cli(tmp_path, capsys, ROTHE + "picard_max_iters = 1\n")
+def test_rothe_without_convergence_exits_2_on_one_stderr_line(tmp_path, capsys, monkeypatch):
+    # one iterate can never meet the Picard tolerance, so every halving fails too
+    monkeypatch.setattr(T, "_PICARD_MAX_ITERS", 1)
+    code, err = run_cli(tmp_path, capsys, ROTHE)
     assert code == 2
     assert err == ["error: StepRejected: step rejected after 10 dt halvings"]
 
 
-def run_process(tmp_path, text):
+def run_process(tmp_path, text, prelude=""):
     """(exit code, stderr lines) of `run` on a config text, in a real process: pytest's
-    warning capture would hide warnings from an in-process cli.main."""
+    warning capture would hide warnings from an in-process cli.main.  `prelude` is
+    Python code that runs before the `python -m kolmobox.cli` entry, such as a module
+    constant set for the test."""
     cfg = write_cfg(tmp_path, text)
     src = str(Path(cli.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = f"{prelude}\nimport runpy\nrunpy.run_module('kolmobox.cli', run_name='__main__')"
     proc = subprocess.run(
-        [sys.executable, "-m", "kolmobox.cli", "run", "--config", str(cfg),
-         "--out", str(tmp_path / "o")],
+        [sys.executable, "-c", code, "run", "--config", str(cfg), "--out", str(tmp_path / "o")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     return proc.returncode, proc.stderr.splitlines()
@@ -688,7 +692,8 @@ def test_small_r_warns_only_in_the_implicit_mode(tmp_path):
     # the explicit scheme never runs the implicit mode, so it has nothing to warn about
     assert run_process(tmp_path, SMALL_R) == (0, [])
     # the warning names the stepping line of timestepper.py and comes before the error line
-    code, err = run_process(tmp_path, SMALL_R + "scheme = rothe_picard\npicard_max_iters = 1\n")
+    code, err = run_process(tmp_path, SMALL_R + "scheme = rothe_picard\n",
+                            prelude="from kolmobox import timestepper\ntimestepper._PICARD_MAX_ITERS = 1")
     assert code == 2
     assert re.search(r"timestepper\.py:\d+: UserWarning: r = 2\.5 <= 3; the implicit mode",
                      err[0]), err

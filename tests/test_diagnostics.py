@@ -23,7 +23,6 @@ from kolmobox import model as M
 from kolmobox import timestepper as T
 from kolmobox.errors import (
     BadDelta,
-    DegenerateOmega,
     InsufficientSamples,
     NonFiniteRecord,
     NonpositiveSamples,
@@ -268,28 +267,36 @@ class TestBalanceReport:
         assert calls.count("signed_power") == 18  # the omega and k damping, once per sample
 
 
+def length_scale_bound(t, env):
+    """sqrt(kappa)/omega_upper: the lower bound of min sqrt(k)/omega that the envelopes imply."""
+    return math.sqrt(M.kappa(t, env, PARAMS)) / M.omega_upper(t, env, PARAMS)
+
+
 class TestLengthScale:
+    # the record's L_min against the bound that the omega and k envelopes imply
     def test_saturation_at_t0(self):
         g = F.Grid(1, 8, 1.0)
         env = M.ComparisonEnvelope(omega_star=0.5, omega_sup=2.0, k_star=0.8)
         st = M.State(t=0.0, grid=g, u=zero_vector(g),
                      omega=const(g, 2.0),
                      k=const(g, 0.8))
-        chk = D.length_scale_check(st, env, PARAMS)
-        assert chk.L_min == pytest.approx(chk.bound)
-        assert chk.satisfied
+        l_min = D.record(st, None, PARAMS, env).L_min
+        assert l_min == pytest.approx(length_scale_bound(0.0, env))
+        assert l_min >= length_scale_bound(0.0, env) * (1.0 - 1e-10)
 
     def test_bound_exponent_is_two_sevenths(self):
         env = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1.0)
         g = F.Grid(1, 8, 1.0)
         ic = M.HomogeneousIC(u_const=(0.0,), omega0=1.0, k0=1.0)
         t1, t2 = 10.0, 100.0
-        bounds = []
+        bounds, l_mins = [], []
         for t in (t1, t2):
             st = M.homogeneous_state(g, ic, PARAMS, t=t)
-            bounds.append(D.length_scale_check(st, env, PARAMS).bound)
-        measured = np.log(bounds[1] / bounds[0]) / np.log((1 + t2) / (1 + t1))
-        assert measured == pytest.approx(2.0 / 7.0, rel=1e-12)
+            bounds.append(length_scale_bound(t, env))
+            l_mins.append(D.record(st, None, PARAMS, env).L_min)
+        for pair in (bounds, l_mins):
+            measured = np.log(pair[1] / pair[0]) / np.log((1 + t2) / (1 + t1))
+            assert measured == pytest.approx(2.0 / 7.0, rel=1e-12)
 
     def test_homogeneous_identity_holds_at_twenty_times(self):
         g = F.Grid(1, 8, 1.0)
@@ -297,10 +304,13 @@ class TestLengthScale:
         ic = M.HomogeneousIC(u_const=(0.0,), omega0=1.0, k0=1.0)
         for t in np.linspace(0.0, 20.0, 20):
             st = M.homogeneous_state(g, ic, PARAMS, t=float(t))
-            chk = D.length_scale_check(st, env, PARAMS)
-            assert chk.satisfied
-            assert chk.L_min == pytest.approx(chk.bound, rel=1e-12)
-            assert chk.bracket_low_ok and chk.bracket_high_ok
+            rec = D.record(st, None, PARAMS, env)
+            bound = length_scale_bound(st.t, env)
+            assert rec.L_min >= bound * (1.0 - 1e-10)
+            assert rec.L_min == pytest.approx(bound, rel=1e-12)
+            # the bracket 1/omega_sup + alpha1 t <= 1/omega <= 1/omega_star + alpha1 t
+            assert rec.envelope_violation_omega_low <= 1e-10 * M.omega_lower(st.t, env, PARAMS)
+            assert rec.envelope_violation_omega_high <= 1e-10 * M.omega_upper(st.t, env, PARAMS)
 
     def test_violated_bound_reported(self):
         g = F.Grid(1, 8, 1.0)
@@ -308,17 +318,19 @@ class TestLengthScale:
         st = M.State(t=0.0, grid=g, u=zero_vector(g),
                      omega=const(g, 1.0),
                      k=const(g, 0.5))  # below k_star
-        chk = D.length_scale_check(st, env, PARAMS)
-        assert not chk.satisfied
-        assert chk.L_min < chk.bound
+        rec = D.record(st, None, PARAMS, env)
+        assert rec.L_min < length_scale_bound(0.0, env)
+        assert rec.envelope_violation_k > 0.0
 
     def test_degenerate_omega(self):
+        # no length scale where omega <= 0: the record keeps L_min finite at 0
         g = F.Grid(1, 8, 1.0)
-        st = M.State(t=0.0, grid=g, u=zero_vector(g),
-                     omega=const(g, 0.0),
-                     k=const(g, 1.0))
-        with pytest.raises(DegenerateOmega):
-            D.length_scale_check(st, ENV1, PARAMS)
+        params = regularized_params()  # the unregularized eddy coefficient needs omega > 0
+        for omega in (0.0, -0.5):
+            st = M.State(t=0.0, grid=g, u=zero_vector(g),
+                         omega=const(g, omega),
+                         k=const(g, 1.0))
+            assert D.record(st, None, params, ENV1).L_min == 0.0
 
 
 class TestEntropy:
