@@ -4,6 +4,7 @@ turbulence closure with an r-Laplacian regularization."""
 from .errors import (
     BadDelta,
     DegenerateOmega,
+    EnvelopeViolated,
     IncompatibleGrid,
     InsufficientSamples,
     KolmoboxError,
@@ -35,6 +36,7 @@ __all__ = [
     "DegenerateOmega",
     "IncompatibleGrid",
     "StepRejected",
+    "EnvelopeViolated",
     "PicardDiverged",
     "InsufficientSamples",
     "NonpositiveSamples",

@@ -175,7 +175,8 @@ def cmd_decay(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _violations(p, stream):
-    """(deepest omega envelope violation, on either side; deepest k violation; guard clamps)."""
+    """(deepest omega envelope violation, on either side; deepest k violation; attempts
+    the positivity guard rejected)."""
     worst_om, worst_k, guards = 0.0, 0.0, 0
     for r in map(itemgetter(1), stream):  # map, unlike a for target, holds no state
         worst_om = max(worst_om, r.envelope_violation_omega_low, r.envelope_violation_omega_high)
@@ -197,7 +198,7 @@ def cmd_bounds(cfg: RunConfig, outdir: Path) -> int:
         Check("k_violation", base_worst_k, 1e-3 * env.k_star, base_worst_k <= 1e-3 * env.k_star),
         _shrink_check("omega_violation_shrink", base_worst_om, fine_worst_om, 1.5, floor_om),
         _shrink_check("k_violation_shrink", base_worst_k, fine_worst_k, 1.5, floor_k),
-        # reported, not gated: how often the positivity guard clamped
+        # reported, not gated: how many attempts the positivity guard rejected
         Check("guard_activations_reported", float(guards), 0.0, True),
     ]
     return _finish(outdir, "bounds", checks)

@@ -217,7 +217,9 @@ def _balance_scalars(state: State, rec: DiagnosticsRecord, params: ModelParams,
         state.t,
         F.integrate(g, state.omega),
         rec.E_turb,
-        _production_integral(state, params),
+        # unregularized, the production coefficient is the eddy coefficient, so the
+        # production integral is the record's dissipation, bit for bit
+        _production_integral(state, params) if params.regularized else rec.dissipation,
         _eps_correction(state, "omega", M.omega_lower, params, env),
         _eps_correction(state, "k", M.kappa, params, env),
         _eps_drain(state, params),

@@ -18,7 +18,12 @@ class IncompatibleGrid(KolmoboxError):
 
 
 class StepRejected(KolmoboxError):
-    """A time step produced non-finite values; caller may retry with smaller dt."""
+    """A time step attempt was rejected (a non-finite field, or a subclass's cause);
+    the caller may retry with a smaller dt."""
+
+
+class EnvelopeViolated(StepRejected):
+    """With the positivity guard on, a stage's omega or k fell below its guard level."""
 
 
 class PicardDiverged(KolmoboxError):

@@ -88,9 +88,10 @@ class State:
     """One snapshot (u, omega, k) at time t on `grid`; no pressure is kept.
 
     u has shape `(dim, *grid.shape)`, the scalars `grid.shape`, and
-    `guard_hits` counts grid points clamped by the positivity guard in the
-    step that produced this state.  The arrays are stored as C-contiguous
-    float64 and marked read-only, so a state never changes once built.
+    `guard_hits` counts the step attempts that the positivity guard rejected
+    before the one that produced this state was accepted (0 for a bare
+    step).  The arrays are stored as C-contiguous float64 and marked
+    read-only, so a state never changes once built.
     """
 
     t: float

@@ -4,9 +4,10 @@ Two schemes: an explicit two-stage SSP Runge-Kutta (Heun) step with Leray
 projection after each stage, and a Rothe step (implicit Euler on the
 stationary operator, solved by Picard iteration preconditioned with one
 constant-coefficient Fourier diffusion solve per iterate).  Both end with a
-positivity guard that clamps omega and k at a small slack below their
-comparison envelopes; clamping is counted, never silent, and so are rejected
-attempts.
+positivity guard: a stage whose omega or k falls a small slack below its
+comparison envelope is rejected with EnvelopeViolated, never repaired, and
+the attempt is retried at half the step like a non-finite one.  Rejected
+attempts are counted, and so are the guard's among them.
 
 Both schemes share one step protocol: stage 1, the `rhs` of the accepted
 state, is evaluated once per step; the CFL step comes from the maxima that
@@ -31,7 +32,8 @@ import numpy as np
 from . import diagnostics as diag
 from . import fields as F
 from . import model as M
-from .errors import IncompatibleGrid, PicardDiverged, StepRejected, ValidationError
+from .errors import EnvelopeViolated, IncompatibleGrid, PicardDiverged, StepRejected
+from .errors import ValidationError
 from .model import ComparisonEnvelope, ModelParams, State
 
 __all__ = [
@@ -45,7 +47,7 @@ __all__ = [
     "run",
 ]
 
-# the guard clamps omega and k this fraction below their envelope lower bounds,
+# the guard rejects omega and k this fraction below their envelope lower bounds,
 # which are positive, so no absolute floor is needed
 _GUARD_SLACK = 0.05
 # step_rothe's Picard stopping tolerance (relative to |U_old|/dt) and iterate cap
@@ -86,27 +88,21 @@ def cfl_dt(state: State, limits: list, params: ModelParams, cfg: StepConfig) -> 
     return min(cfg.cfl_safety * min(dt_adv, dt_dif), cfg.dt_max)
 
 
-def _guard(arr: np.ndarray, level: float):
-    """Clamp below `level`; returns (clamped array, number of clamped points)."""
-    mask = arr < level
-    hits = int(np.count_nonzero(mask))
-    if hits == 0:
-        return arr, 0
-    return np.where(mask, level, arr), hits
+def _finish_stage(g, u, om, kk, t_new, params, env, cfg) -> State:
+    """Apply the positivity guard against the envelopes at t_new, then project u.
 
-
-def _finish_stage(g, u, om, kk, t_new, params, env, cfg, hits=0) -> State:
-    """Project u, then apply the positivity guard against the envelopes at t_new.
-
-    The state's `guard_hits` are this stage's clamps plus `hits`, those the
-    step counted before it.
+    With `cfg.guard`, a stage whose omega or k lies below its guard level
+    (`_GUARD_SLACK` below the envelope) raises EnvelopeViolated.
     """
-    w, _ = F.leray_project(g, u)
     if cfg.guard:
-        om, n1 = _guard(om, M.omega_lower(t_new, env, params) * (1.0 - _GUARD_SLACK))
-        kk, n2 = _guard(kk, M.kappa(t_new, env, params) * (1.0 - _GUARD_SLACK))
-        hits += n1 + n2
-    return State(t=t_new, grid=g, u=w, omega=om, k=kk, guard_hits=hits)
+        for name, arr, envelope in (("omega", om, M.omega_lower), ("k", kk, M.kappa)):
+            level = envelope(t_new, env, params) * (1.0 - _GUARD_SLACK)
+            low = float(arr.min())
+            if low < level:
+                raise EnvelopeViolated(f"{name} falls to {low:.6g}, below its guard level "
+                                       f"{level:.6g}, at t = {t_new!r}")
+    w, _ = F.leray_project(g, u)
+    return State(t=t_new, grid=g, u=w, omega=om, k=kk)
 
 
 def _check_finite(state: State, dt: float):
@@ -127,7 +123,7 @@ def step_explicit(
 ) -> State:
     """One SSP-RK2 (Heun) step: s1 = U + dt f(U); U' = (U + s1 + dt f(s1)) / 2.
 
-    Each stage projects u and applies the positivity guard at t + dt.  For
+    Each stage applies the positivity guard at t + dt and projects u.  For
     spatially constant states the omega/k update reproduces the scalar Heun
     update of the homogeneous ODEs bit for bit.  `rates` is f(U), the
     stage-1 `rhs` of `state`, if the caller already holds it.
@@ -159,7 +155,6 @@ def step_explicit(
         params,
         env,
         cfg,
-        s1.guard_hits,
     )
     _check_finite(out, dt)
     return out
@@ -259,28 +254,39 @@ _MAX_RETRIES = 10
 def _advance(state, boundary, forcing, params, env, cfg):
     """One accepted step of at most boundary - t, halving dt on rejection.
 
-    Returns (state, rejected attempts); a step of the whole distance lands
-    on `boundary` exactly.  Stage 1 is evaluated here once, whatever the
-    scheme: its maxima give the CFL step and its rates go to every attempt.
-    An attempt whose dt leaves t unchanged (below t's rounding step, or 0)
-    raises StepRejected: no number of such steps reaches `boundary`.
+    Returns (state, rejected attempts); the state's `guard_hits` counts the
+    attempts among them that the positivity guard rejected, and a step of
+    the whole distance lands on `boundary` exactly.  Stage 1 is evaluated
+    here once, whatever the scheme: its maxima give the CFL step and its
+    rates go to every attempt.  An attempt whose dt leaves t unchanged
+    (below t's rounding step, or 0) raises StepRejected: no number of such
+    steps reaches `boundary`.  After `_MAX_RETRIES` halvings it raises
+    EnvelopeViolated if the guard rejected the last attempt, StepRejected
+    otherwise.
     """
     remaining = boundary - state.t
     limits = []
     rates = M.rhs(state, state.t, forcing, params, env, limits=limits)
     dt = min(cfl_dt(state, limits, params, cfg), remaining)
     step = step_explicit if cfg.scheme == "explicit_rk2" else step_rothe
+    guard_hits = 0
     for rejected in range(_MAX_RETRIES + 1):
         if state.t + dt == state.t:
             raise StepRejected(f"dt = {dt!r} does not advance t = {state.t!r}")
         try:
             new = step(state, dt, forcing, params, env, cfg, rates=rates)
-        except (StepRejected, PicardDiverged):
+        except (StepRejected, PicardDiverged) as exc:
+            last = exc
+            guard_hits += isinstance(exc, EnvelopeViolated)
             dt *= 0.5
             continue
         if dt == remaining and new.t != boundary:
             new = replace(new, t=boundary)
+        if guard_hits:
+            new = replace(new, guard_hits=guard_hits)
         return new, rejected
+    if isinstance(last, EnvelopeViolated):
+        raise EnvelopeViolated(f"{last}; step rejected after {_MAX_RETRIES} dt halvings")
     raise StepRejected(f"step rejected after {_MAX_RETRIES} dt halvings")
 
 

@@ -620,6 +620,21 @@ def test_solver_error_exits_2_and_names_the_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: DegenerateOmega: min(omega) = ")
 
 
+def test_guarded_under_resolved_run_exits_2_with_envelope_violated(tmp_path, capsys):
+    # a strong shear drives k below its guard level near t = 0.0245 at every halving
+    text = ("dim = 2\nn = 16\nside = 6.283185307179586\nt_end = 0.3\nsample_every = 0.015\n"
+            "ic = perturbed\nperturb_modes = u1:1:1:8.0, u2:0:2:8.0, k:1:1:0.9, omega:0:1:0.4\n")
+    code, err = run_cli(tmp_path, capsys, text)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: EnvelopeViolated: k "), err
+    assert err[0].endswith("; step rejected after 10 dt halvings")
+    out = tmp_path / "o"
+    times = [json.loads(line)["t"] for line in (out / "series.ndjson").read_text().splitlines()]
+    assert times == [0.0, 0.015]
+    assert len(sorted(out.glob("snap_*.kbox"))) == 2
+    assert not (out / "summary.json").exists()
+
+
 ROTHE = """
 dim = 2
 n = 16

@@ -229,12 +229,29 @@ class TestBalanceReport:
         assert rep.k_residual == abs(rep.mu_proxy)
 
     @staticmethod
-    def regularized_run():
-        """Nine samples of a regularized run on t in [0, 0.1], its params and its envelope."""
-        g, st, env, _ = structured_problem(n=8)
-        params = regularized_params(r=3.2, eps=1e-2)
+    def regularized_run(regularized=True):
+        """Nine samples of a regularized (or plain) run on t in [0, 0.1], its params and its
+        envelope."""
+        g, st, env, params = structured_problem(n=8)
+        if regularized:
+            params = regularized_params(r=3.2, eps=1e-2)
         cfg = T.StepConfig(dt_max=1e-3, guard=False)
         return run_pairs(st, 0.1, None, params, env, cfg, 0.0125), params, env
+
+    def test_unregularized_production_is_the_dissipation(self, monkeypatch):
+        samples, params, env = self.regularized_run(regularized=False)
+        # the production coefficient is the eddy coefficient, so the record's
+        # dissipation is the production integral, bit for bit
+        assert all(D._production_integral(st, params) == rec.dissipation for st, rec in samples)
+        calls = []
+
+        def counting(*args, _real=F.sym_gradient, **kwargs):
+            calls.append(None)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(F, "sym_gradient", counting)
+        D.balance_report(samples, (0.0, 0.1), params, env)
+        assert len(samples) == 9 and calls == []  # the records already hold D(u)'s integral
 
     def test_regularized_omega_balance_includes_eps_terms(self):
         samples, params, env = self.regularized_run()

@@ -58,3 +58,12 @@ def test_every_exported_name_has_a_caller_or_a_reason():
     }
     assert uncalled - UNCALLED.keys() == set(), "exported, but nothing in src/ calls it"
     assert UNCALLED.keys() - uncalled == set(), "listed as uncalled, but called or gone"
+
+
+def test_every_error_class_is_exported():
+    # a caller catches the package's errors by name from `kolmobox`
+    from kolmobox import errors
+
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.KolmoboxError)}
+    assert classes - set(kolmobox.__all__) == set(), "an error class that kolmobox does not export"

@@ -22,7 +22,7 @@ from kolmobox import diagnostics as D
 from kolmobox import fields as F
 from kolmobox import model as M
 from kolmobox import timestepper as T
-from kolmobox.errors import IncompatibleGrid, PicardDiverged, StepRejected
+from kolmobox.errors import EnvelopeViolated, IncompatibleGrid, PicardDiverged, StepRejected
 
 PARAMS = M.ModelParams(alpha1=1.0, alpha2=10.0 / 7.0)
 
@@ -111,7 +111,7 @@ class TestStepExplicit:
         with pytest.raises(StepRejected):
             T.step_explicit(st, 1e120, None, params, env, T.StepConfig())
 
-    def test_guard_clamps_and_counts(self):
+    def test_guard_rejects_a_stage_below_its_envelope(self):
         # start below the lower envelope so the guard must act
         g = F.Grid(1, 8, 1.0)
         env = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1.0)
@@ -123,9 +123,8 @@ class TestStepExplicit:
             k=const(g, 0.5),
         )
         dt = 1e-3
-        out = T.step_explicit(st, dt, None, PARAMS, env, T.StepConfig(guard=True))
-        assert out.guard_hits > 0
-        assert out.omega.min() >= M.omega_lower(dt, env, PARAMS) * 0.95 - 1e-15
+        with pytest.raises(EnvelopeViolated, match=r"^omega falls to 0\.49975\d*, below its guard level"):
+            T.step_explicit(st, dt, None, PARAMS, env, T.StepConfig(guard=True))
         out2 = T.step_explicit(st, dt, None, PARAMS, env, T.StepConfig(guard=False))
         assert out2.guard_hits == 0
         assert out2.omega.min() < M.omega_lower(dt, env, PARAMS) * 0.95
@@ -197,11 +196,13 @@ class TestRun:
         t0, b = 2.0**-53, 1.0 + 2.0**-52
         assert t0 + (b - t0) != b
         g = F.Grid(1, 4, 1000.0)  # a box so wide that the CFL step exceeds b - t0
+        # weak sinks, so one step of about 1 keeps omega and k above the guard levels
+        params = replace(PARAMS, alpha1=0.1, alpha2=0.1)
         ic = M.HomogeneousIC(u_const=(0.0,), omega0=1.0, k0=1.0)
-        st = M.homogeneous_state(g, ic, PARAMS, t=t0)
+        st = M.homogeneous_state(g, ic, params, t=t0)
         env = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1.0)
-        state, rejected = T._advance(st, b, None, PARAMS, env, T.StepConfig())
-        assert (state.t, rejected) == (b, 0)
+        state, rejected = T._advance(st, b, None, params, env, T.StepConfig())
+        assert (state.t, rejected, state.guard_hits) == (b, 0, 0)
 
     def test_a_dt_that_cannot_advance_t_raises(self, monkeypatch):
         # floats near 2^60 are 256 apart, so t + dt_max rounds back to t and no step advances it
@@ -234,6 +235,18 @@ class TestRun:
         g, st, env, params = structured_problem(n=16)
         samples = T.run(st, 0.2, None, params, env, T.StepConfig(guard=True), 0.02)
         assert sum(r.guard_activations for r in records_of(samples)) == 0
+
+    def test_guard_retries_a_stiff_decay_instead_of_clamping_it(self):
+        # omega0 = 100: Heun's first stage at the diffusive step drives omega below its
+        # envelope; each such attempt is rejected and retried, so omega keeps the closed form
+        g, ic, env, st = homogeneous(omega0=100.0)
+        worst, hits = 0.0, 0
+        for state, rec, _ in T.samples(st, 1.0, None, PARAMS, env, T.StepConfig(), 0.02):
+            _, w_exact, _ = M.homogeneous_solution(state.t, ic, PARAMS)
+            worst = max(worst, float(np.abs(state.omega - w_exact).max()) / w_exact)
+            hits += rec.guard_activations
+        assert worst <= 0.02
+        assert hits > 0
 
     def test_three_dimensional_regularized_run(self):
         params = regularized_params()
