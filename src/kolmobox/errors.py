@@ -65,7 +65,7 @@ class ParseError(KolmoboxError):
 
 
 class ValidationError(KolmoboxError, ValueError):
-    """A config field violates a constraint; `field` is the config key."""
+    """A config field or command-line option violates a constraint; `field` names it."""
 
     def __init__(self, field: str, constraint: str):
         super().__init__(f"{field}: {constraint}")

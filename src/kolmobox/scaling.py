@@ -11,16 +11,18 @@ classical two-parameter family (rho, gamma) -> (rho, rho/gamma, gamma, rho,
 gamma^2) under which the k/omega closure is invariant.
 
 This module provides the family constructors, the algebraic residual checker,
-the transformation of a state and of a run's forcing and envelopes (the
+and the transformation of a state and of a run's forcing and envelopes (the
 scaled state lives on the same nodes of the box of side l/beta, so no
-resampling is needed), and a discrete PDE-residual evaluator used to verify
-invariance numerically.  Its one fold takes a run's states (with their
-transforms) as they come and holds the last two between windows of three.
+resampling is needed).  `cli.cmd_scaling` judges the solver with them: it runs
+the transformed problem beside the original and compares each transformed
+sample with the twin's.  `pde_residual`, the discrete PDE-residual evaluator,
+is the tests' oracle for a trajectory; it holds the last two states between
+windows of three.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -43,9 +45,6 @@ __all__ = [
     "transform_inputs",
     "PdeResiduals",
     "pde_residual",
-    "InvarianceReport",
-    "invariance_experiment",
-    "report_ndjson_lines",
 ]
 
 
@@ -235,128 +234,32 @@ class PdeResiduals:
     k: float
 
 
-def _ddt_weights(a: float, b: float):
-    """Second-order three-point derivative weights on spacing (a, b)."""
-    w_m = -b / (a * (a + b))
-    w_0 = (b - a) / (a * b)
-    w_p = a / (b * (a + b))
-    return w_m, w_0, w_p
-
-
-def _residual_norms(window, forcing, params: ModelParams, env: ComparisonEnvelope) -> tuple:
-    """(u, omega, k) L2 norms of the discrete equations' residuals at the middle of `window`.
-
-    The time derivative is the three-point difference on the window's sample
-    times.  The u-residual is Leray-projected before measuring since the
-    pressure gradient is not part of the reduced dynamics.
-    """
-    s_m, s_0, s_p = window
-    g = s_0.grid
-    wm, w0, wp = _ddt_weights(s_0.t - s_m.t, s_p.t - s_0.t)
-    du, dom, dk = M.rhs(s_0, s_0.t, forcing, params, env)
-    ru_sol, _ = F.leray_project(g, wm * s_m.u + w0 * s_0.u + wp * s_p.u - du)
-    rom = wm * s_m.omega + w0 * s_0.omega + wp * s_p.omega - dom
-    rk = wm * s_m.k + w0 * s_0.k + wp * s_p.k - dk
-    return F.l2_norm(g, ru_sol), F.l2_norm(g, [rom]), F.l2_norm(g, [rk])
-
-
-def _worst_norms(caller: str, samples, norms):
-    """The elementwise max, from 0.0, of `norms(window)` over each window of three
-    consecutive `samples`, and the last sample.  Two samples are held between windows;
-    fewer than 3 raise InsufficientSamples naming `caller`."""
-    worst, held = (), ()
-    for sample in samples:
-        if len(held) == 2:
-            found = norms((*held, sample))
-            worst = tuple(map(max, worst or (0.0,) * len(found), found))
-        held = (*held[-1:], sample)
-        del sample
-    if not worst:
-        raise InsufficientSamples(f"{caller} needs at least 3 samples")
-    return worst, held[-1]
-
-
 def pde_residual(states, forcing, params: ModelParams, env: ComparisonEnvelope) -> PdeResiduals:
-    """Worst residual norms of the discrete equations over a run's interior samples.
+    """Worst L2 norms of the discrete equations' residuals over a run's interior samples.
 
-    One pass over `states`, at least 3 of them, with the run's forcing,
-    params and envelopes; see `_residual_norms`.
+    One pass over `states`, at least 3 of them, with the run's forcing, params
+    and envelopes; the last two states are held between windows of three.  At
+    the middle of each window the time derivative is the three-point
+    difference on the window's sample times, and the u-residual is
+    Leray-projected before measuring since the pressure gradient is not part
+    of the reduced dynamics.
     """
-    worst, _ = _worst_norms(
-        "pde_residual", states, lambda window: _residual_norms(window, forcing, params, env))
+    worst, held = None, ()
+    for s_p in states:
+        if len(held) == 2:
+            s_m, s_0 = held
+            g = s_0.grid
+            a, b = s_0.t - s_m.t, s_p.t - s_0.t  # the second-order three-point weights
+            wm, w0, wp = -b / (a * (a + b)), (b - a) / (a * b), a / (b * (a + b))
+            du, dom, dk = M.rhs(s_0, s_0.t, forcing, params, env)
+            ru_sol, _ = F.leray_project(g, wm * s_m.u + w0 * s_0.u + wp * s_p.u - du)
+            rom = wm * s_m.omega + w0 * s_0.omega + wp * s_p.omega - dom
+            rk = wm * s_m.k + w0 * s_0.k + wp * s_p.k - dk
+            found = (F.l2_norm(g, ru_sol), F.l2_norm(g, [rom]), F.l2_norm(g, [rk]))
+            worst = tuple(map(max, worst or (0.0,) * 3, found))
+            del s_m, s_0
+        held = (*held[-1:], s_p)
+        del s_p  # only `held` keeps a state while the next is drawn
+    if worst is None:
+        raise InsufficientSamples("pde_residual needs at least 3 samples")
     return PdeResiduals(*worst)
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    """Transformed vs scaled-original residuals and the per-equation verdicts."""
-
-    sp: ScalingParams
-    transformed: PdeResiduals
-    original: PdeResiduals
-    expected: PdeResiduals  # originals times the exact per-equation factors
-    bound: PdeResiduals  # _VERDICT_MARGIN * expected + _VERDICT_FLOOR
-    passed: dict
-    overall: bool
-
-
-_VERDICT_MARGIN = 3.0
-_VERDICT_FLOOR = 1e-14
-
-
-def invariance_experiment(states, sp: ScalingParams, forcing, params: ModelParams,
-                          env: ComparisonEnvelope) -> InvarianceReport:
-    """Compare the residuals of a run's transformed states to the scaled originals.
-
-    One pass over `states` (at least 3), each transformed by `transform_state`
-    as it comes; the transformed equations take `transform_inputs`' forcing
-    and envelopes.  Under an invariance-respecting scaling the discrete
-    residual transforms exactly with factor gamma*alpha (u), rho*alpha (omega),
-    sigma*alpha (k), times beta^(-d/2) from the L2 measure, so the transformed
-    residual should stay within a small margin of the scaled original.
-    """
-    forcing_t, env_t = transform_inputs(forcing, env, sp)
-    pairs = map(lambda s: (s, transform_state(s, sp)), states)  # map holds no pair
-
-    def norms(window):
-        originals, transformed = zip(*window)
-        return (*_residual_norms(originals, forcing, params, env),
-                *_residual_norms(transformed, forcing_t, params, env_t))
-
-    worst, (last, _) = _worst_norms("invariance_experiment", pairs, norms)
-    orig, trans = PdeResiduals(*worst[:3]), PdeResiduals(*worst[3:])
-    meas = sp.beta ** (-0.5 * last.grid.dim)
-    expected = PdeResiduals(
-        u=sp.gamma * sp.alpha * meas * orig.u,
-        omega=sp.rho * sp.alpha * meas * orig.omega,
-        k=sp.sigma * sp.alpha * meas * orig.k,
-    )
-    bound = PdeResiduals(*(_VERDICT_MARGIN * e + _VERDICT_FLOOR for e in astuple(expected)))
-    passed = {name: getattr(trans, name) <= getattr(bound, name) for name in ("u", "omega", "k")}
-    return InvarianceReport(
-        sp=sp,
-        transformed=trans,
-        original=orig,
-        expected=expected,
-        bound=bound,
-        passed=passed,
-        overall=all(passed.values()),
-    )
-
-
-def report_ndjson_lines(report: InvarianceReport) -> list:
-    """Serialize an invariance report, one NDJSON object per equation."""
-    lines = []
-    for name in ("u", "omega", "k"):
-        tv = getattr(report.transformed, name)
-        ov = getattr(report.original, name)
-        ev = getattr(report.expected, name)
-        ok = "true" if report.passed[name] else "false"
-        lines.append(
-            "{"
-            + f'"equation": "{name}", "transformed_residual": {tv:.17g}, '
-            + f'"original_residual": {ov:.17g}, "scaled_original_residual": {ev:.17g}, '
-            + f'"pass": {ok}'
-            + "}"
-        )
-    return lines

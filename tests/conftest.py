@@ -1,11 +1,14 @@
 """Shared builders for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from kolmobox import diagnostics as D
 from kolmobox import fields as F
 from kolmobox import model as M
+from kolmobox import scaling as S
 from kolmobox import timestepper as T
 
 
@@ -76,6 +79,36 @@ def perturbed_problem(dim, regularized, forced, n=8):
         params = M.ModelParams(alpha1=1.0, alpha2=10.0 / 7.0)
     forcing = 0.1 * rng.standard_normal((dim,) + g.shape) if forced else None
     return st, env, params, forcing
+
+
+def transformed_runs(problem, sp, t_end=0.2, sample_every=0.05, cfg=T.StepConfig()):
+    """(transformed states of a run, states of the run of the transformed problem).
+
+    `problem` is (state, env, params, forcing), as `perturbed_problem` gives
+    it.  The transformed problem starts from `transform_state(state, sp)` and
+    takes the forcing and envelopes of `transform_inputs`; its t_end,
+    sample_every and dt_max are divided by alpha.
+    """
+    st, env, params, forcing = problem
+    expected = [S.transform_state(s, sp)
+                for s in states_of(T.run(st, t_end, forcing, params, env, cfg, sample_every))]
+    forcing_t, env_t = S.transform_inputs(forcing, env, sp)
+    got = states_of(T.run(S.transform_state(st, sp), t_end / sp.alpha, forcing_t, params, env_t,
+                          replace(cfg, dt_max=cfg.dt_max / sp.alpha), sample_every / sp.alpha))
+    return expected, got
+
+
+def relative_gaps(expected, got):
+    """The largest max|x - y| / max|y| between two runs, per quantity: "t" over the sample
+    times taken together, and "u", "omega" and "k" over each pair of samples.  The runs
+    must take as many samples."""
+    assert len(got) == len(expected)
+    t_got, t_expected = (np.array([s.t for s in run]) for run in (got, expected))
+    gaps = {"t": float(np.abs(t_got - t_expected).max() / np.abs(t_expected).max())}
+    for name in ("u", "omega", "k"):
+        gaps[name] = max(float(np.abs(getattr(a, name) - getattr(b, name)).max()
+                               / np.abs(getattr(b, name)).max()) for a, b in zip(got, expected))
+    return gaps
 
 
 def stage_one_cfl_dt(state, forcing, params, env, cfg):

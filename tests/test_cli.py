@@ -14,6 +14,7 @@ import sys
 import tracemalloc
 import types
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -191,11 +192,19 @@ def test_decay_holds_no_sample_while_it_draws_the_next(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("fold", [
     lambda states: S.pde_residual(states, None, PROBE_PARAMS, PROBE_ENV),
-    lambda states: S.invariance_experiment(states, S.family_from(2.0, 1.5), None, PROBE_PARAMS,
-                                           PROBE_ENV),
-], ids=["pde_residual", "invariance_experiment"])
+], ids=["pde_residual"])
 def test_scaling_folds_hold_two_states_while_they_draw_the_next(fold):
     fold(probed_samples(6, 2))  # a window of three needs the two states before the next
+
+
+def test_scaling_holds_no_sample_of_either_run_while_it_draws_the_next(tmp_path, monkeypatch):
+    # each call of `samples`, the run's and the twin's, draws from its own probe; at the
+    # identity scaling the twin's sample times are the run's
+    monkeypatch.setattr(T, "samples", lambda *args: probed_samples(6, 0, make=as_taken))
+    cfg = write_cfg(tmp_path, HOMOG)
+    argv = ["scaling", "--config", str(cfg), "--rho", "1", "--gamma", "1", "--out",
+            str(tmp_path / "o")]
+    assert cli.main(argv) == 0
 
 
 REG_2D = """
@@ -298,7 +307,7 @@ def traced_peak(tmp_path, command, text, samples):
     ("run", RUN_2D, 3, 4 * 32**2),  # one State of the 2D n = 32 run
     ("decay", DECAY_2D, 5, 4 * 32**2),
     ("balance", BOUNDS_3D, 3, 5 * 16**3),
-    # from 4 samples on, scaling's window of three is full while the run steps
+    # scaling holds a sample of its run and one of its twin's while each steps
     ("scaling", RUN_2D, 4, 4 * 32**2),
 ], ids=["bounds_3d", "run_2d", "decay_2d", "balance_3d", "scaling_2d"])
 def test_memory_does_not_grow_with_the_sample_count(tmp_path, capsys, command, text, few,
@@ -454,46 +463,15 @@ perturb_modes = omega:0:1:0.4, u1:1:1:3.0, u2:0:2:3.0, k:0:1:0.01
     assert (code == 0) == summary["overall"]
 
 
-def test_scaling_command(tmp_path):
-    cfg = write_cfg(
-        tmp_path,
-        """
+SCALING_HOMOG = """
 dim = 2
 n = 8
 t_end = 1.0
 sample_every = 0.05
 dt_max = 0.005
-""",
-    )
-    out = tmp_path / "out"
-    assert cli.main(["scaling", "--config", str(cfg), "--rho", "2.0", "--gamma", "1.5",
-                     "--out", str(out)]) == 0
-    lines = (out / "scaling_report.ndjson").read_text().splitlines()
-    assert len(lines) == 3
-    assert all(json.loads(x)["pass"] for x in lines)
-    # the summary carries the bound the verdict used: 3x the scaled original
-    # residual plus an absolute floor of 1e-14
-    checks = {c["name"]: c for c in json.loads((out / "summary.json").read_text())["checks"]}
-    for obj in map(json.loads, lines):
-        check = checks[f"invariance_{obj['equation']}"]
-        assert check["bound"] == 3.0 * obj["scaled_original_residual"] + 1e-14
-        assert check["measured"] == obj["transformed_residual"] and check["pass"] == obj["pass"]
+"""
 
-    # identity scaling: transformed and original residuals coincide exactly
-    out2 = tmp_path / "out_id"
-    assert cli.main(["scaling", "--config", str(cfg), "--rho", "1.0", "--gamma", "1.0",
-                     "--out", str(out2)]) == 0
-    for line in (out2 / "scaling_report.ndjson").read_text().splitlines():
-        obj = json.loads(line)
-        assert obj["transformed_residual"] == obj["original_residual"]
-
-
-def test_scaling_command_forced(tmp_path):
-    # the residual checked on a forced run must include the forcing term;
-    # without it the u residual is the missing term itself, ~2.2
-    cfg = write_cfg(
-        tmp_path,
-        """
+SCALING_FORCED = """
 dim = 2
 n = 16
 side = 6.283185307179586
@@ -506,17 +484,101 @@ forcing_axis = 1
 forcing_wavenumber = 1
 forcing_amplitude = 0.5
 forcing_component = 0
-""",
-    )
-    out = tmp_path / "out"
-    assert cli.main(["scaling", "--config", str(cfg), "--rho", "2.0", "--gamma", "1.5",
-                     "--out", str(out)]) == 0
-    report = {}
-    for line in (out / "scaling_report.ndjson").read_text().splitlines():
-        obj = json.loads(line)
-        report[obj["equation"]] = obj
-    assert report["u"]["original_residual"] < 1e-3
-    assert all(obj["pass"] for obj in report.values())
+"""
+
+
+def scaling_checks(tmp_path, text, *options):
+    """(exit code, {check name: check}) of `scaling` on a config text with `options`."""
+    cfg = write_cfg(tmp_path, text, "scaling.cfg")
+    out = tmp_path / "o"
+    code = cli.main(["scaling", "--config", str(cfg), *options, "--out", str(out)])
+    checks = json.loads((out / "summary.json").read_text())["checks"]
+    assert not (out / "scaling_report.ndjson").exists()
+    return code, {c["name"]: c for c in checks}
+
+
+INVARIANCE_CHECKS = ("invariance_u", "invariance_omega", "invariance_k")
+
+
+def test_scaling_command(tmp_path):
+    # the twin run is the transformed run, bit for bit
+    for rho, gamma in (("4", "2"), ("1", "1")):
+        code, checks = scaling_checks(tmp_path, SCALING_HOMOG, "--rho", rho, "--gamma", gamma)
+        assert code == 0
+        for name in INVARIANCE_CHECKS:
+            assert (checks[name]["measured"], checks[name]["bound"]) == (0.0, 0.0), (rho, name)
+        assert checks["coefficient_invariance"]["pass"]
+
+
+def test_scaling_command_forced(tmp_path):
+    # the twin takes the forcing scaled by gamma * alpha; the defaults are (4, 2)
+    for options in (("--rho", "4", "--gamma", "2"), ("--rho", "1", "--gamma", "1"), ()):
+        code, checks = scaling_checks(tmp_path, SCALING_FORCED, *options)
+        assert code == 0
+        for name in INVARIANCE_CHECKS:
+            assert (checks[name]["measured"], checks[name]["bound"]) == (0.0, 0.0), (options, name)
+
+
+@pytest.mark.parametrize("text", [SCALING_HOMOG, SCALING_FORCED], ids=["homogeneous", "forced"])
+def test_scaling_fails_a_broken_sigma(tmp_path, monkeypatch, capsys, text):
+    # sigma x 1.1 breaks the law: the twin's k parts from the transformed run
+    family_from = S.family_from
+    monkeypatch.setattr(S, "family_from",
+                        lambda rho, gamma: replace(family_from(rho, gamma),
+                                                   sigma=1.1 * gamma * gamma))
+    code, checks = scaling_checks(tmp_path, text)
+    assert code == 1
+    assert checks["invariance_k"]["measured"] > 0.0 and not checks["invariance_k"]["pass"]
+    assert capsys.readouterr().out.splitlines()[-1] == "scaling: FAIL"
+
+
+@pytest.mark.parametrize("t_end, sample_every", [(0.5, 1.0), (2.0, 1.0), (1.0, 1.5)],
+                         ids=["fewer_samples", "more_samples", "other_times"])
+def test_scaling_fails_a_twin_that_samples_otherwise(tmp_path, monkeypatch, t_end, sample_every):
+    # a twin run whose t_end or sample_every is off by these factors leaves some sample
+    # without its partner, and that reads as an infinite gap
+    samples = T.samples
+
+    def twin_changed(initial, end, forcing, params, env, cfg, every):
+        if end < 0.2:  # the twin's, 0.2 / alpha
+            end, every = t_end * end, sample_every * every
+        return samples(initial, end, forcing, params, env, cfg, every)
+
+    monkeypatch.setattr(T, "samples", twin_changed)
+    code, checks = scaling_checks(tmp_path, SCALING_FORCED)
+    assert code == 1
+    assert [checks[name]["measured"] for name in INVARIANCE_CHECKS] == [float("inf")] * 3
+
+
+def refused_scaling(tmp_path, capsys, monkeypatch, text, *options):
+    """(exit code, stderr lines, steps taken) of a `scaling` that should not start."""
+    advance, calls = T._advance, []
+    monkeypatch.setattr(T, "_advance", lambda *args: calls.append(None) or advance(*args))
+    cfg = write_cfg(tmp_path, text, "scaling.cfg")
+    code = cli.main(["scaling", "--config", str(cfg), *options, "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o" / "summary.json").exists()
+    return code, capsys.readouterr().err.splitlines(), len(calls)
+
+
+@pytest.mark.parametrize("text", [
+    REG_2D,
+    REG_2D + "scheme = rothe_picard\n",
+], ids=["explicit", "rothe_picard"])
+def test_scaling_refuses_a_regularized_config(tmp_path, capsys, monkeypatch, text):
+    # eps > 0 breaks the law by construction, so the check has no verdict to give
+    assert refused_scaling(tmp_path, capsys, monkeypatch, text) == (2, [
+        "error: ValidationError: regularized: the scaling law holds only for regularized = false"
+    ], 0)
+
+
+@pytest.mark.parametrize("option, value", [("--gamma", "1.5"), ("--rho", "3"), ("--rho", "0.3")])
+def test_scaling_refuses_a_scale_that_is_not_a_power_of_two(tmp_path, capsys, monkeypatch,
+                                                           option, value):
+    # only a power of two scales without rounding, so only there is the check exact
+    code, err, steps = refused_scaling(tmp_path, capsys, monkeypatch, SCALING_HOMOG, option, value)
+    assert (code, steps) == (2, 0)
+    assert err == [f"error: ValidationError: {option}: must be a power of two for an exact "
+                   f"check, got {float(value)!r}"]
 
 
 def test_config_error_exit_code(tmp_path):
@@ -601,7 +663,7 @@ def test_scaling_names_the_gamma_behind_a_bad_derived_factor(tmp_path, capsys):
     argv = ["scaling", "--config", str(cfg), "--gamma", "1e-300", "--out", str(tmp_path / "o")]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: NonpositiveParameter: sigma = 0.0 from rho = 2.0, gamma = 1e-300; "
+        "error: NonpositiveParameter: sigma = 0.0 from rho = 4.0, gamma = 1e-300; "
         "it and its reciprocal must be finite and > 0"
     ]
 

@@ -1,4 +1,4 @@
-"""Scaling family algebra, state transformation, PDE-residual invariance."""
+"""Scaling family algebra, state transformation, the solver's invariance, PDE residuals."""
 
 import re
 from dataclasses import replace
@@ -10,8 +10,10 @@ from conftest import (
     exact_homogeneous_trajectory,
     perturbed_problem,
     records_of,
+    relative_gaps,
     states_of,
     structured_problem,
+    transformed_runs,
 )
 
 from kolmobox import diagnostics as D
@@ -131,6 +133,18 @@ class TestCoefficientInvariance:
             )
 
 
+HOMOG_ENV = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1.0)
+
+
+def homogeneous_traj(m=41, t_end=2.0, dim=2, n=8):
+    """The closed-form homogeneous states at m times; their params and envelope are PARAMS
+    and HOMOG_ENV."""
+    g = F.Grid(dim, n, 1.0)
+    ic = M.HomogeneousIC(u_const=(0.0,) * dim, omega0=1.0, k0=1.0)
+    samples = exact_homogeneous_trajectory(g, ic, PARAMS, HOMOG_ENV, np.linspace(0.0, t_end, m))
+    return states_of(samples)
+
+
 class TestTransformState:
     def homog_state(self, grid, params=PARAMS):
         ic = M.HomogeneousIC(u_const=(0.2,) * grid.dim, omega0=1.5, k0=0.7)
@@ -184,30 +198,22 @@ class TestTransformState:
         np.testing.assert_allclose(two_step.u[0], one_step.u[0], atol=1e-10)
         assert two_step.t == pytest.approx(one_step.t, rel=1e-12)
 
+    def test_energy_balance_covariance_on_transformed_trajectory(self):
+        # d/dt integral(u^2/2 + k) + alpha2 integral(omega k) = 0 for the
+        # transformed homogeneous solution, up to sampling quadrature
+        sp = S.family_from(2.0, 1.5)
+        _, env_t = S.transform_inputs(None, HOMOG_ENV, sp)
+        records_t = [D.record(S.transform_state(s, sp), None, PARAMS, env_t)
+                     for s in homogeneous_traj(m=81)]
+        times = np.array([r.t for r in records_t])
+        e = np.array([r.E_kin + r.E_turb for r in records_t])
+        sink = np.array([r.sink_k for r in records_t])
+        for i in range(1, len(times) - 1):
+            dedt = (e[i + 1] - e[i - 1]) / (times[i + 1] - times[i - 1])
+            assert abs(dedt + sink[i]) <= 2e-3 * abs(sink[i])
+
 
 EQUIVARIANCE_PROBLEMS = [(dim, forced) for dim in (1, 2, 3) for forced in (False, True)]
-
-
-def transformed_runs(dim, forced, rho, gamma):
-    """(transformed states of a run, states of the run of the transformed problem).
-
-    One random unregularized problem, default step control with the guard on;
-    sample_every and t_end are divided by alpha, and the forcing and envelopes
-    are those of `transform_inputs`.
-    """
-    st, env, params, forcing = perturbed_problem(dim, False, forced)
-    cfg = T.StepConfig()
-    sp = S.family_from(rho, gamma)
-    expected = [S.transform_state(s, sp) for s in states_of(T.run(st, 0.2, forcing, params, env,
-                                                                   cfg, 0.05))]
-    forcing_t, env_t = S.transform_inputs(forcing, env, sp)
-    got = states_of(T.run(S.transform_state(st, sp), 0.2 / sp.alpha, forcing_t, params, env_t,
-                          cfg, 0.05 / sp.alpha))
-    return expected, got
-
-
-def times_of(states):
-    return [s.t for s in states]
 
 
 class TestSolverEquivariance:
@@ -217,8 +223,9 @@ class TestSolverEquivariance:
     @pytest.mark.parametrize("rho, gamma", [(4.0, 2.0), (2.0, 0.5), (8.0, 4.0), (4.0, 2.0**-26)])
     @pytest.mark.parametrize("dim, forced", EQUIVARIANCE_PROBLEMS)
     def test_bitwise_at_powers_of_two(self, dim, forced, rho, gamma):
-        expected, got = transformed_runs(dim, forced, rho, gamma)
-        assert times_of(got) == times_of(expected)
+        expected, got = transformed_runs(perturbed_problem(dim, False, forced),
+                                         S.family_from(rho, gamma))
+        assert [s.t for s in got] == [s.t for s in expected]
         for a, b in zip(got, expected):
             for name in ("u", "omega", "k"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), (a.t, name)
@@ -226,25 +233,9 @@ class TestSolverEquivariance:
     @pytest.mark.parametrize("rho, gamma", [(3.0, 1.7), (100.0, 10.0)])
     @pytest.mark.parametrize("dim, forced", EQUIVARIANCE_PROBLEMS)
     def test_to_rounding_otherwise(self, dim, forced, rho, gamma):
-        expected, got = transformed_runs(dim, forced, rho, gamma)
-        assert len(got) == len(expected)
-        pairs = [(np.asarray(times_of(got)), np.asarray(times_of(expected)))]
-        for a, b in zip(got, expected):
-            pairs += [(getattr(a, name), getattr(b, name)) for name in ("u", "omega", "k")]
-        worst = max(float(np.abs(x - y).max() / np.abs(y).max()) for x, y in pairs)
-        assert worst <= 1e-13
-
-
-HOMOG_ENV = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1.0)
-
-
-def homogeneous_traj(m=41, t_end=2.0, dim=2, n=8):
-    """The closed-form homogeneous states at m times; their params and envelope are PARAMS
-    and HOMOG_ENV."""
-    g = F.Grid(dim, n, 1.0)
-    ic = M.HomogeneousIC(u_const=(0.0,) * dim, omega0=1.0, k0=1.0)
-    samples = exact_homogeneous_trajectory(g, ic, PARAMS, HOMOG_ENV, np.linspace(0.0, t_end, m))
-    return states_of(samples)
+        gaps = relative_gaps(*transformed_runs(perturbed_problem(dim, False, forced),
+                                               S.family_from(rho, gamma)))
+        assert max(gaps.values()) <= 1e-13
 
 
 class TestPdeResidual:
@@ -275,6 +266,10 @@ class TestPdeResidual:
 
     def test_needs_three_samples(self):
         with pytest.raises(InsufficientSamples):
+            S.pde_residual(homogeneous_traj(m=2), None, PARAMS, HOMOG_ENV)
+
+    def test_says_in_its_own_name_that_it_needs_three_samples(self):
+        with pytest.raises(InsufficientSamples, match=r"^pde_residual needs at least 3 samples$"):
             S.pde_residual(homogeneous_traj(m=2), None, PARAMS, HOMOG_ENV)
 
 
@@ -323,56 +318,26 @@ class TestForcedTrajectory:
 
 
 class TestInvarianceExperiment:
+    """The twin run, as `kolmo-box scaling` makes it: the solver on the transformed problem
+    against the transformed run, which is the exact solution of the scaled problem."""
+
     def test_exact_trajectory_twenty_random_scalings(self, rng):
-        states = homogeneous_traj()
         for _ in range(20):
             rho, gamma = rng.uniform(0.5, 4.0, 2)
-            rep = S.invariance_experiment(states, S.family_from(rho, gamma), None, PARAMS, HOMOG_ENV)
-            assert rep.overall, (rho, gamma, rep)
+            gaps = relative_gaps(*transformed_runs(perturbed_problem(2, False, False),
+                                                   S.family_from(rho, gamma)))
+            assert max(gaps.values()) <= 1e-13, (rho, gamma, gaps)
 
     def test_identity_trivially_passes(self):
-        rep = S.invariance_experiment(homogeneous_traj(), S.family_from(1.0, 1.0), None, PARAMS,
-                                      HOMOG_ENV)
-        assert rep.overall
-        assert rep.transformed == rep.original
-
-    def test_needs_three_samples_and_says_so_in_its_own_name(self):
-        with pytest.raises(InsufficientSamples,
-                           match=r"^invariance_experiment needs at least 3 samples$"):
-            S.invariance_experiment(homogeneous_traj(m=2), S.family_from(2.0, 1.5), None, PARAMS,
-                                    HOMOG_ENV)
+        expected, got = transformed_runs(perturbed_problem(2, False, True), S.family_from(1.0, 1.0))
+        assert max(relative_gaps(expected, got).values()) == 0.0
 
     def test_sigma_violation_inflates_k_residual(self):
+        # the twin's k gap: exactly 0 at (4, 2), and 7.6e-3 relative with sigma x 1.1
         g, st, env, params = structured_problem(n=32)
-        states = states_of(T.run(st, 0.5, None, params, env,
-                                 T.StepConfig(dt_max=1e-3, guard=False), 0.0125))
-        sp = S.family_from(2.0, 1.5)
-        rep_ok = S.invariance_experiment(states, sp, None, params, env)
-        rep_bad = S.invariance_experiment(states, replace(sp, sigma=sp.sigma * 1.1), None, params, env)
-        assert rep_ok.overall
-        assert rep_bad.transformed.k >= 10.0 * rep_ok.transformed.k
-
-    def test_energy_balance_covariance_on_transformed_trajectory(self):
-        # d/dt integral(u^2/2 + k) + alpha2 integral(omega k) = 0 for the
-        # transformed homogeneous solution, up to sampling quadrature
-        sp = S.family_from(2.0, 1.5)
-        _, env_t = S.transform_inputs(None, HOMOG_ENV, sp)
-        records_t = [D.record(S.transform_state(s, sp), None, PARAMS, env_t)
-                     for s in homogeneous_traj(m=81)]
-        times = np.array([r.t for r in records_t])
-        e = np.array([r.E_kin + r.E_turb for r in records_t])
-        sink = np.array([r.sink_k for r in records_t])
-        for i in range(1, len(times) - 1):
-            dedt = (e[i + 1] - e[i - 1]) / (times[i + 1] - times[i - 1])
-            assert abs(dedt + sink[i]) <= 2e-3 * abs(sink[i])
-
-    def test_report_serialization(self):
-        rep = S.invariance_experiment(homogeneous_traj(), S.family_from(2.0, 1.5), None, PARAMS,
-                                      HOMOG_ENV)
-        lines = S.report_ndjson_lines(rep)
-        import json
-
-        assert len(lines) == 3
-        objs = [json.loads(line) for line in lines]
-        assert {o["equation"] for o in objs} == {"u", "omega", "k"}
-        assert all(o["pass"] is True for o in objs)
+        cfg = T.StepConfig(dt_max=1e-3, guard=False)
+        sp = S.family_from(4.0, 2.0)
+        ok, bad = (relative_gaps(*transformed_runs((st, env, params, None), scaled, 0.5, 0.0125, cfg))
+                   for scaled in (sp, replace(sp, sigma=sp.sigma * 1.1)))
+        assert max(ok.values()) == 0.0
+        assert bad["k"] >= 1e-3

@@ -279,6 +279,25 @@ class TestRun:
         assert final_r.t == 0.1
 
 
+class TestRegularizationLimit:
+    """A regularized run tends to the unregularized one as eps -> 0, at first order."""
+
+    @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+    def test_gap_shrinks_tenfold_per_decade_of_eps(self, dim, n):
+        # the ratios per decade from eps = 1e-1 are 7.48, 9.66, 9.96 in 2D and 9.38, 9.93,
+        # 9.99 in 3D; the CFL step's eps term is part of each run
+        st, env, params, _ = perturbed_problem(dim, False, False, n=n)
+        cfg = T.StepConfig(guard=False)
+        limit = T.run(st, 0.1, None, params, env, cfg, 0.1)[-1][0]
+        gaps = []
+        for eps in (1e-1, 1e-2, 1e-3, 1e-4):
+            final = T.run(st, 0.1, None, regularized_params(r=3.2, eps=eps), env, cfg, 0.1)[-1][0]
+            gaps.append(max(float(np.abs(getattr(final, name) - getattr(limit, name)).max())
+                            for name in ("u", "omega", "k")))
+        ratios = [coarse / fine for coarse, fine in zip(gaps, gaps[1:])]
+        assert all(7.0 <= ratio <= 13.0 for ratio in ratios[1:]), ratios
+
+
 class TestForcingAndRetry:
     @pytest.mark.parametrize("kind", ["scalar_field", "callable"])
     def test_run_rejects_forcing_not_shaped_like_u(self, kind):
