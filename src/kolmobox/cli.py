@@ -56,8 +56,8 @@ def _stream(p, fh=None):
     """The (state, record) pair of each sample of problem `p`'s run, none held while
     the next is drawn.  Given `fh`, each series line is written and flushed before
     its pair is yielded, so a run that stops early leaves the samples it took."""
-    for state, rec, _ in T.samples(p.state, p.cfg.t_end, p.forcing, p.params, p.env, p.step,
-                                   p.cfg.sample_interval):
+    for state, rec, _ in T.samples(p.state, p.t_end, p.forcing, p.params, p.env, p.step,
+                                   p.sample_every):
         if fh is not None:
             fh.write(diag.ndjson_line(rec) + "\n")
             fh.flush()
@@ -131,7 +131,7 @@ def _shrink_check(name: str, coarse: float, fine: float, factor: float, floor: f
 
 def cmd_run(cfg: RunConfig, outdir: Path) -> int:
     p = build_problem(cfg)
-    times = T.sample_times(p.state.t, cfg.t_end, cfg.sample_interval)
+    times = T.sample_times(p.state.t, p.t_end, p.sample_every)
     names = dict(zip(times, _snapshot_names(times)))
     with _open_series(outdir) as fh:
         for final, _ in _stream(p, fh):
@@ -150,8 +150,8 @@ def cmd_run(cfg: RunConfig, outdir: Path) -> int:
 
 def cmd_decay(cfg: RunConfig, outdir: Path) -> int:
     p = build_problem(cfg)
-    window = (5.0, min(50.0, cfg.t_end))
-    schedule = T.sample_times(p.state.t, cfg.t_end, cfg.sample_interval)
+    window = (5.0, min(50.0, p.t_end))
+    schedule = T.sample_times(p.state.t, p.t_end, p.sample_every)
     diag.require_fit_samples("mean_k", sum(diag.in_window(t, window) for t in schedule))
     times, mean_k, mean_om, l_min = [], [], [], []
     with _open_series(outdir) as fh:
@@ -165,7 +165,7 @@ def cmd_decay(cfg: RunConfig, outdir: Path) -> int:
     fit_k = diag.decay_fit("mean_k", times, mean_k, p.params, p.env)
     fit_om = diag.decay_fit("mean_omega", times, mean_om, p.params, p.env)
     fit_l = diag.decay_fit("L_min", times, l_min, p.params, p.env)
-    ratio = cfg.alpha2 / cfg.alpha1
+    ratio = p.params.alpha2 / p.params.alpha1
     l_target = 1.0 - ratio / 2.0
     checks = [
         Check("k_exponent", fit_k.exponent, -ratio, abs(fit_k.exponent + ratio) <= 0.02),
@@ -207,7 +207,7 @@ def cmd_bounds(cfg: RunConfig, outdir: Path) -> int:
 
 def _balance(p, stream):
     """The balance report of problem `p` over its whole run."""
-    return diag.balance_report(stream, (p.state.t, p.cfg.t_end), p.params, p.env)
+    return diag.balance_report(stream, (p.state.t, p.t_end), p.params, p.env)
 
 
 def cmd_balance(cfg: RunConfig, outdir: Path) -> int:
@@ -251,16 +251,14 @@ def cmd_scaling(cfg: RunConfig, outdir: Path, rho: float, gamma: float) -> int:
             raise ValidationError(option, f"must be a power of two for an exact check, got {x!r}")
     if cfg.regularized:
         raise ValidationError("regularized", "the scaling law holds only for regularized = false")
+    rng = np.random.default_rng(cfg.seed)
     p = build_problem(cfg)
     forcing_t, env_t = S.transform_inputs(p.forcing, p.env, sp)
-    state_t = S.transform_state(p.state, sp)
-    twin = replace(p, cfg=replace(cfg, t_end=cfg.t_end / sp.alpha,
-                                  sample_every=cfg.sample_interval / sp.alpha),
-                   grid=state_t.grid, state=state_t, forcing=forcing_t, env=env_t,
-                   step=replace(p.step, dt_max=p.step.dt_max / sp.alpha))
+    twin = replace(p, state=S.transform_state(p.state, sp), forcing=forcing_t, env=env_t,
+                   step=replace(p.step, dt_max=p.step.dt_max / sp.alpha),
+                   t_end=p.t_end / sp.alpha, sample_every=p.sample_every / sp.alpha)
     gaps = _twin_gaps(p, twin, sp)
 
-    rng = np.random.default_rng(cfg.seed)
     kolmogorov = S.CoefficientFamily.kolmogorov(p.params)
     worst = 0.0
     for _ in range(1000):

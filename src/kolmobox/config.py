@@ -1,7 +1,7 @@
 """Line-oriented "key = value" run configuration.
 
-'#' starts a comment, lists are comma-separated, unknown keys are errors, and
-the file must be UTF-8.  Perturbation modes are colon-separated tuples
+'#' starts a comment, unknown keys are errors, and the file must be UTF-8.
+Perturbation modes are a comma-separated list of colon-separated tuples
 field:axis:wavenumber:amplitude (``perturb_modes = omega:0:2:0.05, k:1:1:0.1``).
 Each key's type is its `RunConfig` annotation.  Each default is written once:
 `StepConfig` owns those of the stepping keys, `ModelParams` those of the
@@ -10,12 +10,12 @@ closure and regularization keys, and `RunConfig` the rest.
 Every check raises `ValidationError` naming the key, and each has one owner.
 `Grid`, `ModelParams` and `StepConfig` check their own fields (named like the
 config keys) when parsing builds them; `_validate` checks the rest: every real
-must be finite (except dt_max), plus the sampling, envelope, initial-data,
-forcing and seed keys, and that no key the rest of the config leaves unread
-(`_ONLY_WITH`) differs from its default.  The pointwise initial-data
-constraints (omega0 within [omega_star, omega_sup], k0 >= k_star) and the
-snapshot grid, which must equal Grid(dim, n, side), are checked when the
-state is built.
+must be finite (except dt_max), plus the sampling, initial-data, forcing and
+seed keys, and that no key the rest of the config leaves unread (`_ONLY_WITH`)
+differs from its default.  The initial omega and k, which must be positive
+everywhere, and a snapshot's grid, which must equal Grid(dim, n, side), are
+checked when the state is built; the comparison envelope is the tightest one
+of that state.
 """
 
 from __future__ import annotations
@@ -65,13 +65,8 @@ class RunConfig:
     eps: float = ModelParams.eps
     r: float = ModelParams.r
     regularized: bool = ModelParams.regularized
-    # envelope bounds (non-positive means: derive from the initial data)
-    omega_star: float = 0.0
-    omega_sup: float = 0.0
-    k_star: float = 0.0
     # initial data
     ic: str = "homogeneous"  # homogeneous | perturbed | snapshot
-    ic_u: Tuple[float, ...] = ()
     ic_omega0: float = 1.0
     ic_k0: float = 1.0
     perturb_modes: Tuple[PerturbMode, ...] = ()
@@ -79,8 +74,7 @@ class RunConfig:
     perturb_random_amplitude: float = 0.0
     snapshot_path: str = ""
     # forcing
-    forcing: str = "none"  # none | constant | single_mode
-    forcing_vector: Tuple[float, ...] = ()
+    forcing: str = "none"  # none | single_mode
     forcing_axis: int = 0
     forcing_wavenumber: int = 1
     forcing_amplitude: float = 0.0
@@ -102,8 +96,7 @@ _SINGLE_MODE = (lambda c: c.forcing == "single_mode", "forcing = single_mode")
 _ONLY_WITH = dict(
     perturb_modes=_PERTURBED, perturb_random_modes=_PERTURBED, perturb_random_amplitude=_PERTURBED,
     snapshot_path=(lambda c: c.ic == "snapshot", "ic = snapshot"),
-    ic_u=_BUILT_IC, ic_omega0=_BUILT_IC, ic_k0=_BUILT_IC,
-    forcing_vector=(lambda c: c.forcing == "constant", "forcing = constant"),
+    ic_omega0=_BUILT_IC, ic_k0=_BUILT_IC,
     forcing_axis=_SINGLE_MODE, forcing_wavenumber=_SINGLE_MODE, forcing_amplitude=_SINGLE_MODE,
     forcing_component=_SINGLE_MODE,
     r=(lambda c: c.regularized, "regularized = true"),
@@ -117,13 +110,6 @@ def _parse_bool(text: str) -> bool:
     if text.lower() not in _BOOL:
         raise ValueError(f"expected a boolean, got {text!r}")
     return _BOOL[text.lower()]
-
-
-def _parse_float_list(text: str) -> Tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(",") if x.strip())
-    except ValueError:
-        raise ValueError(f"expected comma-separated reals, got {text!r}") from None
 
 
 def _parse_modes(text: str) -> Tuple[PerturbMode, ...]:
@@ -151,11 +137,10 @@ _PARSERS = {
     float: float,
     str: str,
     bool: _parse_bool,
-    Tuple[float, ...]: _parse_float_list,
     Tuple[PerturbMode, ...]: _parse_modes,
 }
-# the reals that must be finite: every float or float-list key but dt_max, whose default is inf
-_FINITE = [k for k, kind in _KINDS.items() if kind in (float, Tuple[float, ...]) and k != "dt_max"]
+# the reals that must be finite: every float key but dt_max, whose default is inf
+_FINITE = [k for k, kind in _KINDS.items() if kind is float and k != "dt_max"]
 
 
 def parse_config(text: str) -> RunConfig:
@@ -215,28 +200,17 @@ def _validate(cfg: RunConfig):
     for cls in (Grid, ModelParams, StepConfig):
         _from_cfg(cls, cfg)
     for name in _FINITE:
-        _require(np.isfinite(getattr(cfg, name)).all(), name, "must be finite")
+        _require(math.isfinite(getattr(cfg, name)), name, "must be finite")
     _require(cfg.t_end >= 0, "t_end", "must be nonnegative")
     _require(cfg.sample_every >= 0, "sample_every", "must be nonnegative")
     if cfg.scheme == "rothe_picard":
         _require(cfg.regularized, "scheme", "rothe_picard requires regularized = true")
-    for name in ("omega_star", "omega_sup", "k_star"):
-        _require(getattr(cfg, name) >= 0, name, "must be nonnegative (0 = derive from IC)")
-    if cfg.omega_star > 0 or cfg.omega_sup > 0:
-        _require(
-            cfg.omega_star > 0 and cfg.omega_sup >= cfg.omega_star,
-            "omega_star",
-            "need 0 < omega_star <= omega_sup when either is given",
-        )
     _require(cfg.ic in ("homogeneous", "perturbed", "snapshot"), "ic", "unknown initial data kind")
     if cfg.ic == "snapshot":
         _require(bool(cfg.snapshot_path), "snapshot_path", "required for ic = snapshot")
     else:
         _require(cfg.ic_omega0 > 0, "ic_omega0", "must be positive")
         _require(cfg.ic_k0 > 0, "ic_k0", "must be positive")
-        _require(
-            len(cfg.ic_u) in (0, cfg.dim), "ic_u", f"must have {cfg.dim} entries (or be omitted)"
-        )
     for m in cfg.perturb_modes:
         _require(
             m.target in _TARGETS[: 2 + cfg.dim], "perturb_modes", f"unknown target {m.target!r}"
@@ -245,11 +219,7 @@ def _validate(cfg: RunConfig):
         _require_resolvable(m.wavenumber, cfg.n, "perturb_modes")
         _require(math.isfinite(m.amplitude), "perturb_modes", "amplitudes must be finite")
     _require(cfg.perturb_random_modes >= 0, "perturb_random_modes", "must be nonnegative")
-    _require(cfg.forcing in ("none", "constant", "single_mode"), "forcing", "unknown forcing kind")
-    if cfg.forcing == "constant":
-        _require(
-            len(cfg.forcing_vector) == cfg.dim, "forcing_vector", f"must have {cfg.dim} entries"
-        )
+    _require(cfg.forcing in ("none", "single_mode"), "forcing", "unknown forcing kind")
     if cfg.forcing == "single_mode":
         _require(0 <= cfg.forcing_axis < cfg.dim, "forcing_axis", "out of range")
         _require(0 <= cfg.forcing_component < cfg.dim, "forcing_component", "out of range")
@@ -278,8 +248,7 @@ def _build_state(cfg: RunConfig, grid: Grid) -> State:
             )
         return state
 
-    u_const = cfg.ic_u if cfg.ic_u else (0.0,) * cfg.dim
-    u_arrays = [np.full(grid.shape, v) for v in u_const]
+    u = np.zeros((cfg.dim,) + grid.shape)
     om = np.full(grid.shape, cfg.ic_omega0)
     kk = np.full(grid.shape, cfg.ic_k0)
 
@@ -302,38 +271,25 @@ def _build_state(cfg: RunConfig, grid: Grid) -> State:
             elif m.target == "k":
                 kk = kk + bump
             else:
-                i = int(m.target[1:]) - 1
-                u_arrays[i] = u_arrays[i] + bump
+                u[int(m.target[1:]) - 1] += bump
 
-    u, _ = leray_project(grid, np.stack(u_arrays))
+    u, _ = leray_project(grid, u)
     return State(t=0.0, grid=grid, u=u, omega=om, k=kk)
 
 
-def _build_env(cfg: RunConfig, state: State) -> ComparisonEnvelope:
-    om_min, om_max = float(state.omega.min()), float(state.omega.max())
-    k_min = float(state.k.min())
-    omega_star = cfg.omega_star if cfg.omega_star > 0 else om_min
-    omega_sup = cfg.omega_sup if cfg.omega_sup > 0 else om_max
-    k_star = cfg.k_star if cfg.k_star > 0 else k_min
+def _build_env(state: State) -> ComparisonEnvelope:
+    """The tightest envelope of the initial state: its least and largest omega, its least k."""
+    om_min, k_min = float(state.omega.min()), float(state.k.min())
     if not om_min > 0:
         raise ValidationError("ic", "initial omega must be positive everywhere")
     if not k_min > 0:
         raise ValidationError("ic", "initial k must be positive everywhere")
-    tol = 1e-12 * max(1.0, om_max)
-    if om_min < omega_star - tol or om_max > omega_sup + tol:
-        raise ValidationError(
-            "ic", "initial omega must satisfy omega_star <= omega <= omega_sup pointwise"
-        )
-    if k_min < k_star - tol:
-        raise ValidationError("ic", "initial k must satisfy k >= k_star pointwise")
-    return ComparisonEnvelope(omega_star=omega_star, omega_sup=omega_sup, k_star=k_star)
+    return ComparisonEnvelope(omega_star=om_min, omega_sup=float(state.omega.max()), k_star=k_min)
 
 
 def _build_forcing(cfg: RunConfig, grid: Grid) -> Optional[np.ndarray]:
     if cfg.forcing == "none":
         return None
-    if cfg.forcing == "constant":
-        return np.stack([np.full(grid.shape, v) for v in cfg.forcing_vector])
     forcing = np.zeros((grid.dim,) + grid.shape)
     forcing[cfg.forcing_component] = _mode_array(
         grid, cfg.forcing_axis, cfg.forcing_wavenumber, cfg.forcing_amplitude
@@ -343,26 +299,28 @@ def _build_forcing(cfg: RunConfig, grid: Grid) -> Optional[np.ndarray]:
 
 @dataclass(frozen=True)
 class Problem:
-    """Everything a command needs to run one simulation."""
+    """One run, as the solver takes it: advance `state` to `t_end` under `forcing`,
+    `params`, the comparison envelope `env` and the step control `step`, sampling
+    every `sample_every` (the config's `sample_every`, or t_end / 50 when it is 0)."""
 
-    cfg: RunConfig
-    grid: Grid
     state: State
     env: ComparisonEnvelope
     params: ModelParams
     step: StepConfig
     forcing: Optional[np.ndarray]
+    t_end: float
+    sample_every: float
 
 
 def build_problem(cfg: RunConfig) -> Problem:
     grid = _from_cfg(Grid, cfg)
     state = _build_state(cfg, grid)
     return Problem(
-        cfg=cfg,
-        grid=grid,
         state=state,
-        env=_build_env(cfg, state),
+        env=_build_env(state),
         params=_from_cfg(ModelParams, cfg),
         step=_from_cfg(StepConfig, cfg),
         forcing=_build_forcing(cfg, grid),
+        t_end=cfg.t_end,
+        sample_every=cfg.sample_interval,
     )

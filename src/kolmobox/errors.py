@@ -65,7 +65,8 @@ class ParseError(KolmoboxError):
 
 
 class ValidationError(KolmoboxError, ValueError):
-    """A config field or command-line option violates a constraint; `field` names it."""
+    """A config key, command-line option or constructor field violates a constraint;
+    `field` names it."""
 
     def __init__(self, field: str, constraint: str):
         super().__init__(f"{field}: {constraint}")

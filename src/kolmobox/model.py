@@ -78,9 +78,9 @@ class ComparisonEnvelope:
 
     def __post_init__(self):
         if not (0.0 < self.omega_star <= self.omega_sup):
-            raise ValueError("need 0 < omega_star <= omega_sup")
+            raise ValidationError("omega_star", "need 0 < omega_star <= omega_sup")
         if not self.k_star > 0.0:
-            raise ValueError("k_star must be positive")
+            raise ValidationError("k_star", "must be positive")
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,9 @@ class HomogeneousIC:
     k0: float
 
     def __post_init__(self):
-        if not (self.omega0 > 0.0 and self.k0 > 0.0):
-            raise ValueError("omega0 and k0 must be positive")
+        for name in ("omega0", "k0"):
+            if not getattr(self, name) > 0.0:
+                raise ValidationError(name, "must be positive")
 
 
 # ---------------------------------------------------------------------------

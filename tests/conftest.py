@@ -178,25 +178,32 @@ BAD_CONFIGS = [
     ("dt_max", "dt_max = 0"),
     ("t_end", "t_end = inf"),
     ("ic_omega0", "ic_omega0 = inf"),
-    ("ic_u", "ic_u = inf"),
-    ("forcing_vector", "forcing = constant\nforcing_vector = nan"),
     ("perturb_modes", "ic = perturbed\nperturb_modes = omega:0:1:inf"),
     ("eps", "eps = 0.5"),
     ("perturb_modes", "perturb_modes = omega:0:1:0.1"),
     ("perturb_random_modes", "perturb_random_modes = 2"),
     ("perturb_random_amplitude", "perturb_random_amplitude = 0.1"),
     ("snapshot_path", "snapshot_path = start.kbox"),
-    ("forcing_vector", "forcing_vector = 1.0"),
-    ("forcing_amplitude", "forcing = constant\nforcing_vector = 1.0\nforcing_amplitude = 0.5"),
+    ("forcing_amplitude", "forcing_amplitude = 0.5"),
     ("forcing_wavenumber", "forcing_wavenumber = 3"),
     ("forcing_axis", "forcing_axis = 1"),
-    ("forcing_component", "forcing = constant\nforcing_vector = 1.0\nforcing_component = 1"),
+    ("forcing_component", "forcing_component = 1"),
     ("ic_omega0", "ic = snapshot\nsnapshot_path = start.kbox\nic_omega0 = 5"),
     ("ic_k0", "ic = snapshot\nsnapshot_path = start.kbox\nic_k0 = 5"),
-    ("ic_u", "ic = snapshot\nsnapshot_path = start.kbox\nic_u = 1.0"),
     ("r", "r = 5"),
 ]
 BAD_CONFIG_IDS = [lines.splitlines()[-1] for _, lines in BAD_CONFIGS]
+
+# a line that older versions read, and the error it now gives on line 4 of `config_with`:
+# the envelope is the initial state's tightest, the base velocity zero and no forcing constant
+REMOVED_KEYS = [
+    ("omega_star = 0.5", "ParseError: line 4: unknown key 'omega_star'"),
+    ("omega_sup = 2.0", "ParseError: line 4: unknown key 'omega_sup'"),
+    ("k_star = 0.5", "ParseError: line 4: unknown key 'k_star'"),
+    ("ic_u = 0.1", "ParseError: line 4: unknown key 'ic_u'"),
+    ("forcing_vector = 1.0", "ParseError: line 4: unknown key 'forcing_vector'"),
+    ("forcing = constant", "ValidationError: forcing: unknown forcing kind"),
+]
 
 
 def config_with(lines):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import BAD_CONFIG_IDS, BAD_CONFIGS, config_with
+from conftest import BAD_CONFIG_IDS, BAD_CONFIGS, REMOVED_KEYS, config_with
 
 from kolmobox import cli
 from kolmobox import diagnostics as D
@@ -170,8 +170,8 @@ def as_taken(state):
 
 def test_stream_holds_no_sample_while_it_draws_the_next(monkeypatch):
     monkeypatch.setattr(T, "samples", lambda *args: probed_samples(6, 0, make=as_taken))
-    cfg = types.SimpleNamespace(t_end=None, sample_interval=None)
-    p = types.SimpleNamespace(state=None, cfg=cfg, forcing=None, params=None, env=None, step=None)
+    p = types.SimpleNamespace(state=None, env=None, params=None, step=None, forcing=None,
+                              t_end=None, sample_every=None)
     fh = io.StringIO()
     collections.deque(cli._stream(p, fh), maxlen=0)  # draws every pair and keeps none
     assert len(fh.getvalue().splitlines()) == 6
@@ -225,7 +225,7 @@ sample_every = 0.0025
 def trajectory_of(cfg_path):
     """Every (state, record, rejected) sample of the config's run."""
     p = build_problem(load_config(cfg_path))
-    return T.run(p.state, p.cfg.t_end, p.forcing, p.params, p.env, p.step, p.cfg.sample_interval)
+    return T.run(p.state, p.t_end, p.forcing, p.params, p.env, p.step, p.sample_every)
 
 
 def series_of(samples):
@@ -581,6 +581,31 @@ def test_scaling_refuses_a_scale_that_is_not_a_power_of_two(tmp_path, capsys, mo
                    f"check, got {float(value)!r}"]
 
 
+def test_scaling_refuses_a_scale_that_empties_the_envelope(tmp_path, capsys, monkeypatch):
+    # rho = 2^-1000 and 1/rho are finite, but rho * omega0 underflows to 0
+    text = "dim = 1\nn = 8\nt_end = 0.1\nic_omega0 = 1e-30\n"
+    assert refused_scaling(tmp_path, capsys, monkeypatch, text, "--rho", repr(2.0**-1000),
+                           "--gamma", "1") == (2, [
+        "error: ValidationError: omega_star: need 0 < omega_star <= omega_sup"
+    ], 0)
+
+
+def test_scaling_twin_runs_on_the_scaled_clock_and_box(tmp_path, monkeypatch):
+    # at (4, 2), alpha = 4 divides the twin's times and step cap, and beta = 2 its box side
+    samples, calls = T.samples, []
+
+    def spy(initial, t_end, forcing, params, env, step, sample_every):
+        calls.append((initial.grid, t_end, sample_every, step.dt_max))
+        return samples(initial, t_end, forcing, params, env, step, sample_every)
+
+    monkeypatch.setattr(T, "samples", spy)
+    code, _ = scaling_checks(tmp_path, SCALING_HOMOG, "--rho", "4", "--gamma", "2")
+    assert code == 0
+    (grid, t_end, every, dt_max), twin = calls
+    assert (grid, t_end, every, dt_max) == (F.Grid(2, 8, 1.0), 1.0, 0.05, 0.005)
+    assert twin == (F.Grid(2, 8, 0.5), t_end / 4, every / 4, dt_max / 4)
+
+
 def test_config_error_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, "dim = 1\nbogus_key = 2\nt_end = 1\n")
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -613,6 +638,12 @@ def test_removed_step_keys_are_unknown(tmp_path, capsys, line):
     code, err = run_cli(tmp_path, capsys, config_with(line))
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ParseError: line 4: unknown key ")
+
+
+@pytest.mark.parametrize("line, error", REMOVED_KEYS, ids=[line for line, _ in REMOVED_KEYS])
+def test_removed_key_exits_2_on_one_stderr_line(tmp_path, capsys, line, error):
+    # the envelope is the initial state's tightest, the base velocity zero, no forcing constant
+    assert run_cli(tmp_path, capsys, config_with(line)) == (2, [f"error: {error}"])
 
 
 @pytest.mark.parametrize("key, lines", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
@@ -799,8 +830,7 @@ def test_snapshot_grid_must_match_config_n(tmp_path, capsys):
 
 def test_snapshot_grid_must_match_config_dim(tmp_path, capsys):
     path = snapshot_file(tmp_path, 2, 8)
-    text = (f"dim = 3\nn = 8\nt_end = 0.1\nforcing = constant\nforcing_vector = 1, 0, 0\n"
-            f"ic = snapshot\nsnapshot_path = {path}\n")
+    text = f"dim = 3\nn = 8\nt_end = 0.1\nic = snapshot\nsnapshot_path = {path}\n"
     code, err = run_cli(tmp_path, capsys, text)
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ValidationError: snapshot_path: ")
