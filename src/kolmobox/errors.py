@@ -35,8 +35,8 @@ class InsufficientSamples(KolmoboxError):
 
 
 class NonpositiveSamples(KolmoboxError):
-    """Samples that must be strictly positive are not: log-fit data, or a
-    coefficient-invariance (omega, k) sample."""
+    """Samples that must be strictly positive are not: log-fit data, or the
+    (omega, k) of a `scaling.coefficient_defect`."""
 
 
 class BadDelta(KolmoboxError):
@@ -44,7 +44,8 @@ class BadDelta(KolmoboxError):
 
 
 class NonpositiveParameter(KolmoboxError):
-    """A scaling parameter (or its reciprocal) is not positive and finite."""
+    """A scaling parameter, a factor derived from it, or a scaled envelope bound or
+    box side (or its reciprocal) is not positive and finite."""
 
 
 class NonFiniteRecord(KolmoboxError):

@@ -202,7 +202,6 @@ def production_coefficient(k: np.ndarray, omega: np.ndarray, params: ModelParams
 
 def rhs(
     state: State,
-    t: float,
     forcing: Optional[np.ndarray],
     params: ModelParams,
     env: ComparisonEnvelope,
@@ -211,10 +210,10 @@ def rhs(
 ):
     """Semi-discrete right-hand sides (du, domega, dk), pressure excluded.
 
-    The caller projects u.  For spatially constant states this reduces exactly
-    to the homogeneous ODE system, and for eps = 0 the integrals of domega and
-    dk reduce exactly to the damping/production integrals (advection and
-    fluxes are conservative).
+    The caller projects u, and the envelope sources are taken at `state.t`.
+    For spatially constant states this reduces exactly to the homogeneous ODE
+    system, and for eps = 0 the integrals of domega and dk reduce exactly to
+    the damping/production integrals (advection and fluxes are conservative).
 
     Every stencil is evaluated once: the checked eddy coefficient and its face
     averages, the velocity gradient, and for omega and k the centered gradient
@@ -262,14 +261,14 @@ def rhs(
     domega, lap = _transport(g, u, om, faces, params.nu1, params, limits)
     domega -= params.alpha1 * (om_pos * om)
     if lap is not None:
-        domega += _eps_terms(lap, om, omega_lower(t, env, params), params)
+        domega += _eps_terms(lap, om, omega_lower(state.t, env, params), params)
 
     dk, lap = _transport(g, u, kk, faces, params.nu2, params, limits)
     del faces
     dk += dsq
     dk -= params.alpha2 * (kk * om_pos)
     if lap is not None:
-        dk += _eps_terms(lap, kk, kappa(t, env, params), params)
+        dk += _eps_terms(lap, kk, kappa(state.t, env, params), params)
 
     return du, domega, dk
 

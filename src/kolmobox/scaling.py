@@ -10,39 +10,37 @@ beta = rho^A gamma^(1-2B) makes those hold identically; A = B = 1 gives the
 classical two-parameter family (rho, gamma) -> (rho, rho/gamma, gamma, rho,
 gamma^2) under which the k/omega closure is invariant.
 
-This module provides the family constructors, the algebraic residual checker,
-and the transformation of a state and of a run's forcing and envelopes (the
-scaled state lives on the same nodes of the box of side l/beta, so no
-resampling is needed).  `cli.cmd_scaling` judges the solver with them: it runs
-the transformed problem beside the original and compares each transformed
-sample with the twin's.  `pde_residual`, the discrete PDE-residual evaluator,
-is the tests' oracle for a trajectory; it holds the last two states between
-windows of three.
+This module provides the family constructors, `coefficient_defect` (the
+closed-form check of those conditions at one (omega, k)), and
+`transform_problem`, the scaled twin of a run: its state (which lives on the
+same nodes of the box of side l/beta, so no resampling is needed), forcing,
+envelope and clock.  `cli.cmd_scaling` judges the solver with them: it runs the
+twin beside the original and compares each transformed sample with the twin's.
+`pde_residual`, the discrete PDE-residual evaluator, is the tests' oracle for a
+trajectory; it holds the last two states between windows of three.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import fields as F
 from . import model as M
+from .config import Problem
 from .errors import InsufficientSamples, NonpositiveParameter, NonpositiveSamples
 from .fields import Grid
 from .model import ComparisonEnvelope, ModelParams, State
 
 __all__ = [
     "ScalingParams",
-    "CoefficientFamily",
     "family_from",
     "general_family",
     "beta_general",
-    "coefficient_invariance_residuals",
-    "CoefficientInvarianceResult",
+    "coefficient_defect",
     "transform_state",
-    "transform_inputs",
+    "transform_problem",
     "PdeResiduals",
     "pde_residual",
 ]
@@ -82,6 +80,12 @@ def _require_scales(given: dict, **derived) -> None:
                 f"{name} = {v!r} from {inputs}; it and its reciprocal must be finite and > 0")
 
 
+def _require_scaled(expr: str, v: float, **given) -> float:
+    """`v`, the `given` values combined as `expr`, once `_require_scales` passes them."""
+    _require_scales(given, **{expr: v})
+    return v
+
+
 def family_from(rho: float, gamma: float) -> ScalingParams:
     """Two-parameter family (rho, gamma) -> (rho, rho/gamma, gamma, rho, gamma^2)."""
     given = dict(rho=rho, gamma=gamma)
@@ -111,81 +115,19 @@ def general_family(A: float, B: float, rho: float, gamma: float) -> ScalingParam
     return ScalingParams(rho=rho, gamma=gamma, alpha=alpha, beta=beta, sigma=sigma)
 
 
-@dataclass(frozen=True)
-class CoefficientFamily:
-    """Power-law coefficients d_i = D_i omega^-A k^B, g_m = G_m omega^A k^(1-B)."""
+def coefficient_defect(A: float, B: float, sp: ScalingParams, omega: float, k: float) -> float:
+    """Larger relative defect at (omega, k) of the coefficient scaling conditions.
 
-    A: float
-    B: float
-    D1: float
-    D2: float
-    D3: float
-    G2: float
-    G3: float
-
-    def __post_init__(self):
-        for name in ("A", "B", "D1", "D2", "D3", "G2", "G3"):
-            if not getattr(self, name) > 0.0:
-                raise NonpositiveParameter(f"{name} must be positive")
-
-    @classmethod
-    def kolmogorov(cls, params: ModelParams) -> "CoefficientFamily":
-        """A = B = 1 with D_i = nu_(i-1), G_2 = alpha1, G_3 = alpha2."""
-        return cls(
-            A=1.0,
-            B=1.0,
-            D1=params.nu0,
-            D2=params.nu1,
-            D3=params.nu2,
-            G2=params.alpha1,
-            G3=params.alpha2,
-        )
-
-    def d(self, i: int, omega: float, k: float) -> float:
-        D = (self.D1, self.D2, self.D3)[i - 1]
-        return D * omega**-self.A * k**self.B
-
-    def g(self, m: int, omega: float, k: float) -> float:
-        G = (self.G2, self.G3)[m - 2]
-        return G * omega**self.A * k ** (1.0 - self.B)
-
-
-@dataclass(frozen=True)
-class CoefficientInvarianceResult:
-    residuals: dict  # per coefficient name, max over samples
-    max_d: float
-    max_g: float
-
-    @property
-    def overall(self) -> float:
-        return max(self.max_d, self.max_g)
-
-
-def coefficient_invariance_residuals(
-    fam: CoefficientFamily, sp: ScalingParams, samples: Sequence[Tuple[float, float]]
-) -> CoefficientInvarianceResult:
-    """Max relative defect of the coefficient scaling conditions over samples.
-
-    For each (omega, k) checks |beta^2 d_i(rho w, sigma k) / (alpha d_i(w, k)) - 1|
-    and the same for g_m without the beta^2 factor.
+    The coefficients are the power laws d = omega^-A k^B and g = omega^A k^(1-B);
+    their prefactors cancel from both ratios, |beta^2 d(rho omega, sigma k) /
+    (alpha d(omega, k)) - 1| and the same for g without the beta^2 factor.
     """
-    worst = {"d1": 0.0, "d2": 0.0, "d3": 0.0, "g2": 0.0, "g3": 0.0}
-    for omega, k in samples:
-        if not (omega > 0.0 and k > 0.0):
-            raise NonpositiveSamples(f"sample ({omega}, {k}) must be positive")
-        for i in (1, 2, 3):
-            lhs = sp.beta**2 * fam.d(i, sp.rho * omega, sp.sigma * k)
-            rhs = sp.alpha * fam.d(i, omega, k)
-            worst[f"d{i}"] = max(worst[f"d{i}"], abs(lhs / rhs - 1.0))
-        for m in (2, 3):
-            lhs = fam.g(m, sp.rho * omega, sp.sigma * k)
-            rhs = sp.alpha * fam.g(m, omega, k)
-            worst[f"g{m}"] = max(worst[f"g{m}"], abs(lhs / rhs - 1.0))
-    return CoefficientInvarianceResult(
-        residuals=worst,
-        max_d=max(worst["d1"], worst["d2"], worst["d3"]),
-        max_g=max(worst["g2"], worst["g3"]),
-    )
+    if not (omega > 0.0 and k > 0.0):
+        raise NonpositiveSamples(f"sample ({omega}, {k}) must be positive")
+    w, s = sp.rho * omega, sp.sigma * k
+    d_ratio = sp.beta**2 * (w**-A * s**B) / (sp.alpha * (omega**-A * k**B))
+    g_ratio = (w**A * s ** (1.0 - B)) / (sp.alpha * (omega**A * k ** (1.0 - B)))
+    return max(abs(d_ratio - 1.0), abs(g_ratio - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +152,32 @@ def transform_state(state: State, sp: ScalingParams) -> State:
     )
 
 
-def transform_inputs(forcing, env: ComparisonEnvelope, sp: ScalingParams):
-    """(forcing, envelope) of the scaled problem: forcing times gamma*alpha, omega
-    bounds times rho and k_star times sigma.  A None forcing stays None."""
-    env_t = ComparisonEnvelope(
-        omega_star=sp.rho * env.omega_star,
-        omega_sup=sp.rho * env.omega_sup,
-        k_star=sp.sigma * env.k_star,
+def transform_problem(p: Problem, sp: ScalingParams) -> Problem:
+    """The scaled twin of `p`: state from `transform_state`, forcing times gamma*alpha,
+    omega bounds times rho, k_star times sigma, dt_max, t_end and sample_every over alpha.
+
+    A scaled envelope bound or box side that is not finite and > 0, or whose
+    reciprocal is not, raises NonpositiveParameter naming it, its factor and the
+    run's value.
+    """
+    env, side = p.env, p.state.grid.side
+    _require_scaled("side / beta", side / sp.beta, side=side, beta=sp.beta)
+    return replace(
+        p,
+        state=transform_state(p.state, sp),
+        env=ComparisonEnvelope(
+            _require_scaled("rho * omega_star", sp.rho * env.omega_star,
+                            rho=sp.rho, omega_star=env.omega_star),
+            _require_scaled("rho * omega_sup", sp.rho * env.omega_sup,
+                            rho=sp.rho, omega_sup=env.omega_sup),
+            _require_scaled("sigma * k_star", sp.sigma * env.k_star,
+                            sigma=sp.sigma, k_star=env.k_star),
+        ),
+        step=replace(p.step, dt_max=p.step.dt_max / sp.alpha),
+        forcing=None if p.forcing is None else sp.gamma * sp.alpha * p.forcing,
+        t_end=p.t_end / sp.alpha,
+        sample_every=p.sample_every / sp.alpha,
     )
-    return (None if forcing is None else sp.gamma * sp.alpha * forcing), env_t
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +210,7 @@ def pde_residual(states, forcing, params: ModelParams, env: ComparisonEnvelope) 
             g = s_0.grid
             a, b = s_0.t - s_m.t, s_p.t - s_0.t  # the second-order three-point weights
             wm, w0, wp = -b / (a * (a + b)), (b - a) / (a * b), a / (b * (a + b))
-            du, dom, dk = M.rhs(s_0, s_0.t, forcing, params, env)
+            du, dom, dk = M.rhs(s_0, forcing, params, env)
             ru_sol, _ = F.leray_project(g, wm * s_m.u + w0 * s_0.u + wp * s_p.u - du)
             rom = wm * s_m.omega + w0 * s_0.omega + wp * s_p.omega - dom
             rk = wm * s_m.k + w0 * s_0.k + wp * s_p.k - dk

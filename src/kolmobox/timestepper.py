@@ -74,7 +74,7 @@ class StepConfig:
 def cfl_dt(state: State, limits: list, params: ModelParams, cfg: StepConfig) -> float:
     """Stable step from the advective and diffusive limits, times cfl_safety.
 
-    `limits` holds the maxima that `model.rhs(state, ..., limits=)` reports.
+    `limits` holds the maxima that `model.rhs(state, forcing, params, env, limits=)` reports.
     """
     g = state.grid
     h = g.h
@@ -132,7 +132,7 @@ def step_explicit(
     t_new = state.t + dt
 
     if rates is None:
-        rates = M.rhs(state, state.t, forcing, params, env)
+        rates = M.rhs(state, forcing, params, env)
     du, dom, dk = rates
     s1 = _finish_stage(
         g,
@@ -145,7 +145,7 @@ def step_explicit(
         cfg,
     )
 
-    du1, dom1, dk1 = M.rhs(s1, t_new, forcing, params, env)
+    du1, dom1, dk1 = M.rhs(s1, forcing, params, env)
     out = _finish_stage(
         g,
         0.5 * (state.u + (s1.u + dt * du1)),
@@ -168,7 +168,7 @@ def operator_apply(
     params: ModelParams,
     env: ComparisonEnvelope,
 ):
-    """Implicit-Euler residual (U - U_old)/dt + A(U) - F at time t_old + dt.
+    """Implicit-Euler residual (U - U_old)/dt + A(U) - F at the candidate's time, t_old + dt.
 
     A is the stationary operator of the regularized system assembled from the
     discrete field operators (advection in skew form, diffusion in flux form,
@@ -177,7 +177,7 @@ def operator_apply(
     """
     if not params.regularized:
         raise ValueError("operator_apply requires regularized parameters")
-    du, dom, dk = M.rhs(state_candidate, state_old.t + dt, forcing, params, env)
+    du, dom, dk = M.rhs(state_candidate, forcing, params, env)
     return (
         (state_candidate.u - state_old.u) / dt - du,
         (state_candidate.omega - state_old.omega) / dt - dom,
@@ -225,7 +225,7 @@ def step_rothe(
     coeffs = cbar * np.array([0.5 * params.nu0] * d + [params.nu1, params.nu2])
 
     if rates is None:
-        rates = M.rhs(state, state.t, forcing, params, env)
+        rates = M.rhs(state, forcing, params, env)
     ru, rom, rk = (-r for r in rates)
     u, om, kk = state.u, state.omega, state.k
     for it in range(_PICARD_MAX_ITERS):
@@ -266,7 +266,7 @@ def _advance(state, boundary, forcing, params, env, cfg):
     """
     remaining = boundary - state.t
     limits = []
-    rates = M.rhs(state, state.t, forcing, params, env, limits=limits)
+    rates = M.rhs(state, forcing, params, env, limits=limits)
     dt = min(cfl_dt(state, limits, params, cfg), remaining)
     step = step_explicit if cfg.scheme == "explicit_rk2" else step_rothe
     guard_hits = 0

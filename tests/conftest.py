@@ -1,7 +1,5 @@
 """Shared builders for the test suite."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -10,6 +8,7 @@ from kolmobox import fields as F
 from kolmobox import model as M
 from kolmobox import scaling as S
 from kolmobox import timestepper as T
+from kolmobox.config import Problem
 
 
 def random_scalar(grid, rng, lo=None, hi=None):
@@ -81,21 +80,29 @@ def perturbed_problem(dim, regularized, forced, n=8):
     return st, env, params, forcing
 
 
+def as_problem(problem, t_end=0.2, sample_every=0.05, cfg=T.StepConfig()):
+    """The `config.Problem` of (state, env, params, forcing), as `perturbed_problem`
+    gives it."""
+    st, env, params, forcing = problem
+    return Problem(state=st, env=env, params=params, step=cfg, forcing=forcing, t_end=t_end,
+                   sample_every=sample_every)
+
+
 def transformed_runs(problem, sp, t_end=0.2, sample_every=0.05, cfg=T.StepConfig()):
     """(transformed states of a run, states of the run of the transformed problem).
 
     `problem` is (state, env, params, forcing), as `perturbed_problem` gives
-    it.  The transformed problem starts from `transform_state(state, sp)` and
-    takes the forcing and envelopes of `transform_inputs`; its t_end,
-    sample_every and dt_max are divided by alpha.
+    it.  The transformed problem is `transform_problem` of the run's, the twin
+    that `kolmo-box scaling` runs.
     """
-    st, env, params, forcing = problem
-    expected = [S.transform_state(s, sp)
-                for s in states_of(T.run(st, t_end, forcing, params, env, cfg, sample_every))]
-    forcing_t, env_t = S.transform_inputs(forcing, env, sp)
-    got = states_of(T.run(S.transform_state(st, sp), t_end / sp.alpha, forcing_t, params, env_t,
-                          replace(cfg, dt_max=cfg.dt_max / sp.alpha), sample_every / sp.alpha))
-    return expected, got
+    p = as_problem(problem, t_end, sample_every, cfg)
+    expected = [S.transform_state(s, sp) for s in states_of(run_problem(p))]
+    return expected, states_of(run_problem(S.transform_problem(p, sp)))
+
+
+def run_problem(p):
+    """`timestepper.run` of a `config.Problem`."""
+    return T.run(p.state, p.t_end, p.forcing, p.params, p.env, p.step, p.sample_every)
 
 
 def relative_gaps(expected, got):
@@ -114,7 +121,7 @@ def relative_gaps(expected, got):
 def stage_one_cfl_dt(state, forcing, params, env, cfg):
     """`timestepper.cfl_dt` from the maxima that `model.rhs` reports for `state`."""
     limits = []
-    M.rhs(state, state.t, forcing, params, env, limits=limits)
+    M.rhs(state, forcing, params, env, limits=limits)
     return T.cfl_dt(state, limits, params, cfg)
 
 

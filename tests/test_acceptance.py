@@ -227,11 +227,8 @@ def test_criterion_5_scaling_invariance():
     worst_coeff = 0.0
     for _ in range(1000):
         a, b, rho, gamma, om, kk = rng.uniform(0.25, 4.0, 6)
-        fam = S.CoefficientFamily(A=a, B=b, D1=1.0, D2=1.2, D3=0.7, G2=1.0, G3=1.5)
-        res = S.coefficient_invariance_residuals(
-            fam, S.general_family(a, b, rho, gamma), [(om, kk)]
-        )
-        worst_coeff = max(worst_coeff, res.overall)
+        sp = S.general_family(a, b, rho, gamma)
+        worst_coeff = max(worst_coeff, S.coefficient_defect(a, b, sp, om, kk))
     ok_coeff = worst_coeff <= 1e-12
 
     ok = report(

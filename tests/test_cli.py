@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import BAD_CONFIG_IDS, BAD_CONFIGS, REMOVED_KEYS, config_with
+from conftest import BAD_CONFIG_IDS, BAD_CONFIGS, REMOVED_KEYS, config_with, run_problem
 
 from kolmobox import cli
 from kolmobox import diagnostics as D
@@ -224,8 +224,7 @@ sample_every = 0.0025
 
 def trajectory_of(cfg_path):
     """Every (state, record, rejected) sample of the config's run."""
-    p = build_problem(load_config(cfg_path))
-    return T.run(p.state, p.t_end, p.forcing, p.params, p.env, p.step, p.sample_every)
+    return run_problem(build_problem(load_config(cfg_path)))
 
 
 def series_of(samples):
@@ -586,7 +585,24 @@ def test_scaling_refuses_a_scale_that_empties_the_envelope(tmp_path, capsys, mon
     text = "dim = 1\nn = 8\nt_end = 0.1\nic_omega0 = 1e-30\n"
     assert refused_scaling(tmp_path, capsys, monkeypatch, text, "--rho", repr(2.0**-1000),
                            "--gamma", "1") == (2, [
-        "error: ValidationError: omega_star: need 0 < omega_star <= omega_sup"
+        "error: NonpositiveParameter: rho * omega_star = 0.0 from rho = 9.332636185032189e-302, "
+        "omega_star = 1e-30; it and its reciprocal must be finite and > 0"
+    ], 0)
+
+
+@pytest.mark.parametrize("line, options, error", [
+    # beta = rho / gamma = 2^-100, and side / beta overflows although side is finite
+    ("side = 1e300", ("--rho", repr(2.0**-100), "--gamma", "1"),
+     "side / beta = inf from side = 1e+300, beta = 7.888609052210118e-31"),
+    # sigma = gamma^2 = 2^-200, and sigma * k0 underflows to 0
+    ("ic_k0 = 1e-300", ("--gamma", repr(2.0**-100)),
+     "sigma * k_star = 0.0 from sigma = 6.223015277861142e-61, k_star = 1e-300"),
+], ids=["side", "k_star"])
+def test_scaling_refuses_a_scale_that_leaves_the_floats(tmp_path, capsys, monkeypatch, line,
+                                                         options, error):
+    text = f"dim = 1\nn = 8\nt_end = 0.1\n{line}\n"
+    assert refused_scaling(tmp_path, capsys, monkeypatch, text, *options) == (2, [
+        f"error: NonpositiveParameter: {error}; it and its reciprocal must be finite and > 0"
     ], 0)
 
 

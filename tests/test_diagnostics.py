@@ -166,7 +166,7 @@ class TestOmegaBalance:
                 records.append(D.record(st, None, PARAMS, env))
                 if i == nsteps:
                     break
-                _, dom, dk = M.rhs(st, t, None, PARAMS, env)
+                _, dom, dk = M.rhs(st, None, PARAMS, env)
                 om = om + dt * dom
                 kk = kk + dt * dk
                 t += dt

@@ -184,7 +184,7 @@ class TestRhs:
         p = M.ModelParams(alpha1=1.0, alpha2=10.0 / 7.0)
         ic = M.HomogeneousIC(u_const=(0.3, -0.2), omega0=1.5, k0=0.7)
         st = M.homogeneous_state(g, ic, p)
-        du, dom, dk = M.rhs(st, 0.0, None, p, ENV)
+        du, dom, dk = M.rhs(st, None, p, ENV)
         for c in du:
             assert np.abs(c).max() == 0.0
         np.testing.assert_array_equal(dom, np.full(g.shape, -(1.0 * (1.5 * 1.5))))
@@ -206,7 +206,7 @@ class TestRhs:
             omega=const(g, olow),
             k=const(g, kap),
         )
-        _, dom, dk = M.rhs(st, t, None, p, env)
+        _, dom, dk = M.rhs(st, None, p, env)
         np.testing.assert_allclose(dom, -p.alpha1 * olow**2, rtol=1e-13)
         # omega_star == omega_sup here, so omega rides both envelopes at once
         np.testing.assert_allclose(dk, -p.alpha2 * kap * olow, rtol=1e-13)
@@ -218,7 +218,7 @@ class TestRhs:
         one = const(g, 1.0)
         st = M.State(t=0.0, grid=g, u=u, omega=one, k=one)
         p = M.ModelParams(nu0=1.3)
-        _, _, dk = M.rhs(st, 0.0, None, p, ENV)
+        _, _, dk = M.rhs(st, None, p, ENV)
         dsq = F.frobenius_sq(g, F.sym_gradient(g, u))
         # with k = omega = 1 the non-production terms vanish except -alpha2*k*omega
         expected = p.nu0 * dsq - p.alpha2
@@ -233,7 +233,7 @@ class TestRhs:
         om = rng.uniform(0.5, 1.5, g.shape)
         kk = rng.uniform(0.5, 1.5, g.shape)
         st = M.State(t=0.0, grid=g, u=u, omega=om, k=kk)
-        _, dom, dk = M.rhs(st, 0.0, None, p, ENV)
+        _, dom, dk = M.rhs(st, None, p, ENV)
 
         sink_om = p.alpha1 * pairing(np.maximum(om, 0), om, g)
         got = F.integrate(g, dom)
@@ -252,13 +252,13 @@ class TestRhs:
         ic = M.HomogeneousIC(u_const=(0.0, 0.0), omega0=1.0, k0=1.0)
         st = M.homogeneous_state(g, ic, p)
         f = const_vector(g, [0.3, -0.1])
-        du, dom, dk = M.rhs(st, 0.0, f, p, ENV)
+        du, dom, dk = M.rhs(st, f, p, ENV)
         np.testing.assert_array_equal(du[0], np.full(g.shape, 0.3))
         np.testing.assert_array_equal(du[1], np.full(g.shape, -0.1))
         assert np.all(dom == -1.0)
 
 
-def reference_rhs(state, t, forcing, params, env):
+def reference_rhs(state, forcing, params, env):
     """The right-hand side assembled operator by operator, each building its own stencils."""
     g = state.grid
     u, om, kk = state.u, state.omega, state.k
@@ -290,12 +290,12 @@ def reference_rhs(state, t, forcing, params, env):
         domega = domega + eps * (
             F.r_laplacian(g, om, r)
             - F.signed_power(om, r)
-            + M.omega_lower(t, env, params) ** (r - 1.0)
+            + M.omega_lower(state.t, env, params) ** (r - 1.0)
         )
         dk = dk + eps * (
             F.r_laplacian(g, kk, r)
             - F.signed_power(kk, r)
-            + M.kappa(t, env, params) ** (r - 1.0)
+            + M.kappa(state.t, env, params) ** (r - 1.0)
         )
 
     return du, domega, dk
@@ -318,10 +318,10 @@ class TestRhsOracle:
             kk[1] = -0.05
         st = M.State(t=0.3, grid=g, u=random_vector(g, rng), omega=om, k=kk)
         forcing = random_vector(g, rng) if forced else None
-        want = reference_rhs(st, 0.3, forcing, params, ENV)
+        want = reference_rhs(st, forcing, params, ENV)
         limits = []
-        for got in (M.rhs(st, 0.3, forcing, params, ENV),
-                    M.rhs(st, 0.3, forcing, params, ENV, limits=limits)):
+        for got in (M.rhs(st, forcing, params, ENV),
+                    M.rhs(st, forcing, params, ENV, limits=limits)):
             for a, b in zip(got, want, strict=True):
                 assert np.array_equal(a, b)
         eddy = M.eddy_coefficient(kk, om, params)

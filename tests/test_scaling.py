@@ -1,16 +1,18 @@
 """Scaling family algebra, state transformation, the solver's invariance, PDE residuals."""
 
 import re
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from conftest import (
+    as_problem,
     exact_homogeneous_trajectory,
     perturbed_problem,
     records_of,
     relative_gaps,
+    run_problem,
     states_of,
     structured_problem,
     transformed_runs,
@@ -21,6 +23,7 @@ from kolmobox import fields as F
 from kolmobox import model as M
 from kolmobox import scaling as S
 from kolmobox import timestepper as T
+from kolmobox.config import Problem
 from kolmobox.errors import InsufficientSamples, NonpositiveParameter, NonpositiveSamples
 
 PARAMS = M.ModelParams(alpha1=1.0, alpha2=10.0 / 7.0)
@@ -95,42 +98,28 @@ class TestBetaGeneral:
 
 
 class TestCoefficientInvariance:
-    def kolmogorov(self):
-        return S.CoefficientFamily.kolmogorov(PARAMS)
-
     def test_kolmogorov_family_residual_zero(self):
-        res = S.coefficient_invariance_residuals(
-            self.kolmogorov(), S.family_from(4.0, 2.0), [(1.0, 1.0)]
-        )
-        assert res.overall <= 1e-14
+        assert S.coefficient_defect(1.0, 1.0, S.family_from(4.0, 2.0), 1.0, 1.0) <= 1e-14
 
     def test_identity_scaling_exactly_zero(self):
-        res = S.coefficient_invariance_residuals(
-            self.kolmogorov(), S.family_from(1.0, 1.0), [(0.7, 1.3)]
-        )
-        assert res.overall == 0.0
+        assert S.coefficient_defect(1.0, 1.0, S.family_from(1.0, 1.0), 0.7, 1.3) == 0.0
 
     def test_wrong_sigma_detected(self):
+        # d = k / omega takes the whole factor; g = omega does not see sigma
         sp = replace(S.family_from(4.0, 2.0), sigma=4.0 * 1.1)
-        res = S.coefficient_invariance_residuals(self.kolmogorov(), sp, [(1.0, 1.0)])
-        assert res.max_d == pytest.approx(abs(1.1 - 1.0), rel=1e-10)
+        assert S.coefficient_defect(1.0, 1.0, sp, 1.0, 1.0) == pytest.approx(1.1 - 1.0, rel=1e-10)
 
     def test_property_over_random_tuples(self, rng):
         worst = 0.0
         for _ in range(1000):
             a, b, rho, gamma, om, kk = rng.uniform(0.25, 4.0, 6)
-            fam = S.CoefficientFamily(A=a, B=b, D1=1.0, D2=1.2, D3=0.7, G2=1.0, G3=1.5)
-            res = S.coefficient_invariance_residuals(
-                fam, S.general_family(a, b, rho, gamma), [(om, kk)]
-            )
-            worst = max(worst, res.overall)
+            worst = max(worst, S.coefficient_defect(a, b, S.general_family(a, b, rho, gamma),
+                                                    om, kk))
         assert worst <= 1e-12
 
     def test_nonpositive_sample(self):
         with pytest.raises(NonpositiveSamples):
-            S.coefficient_invariance_residuals(
-                self.kolmogorov(), S.family_from(1.0, 1.0), [(0.0, 1.0)]
-            )
+            S.coefficient_defect(1.0, 1.0, S.family_from(1.0, 1.0), 0.0, 1.0)
 
 
 HOMOG_ENV = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1.0)
@@ -202,15 +191,58 @@ class TestTransformState:
         # d/dt integral(u^2/2 + k) + alpha2 integral(omega k) = 0 for the
         # transformed homogeneous solution, up to sampling quadrature
         sp = S.family_from(2.0, 1.5)
-        _, env_t = S.transform_inputs(None, HOMOG_ENV, sp)
-        records_t = [D.record(S.transform_state(s, sp), None, PARAMS, env_t)
-                     for s in homogeneous_traj(m=81)]
+        states = homogeneous_traj(m=81)
+        env_t = S.transform_problem(as_problem((states[0], HOMOG_ENV, PARAMS, None)), sp).env
+        records_t = [D.record(S.transform_state(s, sp), None, PARAMS, env_t) for s in states]
         times = np.array([r.t for r in records_t])
         e = np.array([r.E_kin + r.E_turb for r in records_t])
         sink = np.array([r.sink_k for r in records_t])
         for i in range(1, len(times) - 1):
             dedt = (e[i + 1] - e[i - 1]) / (times[i + 1] - times[i - 1])
             assert abs(dedt + sink[i]) <= 2e-3 * abs(sink[i])
+
+
+def assert_same(a, b):
+    """`a == b`, arrays compared entry by entry and dataclasses field by field."""
+    if isinstance(a, np.ndarray):
+        assert np.array_equal(a, b)
+    elif is_dataclass(a):
+        for f in fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name))
+    else:
+        assert a == b
+
+
+class TestTransformProblem:
+    """`transform_problem` is the one rule by which a run becomes its scaled twin."""
+
+    @pytest.fixture
+    def problem(self):
+        step = T.StepConfig(scheme="rothe_picard", cfl_safety=0.3, dt_max=0.01, guard=False)
+        return as_problem(perturbed_problem(2, False, True), 0.4, 0.1, step)
+
+    def test_identity_keeps_every_field(self, problem):
+        assert_same(S.transform_problem(problem, S.family_from(1.0, 1.0)), problem)
+
+    def test_scales_each_field_at_four_two(self, problem):
+        sp = S.family_from(4.0, 2.0)  # alpha = rho = sigma = 4, beta = gamma = 2
+        twin = S.transform_problem(problem, sp)
+        assert np.array_equal(twin.forcing, 8.0 * problem.forcing)
+        env = problem.env
+        assert twin.env == M.ComparisonEnvelope(4.0 * env.omega_star, 4.0 * env.omega_sup,
+                                                4.0 * env.k_star)
+        assert (twin.step.dt_max, twin.t_end, twin.sample_every) == (0.01 / 4, 0.4 / 4, 0.1 / 4)
+        assert replace(twin.step, dt_max=0.01) == problem.step  # scheme, cfl_safety, guard
+        assert_same(twin.state, S.transform_state(problem.state, sp))
+        assert twin.params is problem.params
+        assert S.transform_problem(replace(problem, forcing=None), sp).forcing is None
+
+    def test_every_field_is_transformed_or_named_as_carried(self, problem):
+        # a field that `transform_problem` does not set rides into the twin as the same object
+        twin = S.transform_problem(problem, S.family_from(4.0, 2.0))
+        carried = {f.name for f in fields(Problem)
+                   if getattr(twin, f.name) is getattr(problem, f.name)}
+        assert carried == {"params"}
 
 
 EQUIVARIANCE_PROBLEMS = [(dim, forced) for dim in (1, 2, 3) for forced in (False, True)]
@@ -278,22 +310,23 @@ class TestForcedTrajectory:
 
     @pytest.fixture(scope="class")
     def forced(self):
-        """(samples, forcing, params, env) of a forced 2D run."""
-        st, env, params, forcing = perturbed_problem(2, False, True)
-        return T.run(st, 0.2, forcing, params, env, T.StepConfig(), 0.05), forcing, params, env
+        """(samples, problem) of a forced 2D run."""
+        p = as_problem(perturbed_problem(2, False, True))
+        return run_problem(p), p
 
     @staticmethod
     def transformed_records(forced, sp):
         """The records of the transformed states, under the transformed forcing and envelope."""
-        samples, forcing, params, env = forced
-        forcing_t, env_t = S.transform_inputs(forcing, env, sp)
-        return [D.record(S.transform_state(s, sp), forcing_t, params, env_t, r.guard_activations)
+        samples, p = forced
+        twin = S.transform_problem(p, sp)
+        return [D.record(S.transform_state(s, sp), twin.forcing, twin.params, twin.env,
+                         r.guard_activations)
                 for s, r, _ in samples]
 
     def test_pde_residual_includes_forcing(self, forced):
         # without the forcing term the u residual is ~0.67, the missing term itself
-        samples, forcing, params, env = forced
-        assert S.pde_residual(states_of(samples), forcing, params, env).u <= 1e-2
+        samples, p = forced
+        assert S.pde_residual(states_of(samples), p.forcing, p.params, p.env).u <= 1e-2
 
     def test_identity_transform_keeps_records(self, forced):
         records = records_of(forced[0])
@@ -302,10 +335,9 @@ class TestForcedTrajectory:
 
     def test_transform_scales_forcing(self, forced):
         sp = S.family_from(2.0, 1.5)
-        samples, forcing, _, env = forced
-        forcing_t, _ = S.transform_inputs(forcing, env, sp)
-        assert np.array_equal(forcing_t, sp.gamma * sp.alpha * forcing)
-        assert S.transform_inputs(None, env, sp)[0] is None
+        samples, p = forced
+        assert np.array_equal(S.transform_problem(p, sp).forcing, sp.gamma * sp.alpha * p.forcing)
+        assert S.transform_problem(replace(p, forcing=None), sp).forcing is None
         # power_in = integral(f . u) scales by gamma^2 alpha beta^-d
         for r, rt in zip(records_of(samples), self.transformed_records(forced, sp)):
             want = sp.gamma**2 * sp.alpha * sp.beta**-2 * r.power_in

@@ -379,7 +379,7 @@ class TestStageOneSharing:
         cfg = T.StepConfig()
         dt = stage_one_cfl_dt(st, forcing, params, env, cfg)
         plain = T.step_explicit(st, dt, forcing, params, env, cfg)
-        rates = M.rhs(st, st.t, forcing, params, env)
+        rates = M.rhs(st, forcing, params, env)
         shared = T.step_explicit(st, dt, forcing, params, env, cfg, rates=rates)
         for name in ("u", "omega", "k"):
             assert np.array_equal(getattr(plain, name), getattr(shared, name))
@@ -425,7 +425,7 @@ class TestStageOneSharing:
             return real_step(state, dt, forcing_, params_, env_, cfg_, rates=rates)
 
         def counting_rhs(*args, **kwargs):
-            rhs_calls.append(args[1])
+            rhs_calls.append(args[0].t)
             return real_rhs(*args, **kwargs)
 
         monkeypatch.setattr(T, "step_rothe", flaky)
@@ -597,7 +597,7 @@ class TestOperatorApply:
             omega=const(g, 0.0),
             k=const(g, 0.0),
         )
-        ru, rom, rk = (-r for r in M.rhs(zero, 0.0, None, params, env))  # A(U) - F
+        ru, rom, rk = (-r for r in M.rhs(zero, None, params, env))  # A(U) - F
         src_om = params.eps * M.omega_lower(0.0, env, params) ** (params.r - 1.0)
         src_k = params.eps * M.kappa(0.0, env, params) ** (params.r - 1.0)
         for c in ru:
@@ -624,7 +624,7 @@ class TestOperatorApply:
             om = rng.uniform(0.2, 2.0, g.shape)
             kk = rng.uniform(0.2, 2.0, g.shape)
             st = M.State(t=0.3, grid=g, u=u, omega=om, k=kk)
-            ru, rom, rk = (-r for r in M.rhs(st, st.t, None, params, env))  # A(U) - F
+            ru, rom, rk = (-r for r in M.rhs(st, None, params, env))  # A(U) - F
             src_om = params.eps * M.omega_lower(st.t, env, params) ** (r - 1)
             src_k = params.eps * M.kappa(st.t, env, params) ** (r - 1)
             hd = g.h**g.dim
