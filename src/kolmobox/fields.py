@@ -44,10 +44,12 @@ Reductions use numpy's fixed-order pairwise summation over C-contiguous
 arrays, one component at a time, so diagnostics are bit-reproducible; every
 L2 norm is `l2_norm`, and every pointwise inner product `pointwise_dot`.
 
-`diffusion_solve` inverts I - c*Lap_h, with Lap_h the compact 3-point
-Laplacian (`div_flux` with unit coefficient), by the same real-to-complex
-transform and a symbol also built once per grid; for c >= 0 the inverse keeps
-constants and the mean, and adds no new extrema.
+The same half spectrum serves a caller that works in Fourier space:
+`project_modes` is the projection applied to a velocity's modes,
+`spectral_l2_norm` is `l2_norm` by Parseval, and `diffusion_resolvent` is the
+symbol of (I - c*Lap_h)^-1, with Lap_h the compact 3-point Laplacian
+(`div_flux` with unit coefficient), built from a symbol cached once per grid;
+for c >= 0 the inverse keeps constants and the mean, and adds no new extrema.
 """
 
 from __future__ import annotations
@@ -75,7 +77,9 @@ __all__ = [
     "r_laplacian",
     "r_laplacian_vec",
     "leray_project",
-    "diffusion_solve",
+    "project_modes",
+    "spectral_l2_norm",
+    "diffusion_resolvent",
     "integrate",
     "l2_norm",
     "pointwise_dot",
@@ -434,6 +438,16 @@ def _projection_symbols(g: Grid) -> tuple:
     return tuple(sym), inv
 
 
+def _potential_modes(g: Grid, vhat: np.ndarray) -> np.ndarray:
+    """inv * sum of s * vhat over the components: 1j times the pressure modes of `vhat`."""
+    sym, inv = _projection_symbols(g)
+    qhat = sym[0] * vhat[0]  # sum of s * vhat is the divergence divided by 1j
+    for s, vh in zip(sym[1:], vhat[1:]):
+        qhat += s * vh
+    qhat *= inv
+    return qhat
+
+
 def leray_project(g: Grid, v: np.ndarray) -> tuple:
     """Remove the discrete-gradient part of v.
 
@@ -444,15 +458,39 @@ def leray_project(g: Grid, v: np.ndarray) -> tuple:
     pressure and are left untouched in w, which is harmless because the
     centered divergence annihilates them.
     """
-    sym, inv = _projection_symbols(g)
-    vhat = np.fft.rfftn(v, axes=tuple(range(1, g.dim + 1)))
-    phat = sym[0] * vhat[0]  # sum of s * vhat is the divergence divided by 1j
-    for s, vh in zip(sym[1:], vhat[1:]):
-        phat += s * vh
-    phat *= inv
+    phat = _potential_modes(g, np.fft.rfftn(v, axes=tuple(range(1, g.dim + 1))))
     phat *= -1j
     p = np.fft.irfftn(phat, s=g.shape, axes=tuple(range(g.dim)))
     return v - gradient(g, p), p
+
+
+def project_modes(g: Grid, vhat: np.ndarray) -> np.ndarray:
+    """`leray_project` in Fourier space: the half spectrum vhat - s * (inv * sum of s * vhat).
+
+    `vhat` is the `rfftn` of a velocity over its spatial axes.  The gradient
+    of the pressure has the symbol 1j * s, so the result is the half spectrum
+    of the projected velocity, up to round-off; the mean and Nyquist modes
+    pass unchanged.
+    """
+    sym, _ = _projection_symbols(g)
+    qhat = _potential_modes(g, vhat)
+    return np.stack([vh - s * qhat for s, vh in zip(sym, vhat)])
+
+
+def spectral_l2_norm(g: Grid, fhat: np.ndarray) -> float:
+    """`l2_norm` of the fields whose half spectra `fhat` stacks, by Parseval.
+
+    The `rfftn` output keeps the modes m = 0..n/2 of the last axis; every
+    other mode of the full spectrum is the conjugate of a kept one, so the
+    kept modes weigh 2, except m = 0 and m = n/2, which weigh 1.  `fhat` is
+    C-contiguous, so its real and imaginary parts alternate along the last
+    axis of its float view.
+    """
+    with np.errstate(over="ignore"):  # overflow gives inf, as in l2_norm
+        sq = np.ascontiguousarray(fhat).view(np.float64)
+        sq = sq * sq
+        s = 2.0 * float(np.sum(sq)) - float(np.sum(sq[..., :2])) - float(np.sum(sq[..., -2:]))
+    return math.sqrt(g.h**g.dim * s / g.npoints)
 
 
 @lru_cache(maxsize=8)
@@ -468,19 +506,16 @@ def _diffusion_symbol(g: Grid) -> np.ndarray:
     return lam
 
 
-def diffusion_solve(g: Grid, f: np.ndarray, c) -> np.ndarray:
-    """(I - c*Lap_h)^-1 f over the last `g.dim` axes, Lap_h the compact Laplacian.
+def diffusion_resolvent(g: Grid, c) -> np.ndarray:
+    """Half-spectrum symbol of (I - c*Lap_h)^-1, 1 / (1 + c * lam), Lap_h the compact Laplacian.
 
-    f is a scalar, a vector or any stack of fields.  c >= 0 is one number, or
-    a 1-D array with one coefficient per row of f's first axis, so that rows
-    with different coefficients share one transform.
+    Multiplying the `rfftn` of f by it and transforming back solves
+    (I - c*Lap_h) v = f.  For one number c >= 0 the symbol is shaped like the
+    `rfftn` of a scalar; for a 1-D array c, one coefficient per row of a
+    stack of fields, it stacks one such symbol per coefficient.
     """
-    axes = tuple(range(f.ndim - g.dim, f.ndim))
     c = np.asarray(c, dtype=np.float64)
-    denom = 1.0 + c.reshape(c.shape + (1,) * g.dim) * _diffusion_symbol(g)
-    fhat = np.fft.rfftn(f, axes=axes)
-    fhat /= denom
-    return np.fft.irfftn(fhat, s=g.shape, axes=axes)
+    return 1.0 / (1.0 + c.reshape(c.shape + (1,) * g.dim) * _diffusion_symbol(g))
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ def eddy_coefficient(k: np.ndarray, omega: np.ndarray, params: ModelParams) -> n
     omega > 0 everywhere.
     """
     if params.regularized:
-        return np.maximum(k, 0.0) / (params.eps + np.maximum(omega, 0.0))
+        return _regularized_eddy(np.maximum(k, 0.0), np.maximum(omega, 0.0), params)
     if omega.min() <= 0.0:
         raise DegenerateOmega(f"min(omega) = {omega.min()} <= 0")
     return k / omega
@@ -192,8 +192,17 @@ def production_coefficient(k: np.ndarray, omega: np.ndarray, params: ModelParams
     """
     if not params.regularized:
         return eddy_coefficient(k, omega, params)
-    kp = np.maximum(k, 0.0)
-    return kp / (params.eps + np.maximum(omega, 0.0) + params.eps * kp)
+    return _regularized_production(np.maximum(k, 0.0), np.maximum(omega, 0.0), params)
+
+
+def _regularized_eddy(kp, op, params):
+    """k+/(eps + omega+) from the positive parts kp = k+ and op = omega+."""
+    return kp / (params.eps + op)
+
+
+def _regularized_production(kp, op, params):
+    """k+/(eps + omega+ + eps*k+) from the positive parts kp = k+ and op = omega+."""
+    return kp / (params.eps + op + params.eps * kp)
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +224,25 @@ def rhs(
     system, and for eps = 0 the integrals of domega and dk reduce exactly to
     the damping/production integrals (advection and fluxes are conservative).
 
-    Every stencil is evaluated once: the checked eddy coefficient and its face
-    averages, the velocity gradient, and for omega and k the centered gradient
-    and the face differences are built here and handed to the operators, and
-    each is dropped after its last use.  The vector r-Laplacian assembles its
-    own face tensors, so it runs before D(u) is built.  A list `limits`
-    receives the inputs of `timestepper.cfl_dt` for this state: the largest
-    eddy coefficient, then (regularized) the largest |D(u)|^2 and squared face
-    gradients of omega and k.
+    Every stencil is evaluated once: the positive parts of omega and k (which
+    the regularized coefficients and the damping share), the checked eddy
+    coefficient and its face averages, the velocity gradient, and for omega
+    and k the centered gradient and the face differences are built here and
+    handed to the operators, and each is dropped after its last use.  The
+    vector r-Laplacian assembles its own face tensors, so it runs before D(u)
+    is built.  A list `limits` receives the inputs of `timestepper.cfl_dt`
+    for this state: the largest eddy coefficient, then (regularized) the
+    largest |D(u)|^2 and squared face gradients of omega and k.
     """
     g = state.grid
     u, om, kk = state.u, state.omega, state.k
     eps, r = params.eps, params.r
-    eddy = eddy_coefficient(kk, om, params)
+    om_pos = np.maximum(om, 0.0)
+    if params.regularized:
+        k_pos = np.maximum(kk, 0.0)
+        eddy = _regularized_eddy(k_pos, om_pos, params)
+    else:
+        eddy = eddy_coefficient(kk, om, params)
     if limits is not None:
         limits.append(float(eddy.max()))
     av = F.check_coefficient(eddy)
@@ -252,12 +267,12 @@ def rhs(
         del lap_u
         if limits is not None:
             limits.append(float(dsq.max()))
-    dsq *= production_coefficient(kk, om, params)
+    # unregularized, the production coefficient is the eddy coefficient k/omega
+    dsq *= _regularized_production(k_pos, om_pos, params) if params.regularized else eddy
     dsq *= params.nu0
 
     faces = F.face_averages(g, av)
     del eddy, av
-    om_pos = np.maximum(om, 0.0)
     domega, lap = _transport(g, u, om, faces, params.nu1, params, limits)
     domega -= params.alpha1 * (om_pos * om)
     if lap is not None:

@@ -2,17 +2,22 @@
 
 Two schemes: an explicit two-stage SSP Runge-Kutta (Heun) step with Leray
 projection after each stage, and a Rothe step (implicit Euler on the
-stationary operator, solved by Picard iteration preconditioned with one
-constant-coefficient Fourier diffusion solve per iterate).  Both end with a
-positivity guard: a stage whose omega or k falls a small slack below its
-comparison envelope is rejected with EnvelopeViolated, never repaired, and
-the attempt is retried at half the step like a non-finite one.  Rejected
-attempts are counted, and so are the guard's among them.
+stationary operator, solved by Picard iteration preconditioned with a
+constant-coefficient diffusion inverse, applied in Fourier space with the
+projection of u's modes).  Both end with a positivity guard: a stage whose
+omega or k falls a small slack below its comparison envelope is rejected with
+EnvelopeViolated, never repaired, and the attempt is retried at half the step
+like a non-finite one.  Rejected attempts are counted, and so are the guard's
+among them.
 
 Both schemes share one step protocol: stage 1, the `rhs` of the accepted
-state, is evaluated once per step; the CFL step comes from the maxima that
-evaluation reports, and its rates go to the step (the first Heun stage, or
-the first Picard residual); retries after a rejection reuse the same rates.
+state, is evaluated at most once per step; the CFL step comes from the maxima
+that evaluation reports, and its rates go to the step (the first Heun stage,
+or the first Picard residual); retries after a rejection reuse the same
+rates.  An explicit step evaluates its stage 1 itself.  A Rothe step's
+accepted state is its converged Picard iterate, whose `rhs` the stopping test
+has already evaluated; that `rhs` is handed to the next step as its stage 1,
+with the step's predictor defect, which starts the next step's iteration.
 
 `samples` is the sampling loop: a generator that walks the schedule of
 `sample_times` and yields each sample's state and diagnostics record as it is
@@ -88,8 +93,8 @@ def cfl_dt(state: State, limits: list, params: ModelParams, cfg: StepConfig) -> 
     return min(cfg.cfl_safety * min(dt_adv, dt_dif), cfg.dt_max)
 
 
-def _finish_stage(g, u, om, kk, t_new, params, env, cfg) -> State:
-    """Apply the positivity guard against the envelopes at t_new, then project u.
+def _guard(om, kk, t_new, params, env, cfg):
+    """The positivity guard against the envelopes at t_new.
 
     With `cfg.guard`, a stage whose omega or k lies below its guard level
     (`_GUARD_SLACK` below the envelope) raises EnvelopeViolated.
@@ -101,6 +106,11 @@ def _finish_stage(g, u, om, kk, t_new, params, env, cfg) -> State:
             if low < level:
                 raise EnvelopeViolated(f"{name} falls to {low:.6g}, below its guard level "
                                        f"{level:.6g}, at t = {t_new!r}")
+
+
+def _finish_stage(g, u, om, kk, t_new, params, env, cfg) -> State:
+    """Apply the positivity guard against the envelopes at t_new, then project u."""
+    _guard(om, kk, t_new, params, env, cfg)
     w, _ = F.leray_project(g, u)
     return State(t=t_new, grid=g, u=w, omega=om, k=kk)
 
@@ -167,17 +177,23 @@ def operator_apply(
     forcing: Optional[np.ndarray],
     params: ModelParams,
     env: ComparisonEnvelope,
+    *,
+    rates=None,
 ):
     """Implicit-Euler residual (U - U_old)/dt + A(U) - F at the candidate's time, t_old + dt.
 
     A is the stationary operator of the regularized system assembled from the
     discrete field operators (advection in skew form, diffusion in flux form,
     r-terms, damping, production); F carries the external forcing and the
-    envelope sources.  Zero residual characterizes the discrete implicit-Euler solution.
+    envelope sources.  Zero residual characterizes the discrete implicit-Euler
+    solution.  `rates` is the candidate's `rhs`, F - A(U), if the caller
+    already holds it.
     """
     if not params.regularized:
         raise ValueError("operator_apply requires regularized parameters")
-    du, dom, dk = M.rhs(state_candidate, forcing, params, env)
+    if rates is None:
+        rates = M.rhs(state_candidate, forcing, params, env)
+    du, dom, dk = rates
     return (
         (state_candidate.u - state_old.u) / dt - du,
         (state_candidate.omega - state_old.omega) / dt - dom,
@@ -194,22 +210,39 @@ def step_rothe(
     cfg: StepConfig,
     *,
     rates=None,
+    defect=None,
+    handover: Optional[list] = None,
 ) -> State:
     """Implicit Euler by preconditioned Picard: U <- U - dt * (I - dt*L)^-1 residual(U).
 
     L is the constant-coefficient diffusion nu*cbar*Lap_h, with Lap_h the
-    compact Laplacian, cbar the largest eddy coefficient of the old state and
-    nu = nu0/2 for u, nu1 for omega and nu2 for k; (I - dt*L)^-1 is one
-    `fields.diffusion_solve` over all fields.  It takes the stiff diffusion
-    out of the iteration and leaves the fixed point as it is.  The first
-    residual is -`rates` (stage 1's `rhs`, computed if not given), so the
-    first update is the linearly implicit Euler predictor; later residuals
-    come from `operator_apply` at t + dt.  The u-residual is Leray-projected
-    (the discarded gradient part is the pressure).  Convergence is declared
-    when a residual at t + dt drops below `_PICARD_TOL` relative to
-    |U_old|/dt; after `_PICARD_MAX_ITERS` iterates it raises PicardDiverged.
-    For r <= 3 it warns that the mode is only known to be well behaved for
-    r > 3.
+    compact Laplacian, cbar the midrange (min + max)/2 of the old state's
+    eddy coefficient, which minimizes the Richardson contraction bound
+    max(1 - min/cbar, max/cbar - 1), and nu = nu0/2 for u, nu1 for omega and
+    nu2 for k.  It takes the stiff diffusion out of the iteration and leaves
+    the fixed point as it is.  The first residual is -`rates` (stage 1's
+    `rhs`, computed if not given), so the first update is the linearly
+    implicit Euler predictor; each later iterate evaluates the candidate's
+    `rhs(..., limits=)` and hands it to `operator_apply` at t + dt.
+
+    The predictor misses the implicit-Euler solution by O(dt^2), and that
+    defect varies slowly from step to step.  `defect` is the previous step's
+    (converged iterate - predictor, as stacked half spectra, its dt); scaled
+    by (dt / its dt)^2 it is added to the predictor, so the iteration starts
+    closer to its fixed point, which it leaves as it is.
+
+    Each iterate takes one `rfftn` of the stacked residual and one `irfftn`:
+    u's residual modes are projected (`fields.project_modes`; the discarded
+    gradient part is the pressure), the stopping norm of u's part is taken
+    from them by Parseval, and all modes are multiplied by the diffusion
+    inverse's symbol, built once per step.  u itself is kept as modes,
+    projected once per step from U_old, so every iterate's u is projected in
+    Fourier space.  Convergence is declared when a residual at t + dt drops
+    below `_PICARD_TOL` relative to |U_old|/dt; the converged candidate,
+    guard-checked, is the returned state, and a list `handover` receives the
+    (rates, limits) of its `rhs` and this step's defect.  After
+    `_PICARD_MAX_ITERS` iterates it raises PicardDiverged.  For r <= 3 it
+    warns that the mode is only known to be well behaved for r > 3.
     """
     if dt == 0.0:
         return replace(state, guard_hits=0)
@@ -218,73 +251,110 @@ def step_rothe(
                       "well behaved for r > 3", stacklevel=2)
     g = state.grid
     d = g.dim
+    axes = tuple(range(1, d + 1))
     t_new = state.t + dt
 
     scale = sum(F.l2_norm(g, a) for a in (state.u, [state.omega], [state.k])) / dt + 1e-300
-    cbar = dt * float(M.eddy_coefficient(state.k, state.omega, params).max())
-    coeffs = cbar * np.array([0.5 * params.nu0] * d + [params.nu1, params.nu2])
+    eddy = M.eddy_coefficient(state.k, state.omega, params)
+    cbar = 0.5 * (float(eddy.min()) + float(eddy.max()))
+    nu = np.array([0.5 * params.nu0] * d + [params.nu1, params.nu2])
+    gain = F.diffusion_resolvent(g, dt * cbar * nu)  # (I - dt*L)^-1, one row per field
+    gain *= dt
 
     if rates is None:
         rates = M.rhs(state, forcing, params, env)
-    ru, rom, rk = (-r for r in rates)
-    u, om, kk = state.u, state.omega, state.k
+    residual = [-r for r in rates]
+    u_hat = F.project_modes(g, np.fft.rfftn(state.u, axes=axes))
+    om, kk = state.omega, state.k
     for it in range(_PICARD_MAX_ITERS):
         if it:
             cand = State(t=t_new, grid=g, u=u, omega=om, k=kk)
-            ru, rom, rk = operator_apply(cand, state, dt, forcing, params, env)
-        ru_sol, _ = F.leray_project(g, ru)
-        res = F.l2_norm(g, ru_sol) + F.l2_norm(g, [rom, rk])
+            limits = []
+            rates = M.rhs(cand, forcing, params, env, limits=limits)
+            residual = operator_apply(cand, state, dt, forcing, params, env, rates=rates)
+        ru, rom, rk = residual
+        r_hat = np.fft.rfftn(np.concatenate((ru, rom[None], rk[None])), axes=axes)
+        r_hat[:d] = F.project_modes(g, r_hat[:d])
+        res = F.spectral_l2_norm(g, r_hat[:d]) + F.l2_norm(g, [rom, rk])
         if not math.isfinite(res):
             raise PicardDiverged(f"non-finite residual at dt={dt}")
-        if it and res <= _PICARD_TOL * scale:
-            out = _finish_stage(g, u, om, kk, t_new, params, env, cfg)
-            _check_finite(out, dt)
-            return out
-        corr = F.diffusion_solve(g, np.concatenate((ru_sol, rom[None], rk[None])), coeffs)
-        corr *= dt
-        u = u - corr[:d]
-        om = om - corr[d]
-        kk = kk - corr[d + 1]
+        if it and res <= _PICARD_TOL * scale:  # a finite residual has finite fields
+            _guard(om, kk, t_new, params, env, cfg)
+            if handover is not None:
+                handover.extend((rates, limits, (lead, dt)))
+            return cand
+        r_hat *= gain
+        if it:
+            lead -= r_hat  # the iterate's lead on the predictor, U - P
+        elif defect is None:
+            lead = np.zeros_like(r_hat)
+        else:
+            lead = defect[0] * (dt / defect[1]) ** 2
+            r_hat -= lead
+        u_hat -= r_hat[:d]
+        r_hat[:d] = u_hat  # so the inverse transform gives u and the omega, k corrections
+        out = np.fft.irfftn(r_hat, s=g.shape, axes=axes)
+        u = out[:d]
+        om = om - out[d]
+        kk = kk - out[d + 1]
     raise PicardDiverged(f"no convergence in {_PICARD_MAX_ITERS} iterations at dt={dt}")
 
 
 _MAX_RETRIES = 10
 
 
-def _advance(state, boundary, forcing, params, env, cfg):
+def _advance(state, boundary, forcing, params, env, cfg, handover=None):
     """One accepted step of at most boundary - t, halving dt on rejection.
 
-    Returns (state, rejected attempts); the state's `guard_hits` counts the
-    attempts among them that the positivity guard rejected, and a step of
-    the whole distance lands on `boundary` exactly.  Stage 1 is evaluated
-    here once, whatever the scheme: its maxima give the CFL step and its
-    rates go to every attempt.  An attempt whose dt leaves t unchanged
-    (below t's rounding step, or 0) raises StepRejected: no number of such
-    steps reaches `boundary`.  After `_MAX_RETRIES` halvings it raises
-    EnvelopeViolated if the guard rejected the last attempt, StepRejected
-    otherwise.
+    Returns (state, rejected attempts, handover or None); the state's
+    `guard_hits` counts the attempts among them that the positivity guard
+    rejected, and a step of the whole distance lands on `boundary` exactly.
+    A `handover` is what the previous Rothe step passed on: the (rates,
+    limits) of `state`'s `rhs`, which serve as stage 1, and that step's
+    predictor defect.  Without one, stage 1 is evaluated here, once,
+    whatever the scheme.  Stage 1's maxima give the CFL step, and its rates
+    (and the defect) go to every attempt.  A Rothe step returns a handover
+    for the state it accepts; a step that lands on `boundary` hands over no
+    defect, so a run restarted from that sample keeps its bits, and one
+    whose t is snapped to `boundary`, which moves the envelope sources,
+    hands over nothing.  An explicit step returns none.  An attempt whose
+    dt leaves t unchanged (below t's rounding step, or 0) raises
+    StepRejected: no number of such steps reaches `boundary`.  After
+    `_MAX_RETRIES` halvings it raises EnvelopeViolated if the guard rejected
+    the last attempt, StepRejected otherwise.
     """
     remaining = boundary - state.t
-    limits = []
-    rates = M.rhs(state, forcing, params, env, limits=limits)
+    if handover is None:
+        limits, defect = [], None
+        rates = M.rhs(state, forcing, params, env, limits=limits)
+    else:
+        rates, limits, defect = handover
     dt = min(cfl_dt(state, limits, params, cfg), remaining)
-    step = step_explicit if cfg.scheme == "explicit_rk2" else step_rothe
     guard_hits = 0
     for rejected in range(_MAX_RETRIES + 1):
         if state.t + dt == state.t:
             raise StepRejected(f"dt = {dt!r} does not advance t = {state.t!r}")
+        passed_on = []
         try:
-            new = step(state, dt, forcing, params, env, cfg, rates=rates)
+            if cfg.scheme == "explicit_rk2":
+                new = step_explicit(state, dt, forcing, params, env, cfg, rates=rates)
+            else:
+                new = step_rothe(state, dt, forcing, params, env, cfg, rates=rates,
+                                 defect=defect, handover=passed_on)
         except (StepRejected, PicardDiverged) as exc:
             last = exc
             guard_hits += isinstance(exc, EnvelopeViolated)
             dt *= 0.5
             continue
+        if dt == remaining and passed_on:
+            # the next sample starts without this step's defect, as a run restarted from
+            # this sample does; a snapped t also moves the envelope sources of stage 1
+            passed_on = passed_on[:2] + [None] if new.t == boundary else []
         if dt == remaining and new.t != boundary:
             new = replace(new, t=boundary)
         if guard_hits:
             new = replace(new, guard_hits=guard_hits)
-        return new, rejected
+        return new, rejected, tuple(passed_on) or None
     if isinstance(last, EnvelopeViolated):
         raise EnvelopeViolated(f"{last}; step rejected after {_MAX_RETRIES} dt halvings")
     raise StepRejected(f"step rejected after {_MAX_RETRIES} dt halvings")
@@ -332,13 +402,14 @@ def samples(
     if forcing is not None and np.shape(forcing) != initial.u.shape:
         raise IncompatibleGrid(f"forcing shape {np.shape(forcing)} != u shape {initial.u.shape}")
 
-    state = initial
+    state, handover = initial, None
     yield state, diag.record(state, forcing, params, env), 0
     for boundary in times[1:]:
         guard_hits = 0
         rejected = 0
         while state.t < boundary:
-            state, n_rejected = _advance(state, boundary, forcing, params, env, cfg)
+            state, n_rejected, handover = _advance(state, boundary, forcing, params, env,
+                                                   cfg, handover)
             rejected += n_rejected
             guard_hits += state.guard_hits
         rec = diag.record(state, forcing, params, env, guard_activations=guard_hits)

@@ -359,12 +359,15 @@ def test_decay_series_bits_are_pinned(tmp_path):
 
 
 # the decay_1d pin runs no r-Laplacian; every step of the REG_2D run takes both, under
-# either scheme, and its digests (series, last snapshot) are pinned on the same terms
+# either scheme, and its digests (series, last snapshot) are pinned on the same terms.
+# The rothe_picard digests last moved when the Picard iterate became spectral and its
+# preconditioner took the midrange eddy coefficient: both move the path to the same
+# fixed point, so the outputs moved only within the Picard tolerance
 REG_2D_SHA256 = {
     "explicit_rk2": ("ae41738f69d614dfbecb4163252a7832ae59f3dcbdb0c552b36a9c6f2f334ef1",
                      "0e7802155cb00ee6efe6ee7139e6c22fc82e6aa842a12bd7c4096ea137268bac"),
-    "rothe_picard": ("f4f2484c80ea03a9d34e100a0fcdbaf371d72e307e31cca604ea0a9e7e537e20",
-                     "d57bdc5a53d7904a4d81b3ea86f50f96ab8c3a2864515a85df4d3a6496a1195b"),
+    "rothe_picard": ("aa6a5e06fd9cb966c0f754c789dece535a12e45ef5238049a204e70a7a00d0b8",
+                     "5efeb3e25a868e5c5274739142a772c594a85e44445478e9d91111a4416b666e"),
 }
 
 

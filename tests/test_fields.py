@@ -398,6 +398,37 @@ def fftn_projection(g, v):
     return v - F.gradient(g, p), p
 
 
+def with_mean_and_nyquist(g, rng):
+    """A random vector field plus a constant and the Nyquist modes of every axis and of all."""
+    v = random_vector(g, rng)
+    idx = np.indices(g.shape)
+    for i in range(g.dim):
+        v[i] += 0.5 + i + 0.3 * (-1.0) ** idx.sum(axis=0) + 0.2 * (-1.0) ** idx[i]
+    return v
+
+
+class TestSpectralForms:
+    """The Fourier-space forms a Rothe iterate applies equal their real-space counterparts."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_parseval_norm_of_the_projected_modes(self, dim, rng):
+        g = F.Grid(dim, 8, 1.3)
+        r = with_mean_and_nyquist(g, rng)
+        rhat = np.fft.rfftn(r, axes=tuple(range(1, dim + 1)))
+        assert F.spectral_l2_norm(g, rhat) == pytest.approx(F.l2_norm(g, r), rel=1e-14, abs=0.0)
+        ref = F.l2_norm(g, F.leray_project(g, r)[0])
+        got = F.spectral_l2_norm(g, F.project_modes(g, rhat))
+        assert abs(got - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_projected_modes_are_the_leray_projection(self, dim, rng):
+        g = F.Grid(dim, 8, 1.3)
+        v = with_mean_and_nyquist(g, rng)
+        axes = tuple(range(1, dim + 1))
+        w = np.fft.irfftn(F.project_modes(g, np.fft.rfftn(v, axes=axes)), s=g.shape, axes=axes)
+        assert np.abs(w - F.leray_project(g, v)[0]).max() <= 1e-14 * np.abs(v).max()
+
+
 class TestProjectionOracle:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n", [4, 16])
@@ -420,6 +451,14 @@ class TestProjectionOracle:
                 arr[...] = 0.0
 
 
+def diffusion_solve(g, f, c):
+    """(I - c Lap_h)^-1 f over the last g.dim axes, by `diffusion_resolvent`, as Rothe applies it."""
+    axes = tuple(range(f.ndim - g.dim, f.ndim))
+    fhat = np.fft.rfftn(f, axes=axes)
+    fhat *= F.diffusion_resolvent(g, c)
+    return np.fft.irfftn(fhat, s=g.shape, axes=axes)
+
+
 class TestDiffusionSolve:
     """(I - c Lap_h)^-1 for the compact Laplacian Lap_h = div_flux(1, .)."""
 
@@ -428,16 +467,16 @@ class TestDiffusionSolve:
     def test_inverts_compact_operator(self, dim, c, rng):
         g = F.Grid(dim, 8 if dim == 3 else 16, 1.3)
         f = random_scalar(g, rng)
-        v = F.diffusion_solve(g, f, c)
+        v = diffusion_solve(g, f, c)
         back = v - c * F.div_flux(g, const(g, 1.0), v)
         assert np.abs(back - f).max() <= 1e-12 * np.abs(f).max()
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_constants_and_mean_kept(self, dim, rng):
         g = F.Grid(dim, 8, 2.0)
-        assert np.abs(F.diffusion_solve(g, const(g, 3.5), 0.9) - 3.5).max() <= 1e-12 * 3.5
+        assert np.abs(diffusion_solve(g, const(g, 3.5), 0.9) - 3.5).max() <= 1e-12 * 3.5
         f = random_scalar(g, rng)
-        v = F.diffusion_solve(g, f, 0.9)
+        v = diffusion_solve(g, f, 0.9)
         assert abs(v.mean() - f.mean()) <= 1e-12 * np.abs(f).max()
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -446,7 +485,7 @@ class TestDiffusionSolve:
         g = F.Grid(dim, 8, 1.0)
         f = random_scalar(g, rng, 0.0, 1.0)
         f.flat[0] = 40.0  # a spike whose undershoot a non-positive inverse would show
-        v = F.diffusion_solve(g, f, c)
+        v = diffusion_solve(g, f, c)
         tol = 1e-12 * f.max()
         assert v.min() >= f.min() - tol
         assert v.max() <= f.max() + tol
@@ -455,13 +494,13 @@ class TestDiffusionSolve:
     def test_rows_match_one_at_a_time(self, dim, rng):
         g = F.Grid(dim, 8, 1.3)
         u = random_vector(g, rng)
-        v = F.diffusion_solve(g, u, 0.3)
+        v = diffusion_solve(g, u, 0.3)
         for uc, vc in zip(u, v):
-            assert np.abs(vc - F.diffusion_solve(g, uc, 0.3)).max() <= 1e-12 * np.abs(uc).max()
+            assert np.abs(vc - diffusion_solve(g, uc, 0.3)).max() <= 1e-12 * np.abs(uc).max()
         coeffs = np.linspace(0.1, 2.0, dim)
-        w = F.diffusion_solve(g, u, coeffs)
+        w = diffusion_solve(g, u, coeffs)
         for uc, wc, c in zip(u, w, coeffs):
-            assert np.abs(wc - F.diffusion_solve(g, uc, c)).max() <= 1e-12 * np.abs(uc).max()
+            assert np.abs(wc - diffusion_solve(g, uc, c)).max() <= 1e-12 * np.abs(uc).max()
 
     def test_symbol_cached_read_only(self):
         F._diffusion_symbol.cache_clear()

@@ -1,5 +1,7 @@
 """Explicit and Rothe stepping, CFL logic, sampled runs."""
 
+import collections
+import math
 import warnings
 from dataclasses import replace
 
@@ -201,7 +203,7 @@ class TestRun:
         ic = M.HomogeneousIC(u_const=(0.0,), omega0=1.0, k0=1.0)
         st = M.homogeneous_state(g, ic, params, t=t0)
         env = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1.0)
-        state, rejected = T._advance(st, b, None, params, env, T.StepConfig())
+        state, rejected, _ = T._advance(st, b, None, params, env, T.StepConfig())
         assert (state.t, rejected, state.guard_hits) == (b, 0, 0)
 
     def test_a_dt_that_cannot_advance_t_raises(self, monkeypatch):
@@ -343,8 +345,10 @@ STAGE1_CASES = [(1, True, False), (2, True, True), (3, True, False), (2, False, 
 
 
 class TestStageOneSharing:
-    """run evaluates stage 1 once per step, whatever the scheme: it sets the CFL
-    step and serves every attempt."""
+    """run evaluates stage 1 at most once per step, whatever the scheme: it sets the
+    CFL step and serves every attempt.  A Rothe step's stage 1 is the `rhs` of the
+    previous step's converged iterate, handed over, unless that step was snapped to
+    its sample boundary."""
 
     @staticmethod
     def first_dt(scheme, dim, regularized, forced, monkeypatch):
@@ -418,11 +422,11 @@ class TestStageOneSharing:
         real_step, real_rhs = T.step_rothe, M.rhs
         handed, rhs_calls = [], []
 
-        def flaky(state, dt, forcing_, params_, env_, cfg_, *, rates=None):
+        def flaky(state, dt, forcing_, params_, env_, cfg_, *, rates=None, **handover):
             handed.append(rates)
             if len(handed) < 3:
                 raise PicardDiverged("synthetic divergence")
-            return real_step(state, dt, forcing_, params_, env_, cfg_, rates=rates)
+            return real_step(state, dt, forcing_, params_, env_, cfg_, rates=rates, **handover)
 
         def counting_rhs(*args, **kwargs):
             rhs_calls.append(args[0].t)
@@ -438,6 +442,124 @@ class TestStageOneSharing:
         # residuals are taken at the step's end
         assert rhs_calls.count(0.0) == 1 and rhs_calls.count(t_end / 4) >= 2
         assert sum(rejected for *_, rejected in samples) == 2
+
+    def test_rothe_hands_over_the_rhs_of_the_accepted_state(self):
+        st, env, params, forcing = perturbed_problem(2, True, True)
+        cfg = T.StepConfig(scheme="rothe_picard")
+        new, _, handover = T._advance(st, math.inf, forcing, params, env, cfg)
+        limits = []
+        fresh = M.rhs(new, forcing, params, env, limits=limits)
+        rates, handed_limits, defect = handover
+        assert all(np.array_equal(a, b) for a, b in zip(rates, fresh))
+        assert handed_limits == limits
+        assert defect[1] == new.t - st.t
+        # so a step from the handed-over stage 1 is the step from a fresh one, bit for bit
+        handed = T._advance(new, math.inf, forcing, params, env, cfg, handover)
+        own = T._advance(new, math.inf, forcing, params, env, cfg, (fresh, limits, defect))
+        for name in ("t", "u", "omega", "k"):
+            assert np.array_equal(getattr(handed[0], name), getattr(own[0], name))
+        assert T._advance(st, math.inf, forcing, params, env, T.StepConfig())[2] is None
+
+    def test_the_handed_over_defect_moves_only_the_path(self, monkeypatch):
+        # the defect starts the iteration nearer its fixed point: fewer iterates, and a
+        # state that differs from the one reached without it only within the tolerance
+        st, env, params, forcing = perturbed_problem(2, True, True)
+        cfg = T.StepConfig(scheme="rothe_picard")
+        state, handover = st, None
+        for _ in range(3):
+            state, _, handover = T._advance(state, math.inf, forcing, params, env, cfg, handover)
+        rates, limits, defect = handover
+        assert np.abs(defect[0]).max() > 0.0
+        calls = []
+        real_apply = T.operator_apply
+        monkeypatch.setattr(T, "operator_apply",
+                            lambda *a, **kw: calls.append(None) or real_apply(*a, **kw))
+
+        def step(given):
+            calls.clear()
+            new = T._advance(state, math.inf, forcing, params, env, cfg, (rates, limits, given))
+            return new[0], len(calls)
+
+        (a, n_with), (b, n_without) = step(defect), step(None)
+        assert n_with < n_without
+        assert a.t == b.t
+        for name in ("u", "omega", "k"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert np.abs(x - y).max() <= 1e-8 * np.abs(y).max()
+
+    def test_rothe_run_is_restartable_bitwise(self):
+        # a step that ends a sample hands over no defect, so the steps after a sample
+        # depend on the sampled state alone, as they do in a run restarted from it
+        st, env, params, forcing = perturbed_problem(2, True, True)
+        cfg = T.StepConfig(scheme="rothe_picard")
+        every = 0.15
+        assert stage_one_cfl_dt(st, forcing, params, env, cfg) < every / 3
+        full = T.run(st, 4 * every, forcing, params, env, cfg, every)[-1][0]
+        half = T.run(st, 2 * every, forcing, params, env, cfg, every)[-1][0]
+        rest = T.run(half, 4 * every, forcing, params, env, cfg, every)[-1][0]
+        assert full.t == rest.t
+        for name in ("u", "omega", "k"):
+            assert np.array_equal(getattr(full, name), getattr(rest, name))
+
+    @staticmethod
+    def wide_box_from_an_ulp_past_zero():
+        """A 1D homogeneous Rothe problem at t0 = 2^-53 and boundaries (b, 2, 3), b = 1 + 2^-52.
+
+        The first whole-distance step ends at t0 + (b - t0) = 1.0, an ulp short of
+        b, so _advance snaps it to b; the later boundaries are reached exactly.
+        Returns (state, forcing, params, env, cfg, boundaries).
+        """
+        t0, b = 2.0**-53, 1.0 + 2.0**-52
+        assert t0 + (b - t0) != b
+        g = F.Grid(1, 4, 1000.0)  # a box so wide that the CFL step exceeds each distance
+        # weak sinks, so steps of about 1 keep omega and k above the guard levels
+        params = replace(regularized_params(), alpha1=0.1, alpha2=0.1)
+        ic = M.HomogeneousIC(u_const=(0.0,), omega0=1.0, k0=1.0)
+        st = M.homogeneous_state(g, ic, params, t=t0)
+        env = M.ComparisonEnvelope(omega_star=1.0, omega_sup=1.0, k_star=1.0)
+        return st, None, params, env, T.StepConfig(scheme="rothe_picard"), [b, 2.0, 3.0]
+
+    def test_a_snapped_rothe_step_hands_over_nothing(self):
+        # the converged iterate's rhs was taken at 1.0, so it is no stage 1 for the state at b
+        st, forcing, params, env, cfg, (b, *_) = self.wide_box_from_an_ulp_past_zero()
+        state, rejected, handover = T._advance(st, b, forcing, params, env, cfg)
+        assert (state.t, rejected, handover) == (b, 0, None)
+
+    @pytest.mark.parametrize("case, snaps", [("perturbed_2d", 0), ("snapped_1d", 1)])
+    def test_rothe_evaluates_rhs_once_per_iterate(self, case, snaps, monkeypatch):
+        # stage 1 of the first step, then one rhs per operator_apply call; a step that
+        # _advance snaps to its boundary drops the handed-over stage 1, because its time
+        # moved, so the next step evaluates its own
+        if case == "perturbed_2d":
+            st, env, params, forcing = perturbed_problem(2, True, True)
+            cfg = T.StepConfig(scheme="rothe_picard")
+            boundaries = T.sample_times(0.0, 0.05, 0.003)[1:]
+        else:
+            st, forcing, params, env, cfg, boundaries = self.wide_box_from_an_ulp_past_zero()
+        calls = collections.Counter()
+        stepped, advanced = [], []
+        real_rhs, real_apply, real_step = M.rhs, T.operator_apply, T.step_rothe
+
+        def counted(name, fn):
+            return lambda *a, **kw: calls.update([name]) or fn(*a, **kw)
+
+        def step(*a, **kw):
+            stepped.append(real_step(*a, **kw))
+            return stepped[-1]
+
+        monkeypatch.setattr(M, "rhs", counted("rhs", real_rhs))
+        monkeypatch.setattr(T, "operator_apply", counted("apply", real_apply))
+        monkeypatch.setattr(T, "step_rothe", step)
+        state, handover = st, None
+        for boundary in boundaries:  # the loop of timestepper.samples
+            while state.t < boundary:
+                state, _, handover = T._advance(state, boundary, forcing, params, env, cfg,
+                                                handover)
+                advanced.append((state, handover))
+        snapped = sum(s.t != a.t for s, (a, _) in zip(stepped, advanced))
+        assert len(stepped) == len(advanced) >= 3 and calls["apply"] >= 2 * len(stepped)
+        assert snapped == [handed is None for _, handed in advanced].count(True) == snaps
+        assert calls["rhs"] == 1 + calls["apply"] + snapped
 
 
 class TestStencilCount:
@@ -559,6 +681,20 @@ class TestRothe:
         ru_sol, _ = F.leray_project(g, ru)
         scale = (F.l2_norm(g, st.u) + F.l2_norm(g, [st.omega]) + F.l2_norm(g, [st.k])) / dt
         assert F.l2_norm(g, ru_sol) + F.l2_norm(g, [rom, rk]) <= T._PICARD_TOL * scale
+
+    def test_divergence_stays_at_round_off_over_a_long_run(self):
+        # every iterate's u is projected in Fourier space, from U_old's modes projected
+        # again at each step, so the divergence of the accepted states does not build up
+        params = regularized_params()
+        g, st, env, _ = structured_problem(n=16)
+        cfg = T.StepConfig(scheme="rothe_picard", guard=False)
+        state, handover, divs = st, None, []
+        for _ in range(300):
+            state, _, handover = T._advance(state, math.inf, None, params, env, cfg, handover)
+            div = float(np.abs(F.divergence(g, state.u)).max())
+            assert div <= 1e-13 * (1.0 + np.abs(state.u).max())
+            divs.append(div)
+        assert max(divs[-50:]) <= 4.0 * max(divs[:50])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow en route to divergence
     def test_diverges_loudly_for_huge_dt(self, monkeypatch):
