@@ -10,9 +10,10 @@ Stencils count the spatial axes from the end, so one call serves a scalar and
 every component of a vector alike.  One walker, `_diff`, writes each into one
 fresh array with periodic wrap: a slice difference, or for a face average a
 slice sum, with the same arithmetic as a rolled copy would give, bit for bit.
-The slicing of each stencil is planned once per array shape, axis and
-offset pair and cached (`_stencil_plan`), so a call on a small grid costs
-little more than its subtractions.
+Each stencil is two ufunc calls, one over the flattened arrays for the
+interior and one over the wrapping rows, taken as one strided slice.  The
+slicing is planned once per array shape, axis and offset pair and cached
+(`_stencil_plan`).
 
 A caller that applies several operators to the same field can build the
 shared stencils once -- `partials`, `face_differences`, `face_averages` of a
@@ -31,8 +32,10 @@ face gradient with its magnitude from `frobenius_sq`.
 Spatial derivatives are second-order centered differences, diffusion
 operators are written in conservative flux form, and the Leray projection uses
 the real-to-complex discrete Fourier transform with the exact symbol of the
-centered difference, built once per grid.  These choices make the discrete
-counterparts of the continuous identities exact:
+centered difference, built once per grid.  The transforms are `rfft_grid` and
+`irfft_grid`: numpy's `rfftn`/`irfftn` over the spatial axes, bit for bit,
+called one axis at a time without the n-d wrappers' argument handling.  These
+choices make the discrete counterparts of the continuous identities exact:
 
 * integration by parts:   sum(div(v) * f) == -sum(v . grad(f))
 * conservativity:         integrate(div_flux(a, f)) == 0
@@ -77,6 +80,8 @@ __all__ = [
     "r_laplacian",
     "r_laplacian_vec",
     "leray_project",
+    "rfft_grid",
+    "irfft_grid",
     "project_modes",
     "spectral_l2_norm",
     "diffusion_resolvent",
@@ -140,44 +145,46 @@ class Grid:
 # stencil primitives; `ax` is a spatial axis 0..d-1, counted from the end
 
 
-def _along(axis: int, start: int, stop: int) -> tuple:
-    """Index selecting [start, stop) along `axis` (negative) and everything else."""
-    return (Ellipsis, slice(start, stop)) + (slice(None),) * (-1 - axis)
+def _rows(axis: int, rows: tuple) -> tuple:
+    """Index selecting `rows` along `axis` and everything else: one row, or two as one slice."""
+    step = rows[-1] - rows[0] or 1
+    stop = rows[-1] + (1 if step > 0 else -1)  # -1 would wrap; None runs down through row 0
+    along = slice(rows[0], None if stop < 0 else stop, step)
+    return (Ellipsis, along) + (slice(None),) * (-1 - axis)
 
 
 @lru_cache(maxsize=256)
 def _stencil_plan(shape: tuple, axis: int, hi: int, lo: int) -> tuple:
     """Slicing of a[j+hi] - a[j+lo] along `axis` for arrays of `shape`; -1 <= lo <= 0 <= hi <= 1.
 
-    Returns ((out, hi, lo), wraps).  The first triple slices the flattened
-    arrays, offset by whole rows of `axis`; one subtraction over it gets every
-    point right except the rows whose stencil wraps.  `wraps` holds one
-    (out, hi, lo) triple of index tuples per such row.  Only ints, slices and
-    index tuples are kept, never an array.
+    Returns (interior, wrap), two (out, hi, lo) triples.  The interior triple
+    slices the flattened arrays, offset by whole rows of `axis`; one
+    subtraction over it gets every point right except the rows whose stencil
+    wraps.  The wrap triple selects those rows, at most two and so one strided
+    slice each: for the centered difference, rows (0, n-1) of the output from
+    rows (1, 0) minus rows (n-1, n-2).  Only ints, slices and index tuples are
+    kept, never an array.
     """
     n, row = shape[axis], math.prod(shape[len(shape) + axis + 1:])
     size, m = math.prod(shape), (hi - lo) * row
     interior = (slice(-lo * row, size - hi * row), slice(m, size), slice(0, size - m))
-
-    def at(j):  # row j of `axis`, periodic
-        return _along(axis, j % n, j % n + 1)
-
-    wraps = tuple((at(j), at(j + hi), at(j + lo)) for j in (*range(-lo), *range(n - hi, n)))
-    return interior, wraps
+    js = (*range(-lo), *range(n - hi, n))
+    wrap = tuple(_rows(axis, tuple((j + k) % n for j in js)) for k in (0, hi, lo))
+    return interior, wrap
 
 
 def _diff(a: np.ndarray, axis: int, hi: int, lo: int, op=np.subtract) -> np.ndarray:
     """New array op(a[j+hi], a[j+lo]) along `axis`, periodic; -1 <= lo <= 0 <= hi <= 1.
 
     The one walker of a `_stencil_plan`: `op` (a binary ufunc, subtraction
-    unless given) once over the flattened arrays, then once per wrapping row.
+    unless given) once over the flattened arrays, then once over the wrapping
+    rows, so every stencil is two ufunc calls.
     """
-    out = np.empty(a.shape, dtype=np.result_type(a, 1.0))
-    (o, h, l), wraps = _stencil_plan(a.shape, axis, hi, lo)
+    out = np.empty(a.shape)
+    (o, h, l), (wo, wh, wl) = _stencil_plan(a.shape, axis, hi, lo)
     flat = a.reshape(-1)
     op(flat[h], flat[l], out=out.reshape(-1)[o])
-    for o, h, l in wraps:
-        op(a[h], a[l], out=out[o])
+    op(a[wh], a[wl], out=out[wo])
     return out
 
 
@@ -220,7 +227,7 @@ def partials(g: Grid, f: np.ndarray) -> list:
 
 def gradient(g: Grid, f: np.ndarray) -> np.ndarray:
     """Centered-difference gradient: `partials` stacked along a new first axis."""
-    return np.stack(partials(g, f))
+    return np.array(partials(g, f))
 
 
 def face_differences(g: Grid, f: np.ndarray) -> list:
@@ -277,9 +284,10 @@ def sym_gradient(g: Grid, u: np.ndarray, *, grad=None) -> np.ndarray:
 
 def frobenius_sq(g: Grid, D: np.ndarray) -> np.ndarray:
     """Pointwise squared Frobenius norm; off-diagonal entries count twice."""
-    out = np.zeros(g.shape)
+    out = D[0, 0] ** 2
     for i in range(g.dim):
-        out += D[i, i] ** 2
+        if i:
+            out += D[i, i] ** 2
         for j in range(i + 1, g.dim):
             out += 2.0 * D[i, j] ** 2
     return out
@@ -299,8 +307,8 @@ def div_flux(g: Grid, a: np.ndarray, f: np.ndarray, *, faces=None, diffs=None) -
     if diffs is None:
         diffs = face_differences(g, f)
     h2 = g.h * g.h
-    out = np.zeros(g.shape)
-    for ax in range(g.dim):
+    out = _face_div(faces[0] * diffs[0], 0, g, h2)
+    for ax in range(1, g.dim):
         out += _face_div(faces[ax] * diffs[ax], ax, g, h2)
     return out
 
@@ -313,8 +321,8 @@ def div_tensor_flux(g: Grid, a: np.ndarray, D: np.ndarray) -> np.ndarray:
     sum(u . div_tensor_flux(a, D(u))) == -sum(a * |D(u)|^2).
     """
     av = check_coefficient(a)
-    out = np.zeros((g.dim,) + g.shape)
-    for j in range(g.dim):
+    out = _centered(av * D[:, 0], 0, g)
+    for j in range(1, g.dim):
         out += _centered(av * D[:, j], j, g)
     return out
 
@@ -414,6 +422,31 @@ def max_face_gradient(g: Grid, f: np.ndarray) -> float:
 # Fourier solves: Leray projection and diffusion
 
 
+def rfft_grid(g: Grid, a: np.ndarray) -> np.ndarray:
+    """`np.fft.rfftn` of `a` over its last g.dim axes, bit for bit.
+
+    One transform per axis, in the order `rfftn` takes them: the real one
+    along the last axis, then the complex one along each other spatial axis,
+    from the last to the first.
+    """
+    out = np.fft.rfft(a)
+    for ax in range(2, g.dim + 1):
+        out = np.fft.fft(out, axis=-ax)
+    return out
+
+
+def irfft_grid(g: Grid, ahat: np.ndarray) -> np.ndarray:
+    """`np.fft.irfftn` of the half spectra `ahat` over its last g.dim axes, bit for bit.
+
+    The inverse of `rfft_grid`, one transform per axis, in the order `irfftn`
+    takes them: the complex one along each spatial axis but the last, from
+    the first, then the real one along the last, back to n points.
+    """
+    for ax in range(g.dim, 1, -1):
+        ahat = np.fft.ifft(ahat, axis=-ax)
+    return np.fft.irfft(ahat, g.n)
+
+
 def _half_spectrum(g: Grid, base: np.ndarray) -> list:
     """`base`, one value per wavenumber in `fftfreq` order, along each axis of `rfftn` output."""
     d = g.dim
@@ -458,10 +491,12 @@ def leray_project(g: Grid, v: np.ndarray) -> tuple:
     pressure and are left untouched in w, which is harmless because the
     centered divergence annihilates them.
     """
-    phat = _potential_modes(g, np.fft.rfftn(v, axes=tuple(range(1, g.dim + 1))))
+    phat = _potential_modes(g, rfft_grid(g, v))
     phat *= -1j
-    p = np.fft.irfftn(phat, s=g.shape, axes=tuple(range(g.dim)))
-    return v - gradient(g, p), p
+    p = irfft_grid(g, phat)
+    w = gradient(g, p)
+    np.subtract(v, w, out=w)
+    return w, p
 
 
 def project_modes(g: Grid, vhat: np.ndarray) -> np.ndarray:
@@ -557,8 +592,8 @@ def advect(g: Grid, u: np.ndarray, f: np.ndarray, *, grad=None) -> np.ndarray:
     for ax in range(g.dim):
         t = u[ax] * (_centered(f, ax, g) if grad is None else grad[ax])
         t += _centered(u[ax] * f, ax, g)
-        t *= 0.5
         out += t
+    out *= 0.5  # once: halving commutes with the rounding of the sum, bar subnormals
     return out
 
 

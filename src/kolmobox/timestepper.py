@@ -231,7 +231,8 @@ def step_rothe(
     by (dt / its dt)^2 it is added to the predictor, so the iteration starts
     closer to its fixed point, which it leaves as it is.
 
-    Each iterate takes one `rfftn` of the stacked residual and one `irfftn`:
+    Each iterate takes one `fields.rfft_grid` of the stacked residual and one
+    `fields.irfft_grid` (`rfftn` and `irfftn`, bit for bit):
     u's residual modes are projected (`fields.project_modes`; the discarded
     gradient part is the pressure), the stopping norm of u's part is taken
     from them by Parseval, and all modes are multiplied by the diffusion
@@ -251,7 +252,6 @@ def step_rothe(
                       "well behaved for r > 3", stacklevel=2)
     g = state.grid
     d = g.dim
-    axes = tuple(range(1, d + 1))
     t_new = state.t + dt
 
     scale = sum(F.l2_norm(g, a) for a in (state.u, [state.omega], [state.k])) / dt + 1e-300
@@ -264,7 +264,7 @@ def step_rothe(
     if rates is None:
         rates = M.rhs(state, forcing, params, env)
     residual = [-r for r in rates]
-    u_hat = F.project_modes(g, np.fft.rfftn(state.u, axes=axes))
+    u_hat = F.project_modes(g, F.rfft_grid(g, state.u))
     om, kk = state.omega, state.k
     for it in range(_PICARD_MAX_ITERS):
         if it:
@@ -273,7 +273,7 @@ def step_rothe(
             rates = M.rhs(cand, forcing, params, env, limits=limits)
             residual = operator_apply(cand, state, dt, forcing, params, env, rates=rates)
         ru, rom, rk = residual
-        r_hat = np.fft.rfftn(np.concatenate((ru, rom[None], rk[None])), axes=axes)
+        r_hat = F.rfft_grid(g, np.concatenate((ru, rom[None], rk[None])))
         r_hat[:d] = F.project_modes(g, r_hat[:d])
         res = F.spectral_l2_norm(g, r_hat[:d]) + F.l2_norm(g, [rom, rk])
         if not math.isfinite(res):
@@ -293,7 +293,7 @@ def step_rothe(
             r_hat -= lead
         u_hat -= r_hat[:d]
         r_hat[:d] = u_hat  # so the inverse transform gives u and the omega, k corrections
-        out = np.fft.irfftn(r_hat, s=g.shape, axes=axes)
+        out = F.irfft_grid(g, r_hat)
         u = out[:d]
         om = om - out[d]
         kk = kk - out[d + 1]

@@ -441,6 +441,33 @@ class TestProjectionOracle:
         assert np.abs(w - w_ref).max() <= tol
         assert np.abs(p - p_ref).max() <= tol
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [4, 6, 16])
+    def test_bitwise_the_nd_transform_form(self, dim, n, rng):
+        # rfftn -> potential modes -> * -1j -> irfftn -> v - stacked partials, via the n-d wrappers
+        g = F.Grid(dim, n, 1.7)
+        v = with_mean_and_nyquist(g, rng)
+        phat = F._potential_modes(g, np.fft.rfftn(v, axes=tuple(range(1, dim + 1))))
+        phat *= -1j
+        p_ref = np.fft.irfftn(phat, s=g.shape, axes=tuple(range(dim)))
+        w, p = F.leray_project(g, v)
+        assert np.array_equal(p, p_ref)
+        assert np.array_equal(w, v - np.stack(F.partials(g, p_ref)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [4, 6, 16])
+    def test_grid_transforms_are_rfftn_and_irfftn(self, dim, n, rng):
+        # the Rothe iterate's pair, on its stack of u's d components, omega and k
+        g = F.Grid(dim, n, 1.7)
+        stack = rng.standard_normal((dim + 2,) + g.shape)
+        axes = tuple(range(1, dim + 1))
+        r_hat = np.fft.rfftn(stack, axes=axes)
+        assert np.array_equal(F.rfft_grid(g, stack), r_hat)
+        r_hat *= F.diffusion_resolvent(g, np.linspace(0.0, 1.0, dim + 2))
+        ahat = r_hat.copy()
+        assert np.array_equal(F.irfft_grid(g, r_hat), np.fft.irfftn(ahat, s=g.shape, axes=axes))
+        assert np.array_equal(r_hat, ahat), "the inverse wrote into its input"
+
     def test_symbols_cached_read_only(self):
         sym, inv = F._projection_symbols(F.Grid(2, 8, 1.0))
         assert F._projection_symbols(F.Grid(2, 8, 1.0)) is F._projection_symbols(F.Grid(2, 8, 1.0))
@@ -570,6 +597,17 @@ class TestStencilOracle:
         for a in (transposed, strided):
             assert not a.flags.c_contiguous
             self.assert_stencils_match_roll(a, dim)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("rank", [0, 1, 2], ids=["scalar", "vector", "tensor"])
+    def test_strided_input_on_every_rank(self, dim, n, rank, rng):
+        # every other point along every spatial axis: in 1D a scalar is a[::2]
+        g = F.Grid(dim, n, 1.0)
+        wide = rng.standard_normal((dim,) * rank + tuple(2 * m for m in g.shape))
+        a = wide[(Ellipsis,) + (slice(None, None, 2),) * dim]
+        assert a.shape == (dim,) * rank + g.shape and not a.flags.c_contiguous
+        self.assert_stencils_match_roll(a, dim)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n", [4, 8])

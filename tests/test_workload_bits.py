@@ -1,9 +1,10 @@
-"""Every output of every benchmark workload keeps its bits.
+"""Every output of every benchmark workload keeps its bits, and so do `balance` and `scaling`.
 
 Each workload's config comes from `perfbench/workloads.py` at seed 1, so the
-pins follow the benchmark.  The digests hold on numpy 2.4.6 with its bundled
-pocketfft, as the other pins in `test_cli.py` do; a different FFT or SIMD
-build may move them.  A change that moves any of these files updates its
+pins follow the benchmark.  No workload runs `balance` or `scaling`, so each
+gets a small run of its own here.  The digests hold on numpy 2.4.6 with its
+bundled pocketfft, as the other pins in `test_cli.py` do; a different FFT or
+SIMD build may move them.  A change that moves any of these files updates its
 digest here and says why.
 """
 
@@ -68,6 +69,45 @@ OUTPUT_SHA256 = {
 }
 
 
+# the two commands that no workload runs: a regularized 2D balance pair and an
+# unregularized, forced 3D scaling twin
+COMMAND_RUNS = {
+    "balance_2d_reg": ("balance", """
+dim = 2
+n = 16
+side = 6.283185307179586
+regularized = true
+eps = 1e-3
+r = 3.2
+t_end = 0.4
+sample_every = 0.05
+ic = perturbed
+perturb_modes = u1:1:1:0.5, u2:0:2:0.5, omega:0:1:0.1, k:1:1:0.2
+guard = false
+""", {
+        "balance.json": "a0058b111d09ec9fa17504769198c7a0dfcdb68074dccdad53acdaea2690d8eb",
+        "series.ndjson": "701aea68204d06b912000859a47093bef16db5ce355ceb9f11510cff1910418f",
+        "summary.json": "cb65020f81528ae8bed7dc1020172106014a02e3a95075ab19c1fcee000b9247",
+    }),
+    "scaling_3d_forced": ("scaling", """
+dim = 3
+n = 8
+side = 6.283185307179586
+t_end = 0.5
+sample_every = 0.05
+ic = perturbed
+perturb_modes = u1:1:1:0.3, u2:0:2:0.3, u3:2:1:0.3, omega:0:1:0.1, k:1:1:0.1
+forcing = single_mode
+forcing_axis = 1
+forcing_wavenumber = 1
+forcing_amplitude = 0.5
+forcing_component = 0
+""", {
+        "summary.json": "948034773e99acc7206c2ac8fc1e13e7df200935a9fa4471c9d213b4b680a8a0",
+    }),
+}
+
+
 @pytest.mark.parametrize("name", sorted(OUTPUT_SHA256))
 def test_workload_outputs_are_pinned(tmp_path, capsys, name):
     workload = WORKLOADS[name]
@@ -78,6 +118,20 @@ def test_workload_outputs_are_pinned(tmp_path, capsys, name):
     capsys.readouterr()
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     pinned = OUTPUT_SHA256[name]
+    assert sorted(digests) == sorted(pinned), "the command wrote other files"
+    moved = [f for f in sorted(pinned) if digests[f] != pinned[f]]
+    assert moved == [], f"{name}: outputs that moved: {moved}"
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_RUNS))
+def test_command_outputs_are_pinned(tmp_path, capsys, name):
+    command, text, pinned = COMMAND_RUNS[name]
+    cfg = tmp_path / "command.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert sorted(digests) == sorted(pinned), "the command wrote other files"
     moved = [f for f in sorted(pinned) if digests[f] != pinned[f]]
     assert moved == [], f"{name}: outputs that moved: {moved}"
